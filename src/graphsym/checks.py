@@ -183,7 +183,7 @@ def _dist_number(g: Graph, budgets: Budgets) -> DistinguishingResult:
     hit = _number_cache.get(key)
     if hit is None:
         try:
-            hit = distinguishing_number(g, budgets)
+            hit = distinguishing_number(g, budgets, group=_aut(g, budgets))
         except BudgetExceeded as exc:
             hit = exc
         _number_cache[key] = hit
@@ -197,7 +197,7 @@ def _dist_index(g: Graph, budgets: Budgets) -> DistinguishingResult:
     hit = _index_cache.get(key)
     if hit is None:
         try:
-            hit = distinguishing_index(g, budgets)
+            hit = distinguishing_index(g, budgets, group=_aut(g, budgets))
         except BudgetExceeded as exc:
             hit = exc
         _index_cache[key] = hit
@@ -269,8 +269,8 @@ def check_layered_labeling(
         d_h = _dist_number(h, budgets)
         prod_gh = strong_product(g, h)
         prod_hg = strong_product(h, g)
-        lab_gh = layered_labeling(g, h, d_g.witness, budgets=budgets)
-        lab_hg = layered_labeling(h, g, d_h.witness, budgets=budgets)
+        lab_gh = layered_labeling(g, h, d_g.witness, group=_aut(g, budgets))
+        lab_hg = layered_labeling(h, g, d_h.witness, group=_aut(h, budgets))
         ok_gh = is_distinguishing_vertex(prod_gh, _aut(prod_gh, budgets), lab_gh)
         ok_hg = is_distinguishing_vertex(prod_hg, _aut(prod_hg, budgets), lab_hg)
     except BudgetExceeded as exc:

@@ -308,7 +308,7 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (FormatError, BudgetExceeded, OSError, ValueError) as exc:
+    except (FormatError, BudgetExceeded, OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

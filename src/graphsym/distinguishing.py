@@ -5,8 +5,9 @@ every label, i.e. the stabilizer of the labeling inside the automorphism
 group is trivial.  The minimum over vertex labelings is the distinguishing
 number, over edge labelings the distinguishing index.
 
-Exactness contract: below the configured exhaustive budgets the search
-space for every smaller label count is exhausted and the result is exact.
+Exactness contract: below the configured exhaustive budgets every smaller
+label count is either excluded by the transposition-class bound or
+exhausted by a pruned backtracking search, and the result is exact.
 Above them the result is a certified upper bound: the returned witness is
 always verified against the full automorphism group, and a nontrivial
 group certifies the lower bound 2.  A certified value of 2 is therefore
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .graph import Graph
 from .symmetry import AutomorphismGroup, Permutation, automorphism_group, identity
@@ -142,7 +143,7 @@ def is_distinguishing_vertex(
     if len(labeling.labels) != graph.n:
         raise ValueError("labeling length does not match vertex count")
     rows = _nonidentity_rows(group.elements, identity(graph.n))
-    return not _preserved_by_some(labeling.labels, rows)
+    return _preserving_row(labeling.labels, rows) is None
 
 
 def is_distinguishing_edge(
@@ -162,7 +163,7 @@ def is_distinguishing_edge(
     ident = identity(graph.n)
     rows = [row for p, row in zip(group.elements, _edge_images(graph, group.elements))
             if p != ident]
-    return not _preserved_by_some(flat, rows)
+    return _preserving_row(flat, rows) is None
 
 
 def _edge_images(graph: Graph, elements: Sequence[Permutation]) -> list[tuple[int, ...]]:
@@ -189,20 +190,10 @@ def _nonidentity_rows(
     return [p for p in elements if p != ident]
 
 
-def _preserved_by_some(labels: Sequence[int], rows: Sequence[tuple[int, ...]]) -> bool:
-    """Whether some row (a permutation of label positions) preserves all labels."""
-    for row in rows:
-        for i, lab in enumerate(labels):
-            if labels[row[i]] != lab:
-                break
-        else:
-            return True
-    return False
-
-
-def _first_preserving_row(
+def _preserving_row(
     labels: Sequence[int], rows: Sequence[tuple[int, ...]]
 ) -> Optional[tuple[int, ...]]:
+    """The first row (a permutation of label positions) preserving all labels, if any."""
     for row in rows:
         for i, lab in enumerate(labels):
             if labels[row[i]] != lab:
@@ -212,30 +203,22 @@ def _first_preserving_row(
     return None
 
 
-def _growth_strings(n: int, r: int) -> Iterator[tuple[int, ...]]:
-    """Length-n label tuples using exactly the labels 1..r, first occurrences
-    in increasing order (one canonical representative per palette renaming),
-    in lexicographic order.  Position 0 always carries label 1."""
-    if n < r:
-        return
+def _transposition_class_bound(size: int, rows: Sequence[tuple[int, ...]]) -> int:
+    """Size of the largest class of positions pairwise swapped by transposition rows.
 
-    prefix: list[int] = []
-
-    def extend(used: int) -> Iterator[tuple[int, ...]]:
-        i = len(prefix)
-        if i == n:
-            if used == r:
-                yield tuple(prefix)
-            return
-        cap = min(used + 1, r)
-        for lab in range(1, cap + 1):
-            now = used + 1 if lab == used + 1 else used
-            if now + (n - i - 1) >= r:
-                prefix.append(lab)
-                yield from extend(now)
-                prefix.pop()
-
-    yield from extend(0)
+    A transposition row preserves any labeling that repeats a label on the
+    two positions it swaps, so every position of a class needs its own
+    label.  The rows form a group with the identity, and (i j)(j k)(i j) =
+    (i k), so the class of i is i plus every position swapped with it.
+    Twin vertices and pendant edges at one vertex form such classes.
+    """
+    swapped = [1] * size
+    for row in rows:
+        moved = [i for i, j in enumerate(row) if i != j]
+        if len(moved) == 2:
+            for i in moved:
+                swapped[i] += 1
+    return max(swapped, default=1)
 
 
 def _normalize_labels(labels: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -253,16 +236,59 @@ def _exhaustive_minimum(
     size: int, rows: Sequence[tuple[int, ...]]
 ) -> tuple[int, tuple[int, ...]]:
     """Smallest label count with a distinguishing assignment of `size`
-    positions, by canonical enumeration; returns the first witness.
+    positions, and the first such assignment in canonical order.
+
+    For each r, the canonical order lists the assignments with exactly r
+    labels whose first occurrences increase (one per palette renaming),
+    lexicographically.  Backtracking labels positions left to right and
+    keeps a bitmask of the live rows, those the prefix has not broken: a
+    row is broken once some i and row[i] are both labeled and differ.  A
+    live row whose moved positions are all labeled preserves every
+    completion, which cuts the branch.  The search starts at the
+    transposition-class bound, since no smaller r has a witness.
 
     Requires that the all-distinct assignment is distinguishing (true for
     vertex labelings always, for edge labelings once the edge-fixing
     kernel is known trivial), so the search terminates at r = size.
     """
-    for r in range(2, size + 1):
-        for labels in _growth_strings(size, r):
-            if not _preserved_by_some(labels, rows):
-                return r, labels
+    # ties[k][j], j < k: bitmask of the rows mapping j to k or k to j;
+    # settled[k]: bitmask of the rows whose largest moved position is k
+    ties: list[dict[int, int]] = [{} for _ in range(size)]
+    settled = [0] * size
+    for t, row in enumerate(rows):
+        bit = 1 << t
+        last = 0
+        for i, j in enumerate(row):
+            if i != j:
+                last = i
+                hi, lo = max(i, j), min(i, j)
+                ties[hi][lo] = ties[hi].get(lo, 0) | bit
+        settled[last] |= bit
+    labels = [0] * size
+
+    def extend(k: int, used: int, live: int, r: int) -> bool:
+        if k == size:
+            return True
+        for lab in range(1, min(used + 1, r) + 1):
+            now = max(used, lab)
+            if now + (size - k - 1) < r:
+                continue
+            broken = 0
+            for j, mask in ties[k].items():
+                if labels[j] != lab:
+                    broken |= mask
+            kept = live & ~broken
+            if kept & settled[k]:
+                continue
+            labels[k] = lab
+            if extend(k + 1, now, kept, r):
+                return True
+        return False
+
+    every_row = (1 << len(rows)) - 1
+    for r in range(max(2, _transposition_class_bound(size, rows)), size + 1):
+        if extend(0, 0, every_row, r):
+            return r, tuple(labels)
     raise AssertionError("the all-distinct labeling must be distinguishing")
 
 
@@ -286,29 +312,46 @@ def _randomized_minimum(
         while trials < budgets.trials or pending:
             labels = pending.pop() if pending else [rng.randint(1, r) for _ in range(size)]
             trials += 1
-            row = _first_preserving_row(labels, rows)
+            row = _preserving_row(labels, rows)
             steps = 0
             while row is not None and trials < budgets.trials and steps < 2 * size:
                 moved = next(i for i in range(size) if row[i] != i)
                 labels[moved] = labels[moved] % r + 1
                 trials += 1
                 steps += 1
-                row = _first_preserving_row(labels, rows)
+                row = _preserving_row(labels, rows)
             if row is None:
                 normalized, distinct = _normalize_labels(labels)
                 return distinct, normalized
     raise AssertionError("the all-distinct labeling must be distinguishing")
 
 
-def distinguishing_number(graph: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> DistinguishingResult:
+def _group_of(
+    graph: Graph, budgets: Budgets, group: Optional[AutomorphismGroup]
+) -> AutomorphismGroup:
+    """The given group after a size check, else Aut(graph) within the budgets."""
+    if group is None:
+        return automorphism_group(
+            graph, max_vertices=budgets.aut_vertices, max_order=budgets.aut_max_order
+        )
+    if group.n != graph.n:
+        raise ValueError("group does not act on this graph")
+    return group
+
+
+def distinguishing_number(
+    graph: Graph,
+    budgets: Budgets = DEFAULT_BUDGETS,
+    *,
+    group: Optional[AutomorphismGroup] = None,
+) -> DistinguishingResult:
     """Least number of vertex labels admitting a distinguishing labeling.
 
     Exact for graphs within budgets.exact_vertices; otherwise a certified
-    upper bound with a verified witness (tight when the value is 2).
+    upper bound with a verified witness (tight when the value is 2).  A
+    caller that already holds Aut(graph) passes it as group.
     """
-    group = automorphism_group(
-        graph, max_vertices=budgets.aut_vertices, max_order=budgets.aut_max_order
-    )
+    group = _group_of(graph, budgets, group)
     if group.is_trivial:
         witness = VertexLabeling((1,) * graph.n, 1)
         return DistinguishingResult(1, EXACT, witness, REASON_ASYMMETRIC)
@@ -323,18 +366,22 @@ def distinguishing_number(graph: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> D
     )
 
 
-def distinguishing_index(graph: Graph, budgets: Budgets = DEFAULT_BUDGETS) -> DistinguishingResult:
+def distinguishing_index(
+    graph: Graph,
+    budgets: Budgets = DEFAULT_BUDGETS,
+    *,
+    group: Optional[AutomorphismGroup] = None,
+) -> DistinguishingResult:
     """Least number of edge labels admitting a distinguishing edge labeling.
 
     Undefined (dedicated outcome, not an error) when some non-identity
     automorphism fixes every edge as a set; among connected graphs that
-    happens only for K_2, whose swap fixes the unique edge.
+    happens only for K_2, whose swap fixes the unique edge.  A caller that
+    already holds Aut(graph) passes it as group.
     """
     if graph.edge_count == 0:
         raise ValueError("distinguishing index needs at least one edge")
-    group = automorphism_group(
-        graph, max_vertices=budgets.aut_vertices, max_order=budgets.aut_max_order
-    )
+    group = _group_of(graph, budgets, group)
     if group.is_trivial:
         witness = EdgeLabeling({e: 1 for e in graph.edges}, 1)
         return DistinguishingResult(1, EXACT, witness, REASON_ASYMMETRIC)

@@ -2,7 +2,11 @@
 
 Everything here works straight from definitions with no pruning or shared
 code paths: permutations come from itertools, labelings from full
-cartesian enumeration.  Deliberately slow and only usable on tiny graphs.
+cartesian enumeration.  The one exception is reference_minimum, the
+library's former generate-and-test search, which enumerates one labeling
+per palette renaming in the library's canonical order, so that the
+library's witnesses can be compared exactly and not only its values.
+Deliberately slow and only usable on tiny graphs.
 """
 
 from __future__ import annotations
@@ -33,10 +37,25 @@ def brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
     return out
 
 
+def vertex_rows(g: Graph) -> list[tuple[int, ...]]:
+    """The non-identity automorphisms, as permutations of vertex positions."""
+    return [p for p in brute_automorphisms(g) if p != tuple(range(g.n))]
+
+
+def edge_rows(g: Graph) -> list[tuple[int, ...]]:
+    """The non-identity automorphisms, as permutations of edge positions
+    in the order of g.edges."""
+    index = {e: i for i, e in enumerate(g.edges)}
+    return [
+        tuple(index[(min(p[u], p[v]), max(p[u], p[v]))] for u, v in g.edges)
+        for p in vertex_rows(g)
+    ]
+
+
 def naive_distinguishing_number(g: Graph) -> int:
     """Smallest r for which some labeling in the full r**n space is
     preserved by no non-identity automorphism."""
-    auts = [p for p in brute_automorphisms(g) if p != tuple(range(g.n))]
+    auts = vertex_rows(g)
     if not auts:
         return 1
     for r in range(2, g.n + 1):
@@ -49,17 +68,10 @@ def naive_distinguishing_number(g: Graph) -> int:
 def naive_distinguishing_index(g: Graph):
     """Edge analogue; returns None when no edge labeling is ever
     distinguishing (an automorphism fixes every edge)."""
-    edges = g.edges
-    m = len(edges)
+    m = g.edge_count
     if m == 0:
         raise ValueError("needs an edge")
-    index = {e: i for i, e in enumerate(edges)}
-    ident = tuple(range(g.n))
-    rows = []
-    for p in brute_automorphisms(g):
-        if p == ident:
-            continue
-        rows.append(tuple(index[(min(p[u], p[v]), max(p[u], p[v]))] for u, v in edges))
+    rows = edge_rows(g)
     if not rows:
         return 1
     if any(row == tuple(range(m)) for row in rows):
@@ -69,6 +81,39 @@ def naive_distinguishing_index(g: Graph):
             if not any(all(labels[row[i]] == labels[i] for i in range(m)) for row in rows):
                 return r
     raise AssertionError("distinct labels always distinguish once the kernel is trivial")
+
+
+def growth_strings(n: int, r: int):
+    """Length-n label tuples using exactly the labels 1..r, first
+    occurrences in increasing order (one canonical representative per
+    palette renaming), in lexicographic order."""
+    prefix: list[int] = []
+
+    def extend(used: int):
+        i = len(prefix)
+        if i == n:
+            if used == r:
+                yield tuple(prefix)
+            return
+        for lab in range(1, min(used + 1, r) + 1):
+            prefix.append(lab)
+            yield from extend(max(used, lab))
+            prefix.pop()
+
+    yield from extend(0)
+
+
+def reference_minimum(size: int, rows):
+    """Generate and test: for r = 1, 2, ..., the first growth string that no
+    row preserves.  Returns (r, labels), or None when some row fixes every
+    position, so that no labeling distinguishes."""
+    if any(row == tuple(range(size)) for row in rows):
+        return None
+    for r in range(1, size + 1):
+        for labels in growth_strings(size, r):
+            if not any(all(labels[row[i]] == labels[i] for i in range(size)) for row in rows):
+                return r, labels
+    raise AssertionError("distinct labels always distinguish")
 
 
 def naive_hamiltonian_path(g: Graph) -> bool:

@@ -149,3 +149,12 @@ def test_seeded_determinism(capsys, g6):
 def test_help_exits_zero(capsys):
     assert dispatch(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_deep_search_is_an_error_not_a_traceback(capsys, tmp_path):
+    # the automorphism search recurses once per vertex, so a long path
+    # exceeds the interpreter's recursion limit
+    f = tmp_path / "p1200.el"
+    f.write_text("1200\n" + "".join(f"{i} {i + 1}\n" for i in range(1199)))
+    code, _, err = run(capsys, ["autgroup", str(f), "--aut-bound", "5000"])
+    assert code == 2 and err.startswith("error: ")

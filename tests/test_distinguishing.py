@@ -4,11 +4,13 @@ import random
 import pytest
 
 from graphsym import (
+    DEFAULT_BUDGETS,
     Budgets,
     EdgeLabeling,
     Graph,
     VertexLabeling,
     automorphism_group,
+    cartesian_product,
     complete,
     cycle,
     distinguishing_index,
@@ -19,7 +21,16 @@ from graphsym import (
     path,
     strong_product,
 )
-from oracles import naive_distinguishing_index, naive_distinguishing_number
+from graphsym.distinguishing import _transposition_class_bound
+from oracles import (
+    all_connected_graphs,
+    connected_graph_sample,
+    edge_rows,
+    naive_distinguishing_index,
+    naive_distinguishing_number,
+    reference_minimum,
+    vertex_rows,
+)
 
 
 def test_is_distinguishing_vertex_examples():
@@ -195,3 +206,65 @@ def test_exhaustive_palette_pruning_is_sound():
                 raw = r
                 break
         assert distinguishing_number(g).value == raw
+
+
+def _assert_matches_reference(g, budgets):
+    """Same value and same witness as generate-and-test over growth strings."""
+    rows = vertex_rows(g)
+    value, labels = reference_minimum(g.n, rows)
+    got = distinguishing_number(g, budgets)
+    assert got.mode == "exact"
+    assert (got.value, got.witness.labels, got.witness.r) == (value, labels, value)
+    assert _transposition_class_bound(g.n, rows) <= value
+    if not g.edge_count or g.edge_count > budgets.exact_edges:
+        return
+    rows = edge_rows(g)
+    expected = reference_minimum(g.edge_count, rows)
+    got = distinguishing_index(g, budgets)
+    if expected is None:
+        assert got.mode == "undefined"
+        return
+    value, labels = expected
+    assert got.mode == "exact"
+    assert got.value == value and got.witness.r == value
+    assert tuple(got.witness.labels[e] for e in g.edges) == labels
+    assert _transposition_class_bound(g.edge_count, rows) <= value
+
+
+def test_witness_matches_reference_search_small_graphs():
+    budgets = Budgets(exact_vertices=6, exact_edges=15)
+    graphs = [g for n in range(1, 6) for g in all_connected_graphs(n)]
+    graphs += connected_graph_sample(6, 200, seed=0)
+    for g in graphs:
+        _assert_matches_reference(g, budgets)
+
+
+def test_witness_matches_reference_search_products():
+    for g in (
+        strong_product(path(2), path(3)),
+        strong_product(cycle(4), complete(2)),
+        cartesian_product(complete(2), complete(3)),
+    ):
+        _assert_matches_reference(g, DEFAULT_BUDGETS)
+
+
+def test_transposition_class_bound_on_twins_and_pendant_edges():
+    # K_{1,4}: the four leaves are pairwise twins, and so are the four edges
+    star = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    assert _transposition_class_bound(5, vertex_rows(star)) == 4
+    assert _transposition_class_bound(4, edge_rows(star)) == 4
+    assert distinguishing_number(star).value == 4
+    assert distinguishing_index(star).value == 4
+    # C5 has no transposition automorphism
+    assert _transposition_class_bound(5, vertex_rows(cycle(5))) == 1
+
+
+def test_given_group_matches_computed_group():
+    for g in (path(5), cycle(6), strong_product(path(2), path(3)), strong_product(path(3), cycle(5))):
+        group = automorphism_group(g)
+        assert distinguishing_number(g, group=group) == distinguishing_number(g)
+        assert distinguishing_index(g, group=group) == distinguishing_index(g)
+    with pytest.raises(ValueError):
+        distinguishing_number(path(4), group=automorphism_group(path(5)))
+    with pytest.raises(ValueError):
+        distinguishing_index(path(4), group=automorphism_group(path(5)))
