@@ -82,21 +82,23 @@ def parse_graph6(text: str | bytes) -> Graph:
     body = s[pos:]
     if len(body) != need:
         raise FormatError(f"graph6 body has {len(body)} characters, expected {need}")
+    # bit k is the pair (u, v) of column v, which starts at k = v(v-1)/2;
+    # the set bits come in increasing k, so the column only moves forward
     edges = []
-    k = 0
-    for c in body:
+    v, start = 1, 0
+    for i, c in enumerate(body):
         group = ord(c) - 63
-        for shift in (5, 4, 3, 2, 1, 0):
-            if k >= npairs:
-                break
-            if (group >> shift) & 1:
-                # pair index k corresponds to column v, row u of the upper triangle
-                v = 1
-                while (v * (v + 1)) // 2 <= k:
+        if not group:
+            continue
+        for bit in range(6):
+            if (group >> (5 - bit)) & 1:
+                k = 6 * i + bit
+                if k >= npairs:
+                    break
+                while k >= start + v:
+                    start += v
                     v += 1
-                u = k - (v * (v - 1)) // 2
-                edges.append((u, v))
-            k += 1
+                edges.append((k - start, v))
     return Graph.from_edges(n, edges)
 
 

@@ -2,10 +2,12 @@
 
 Everything here works straight from definitions with no pruning or shared
 code paths: permutations come from itertools, labelings from full
-cartesian enumeration.  The one exception is reference_minimum, the
-library's former generate-and-test search, which enumerates one labeling
-per palette renaming in the library's canonical order, so that the
-library's witnesses can be compared exactly and not only its values.
+cartesian enumeration.  The two exceptions are former library searches
+kept as references, so that results can be compared exactly and not only
+in value: reference_minimum, the generate-and-test labeling search, which
+enumerates one labeling per palette renaming in the library's canonical
+order, and reference_automorphisms, the recursive enumerator that listed
+every automorphism in lexicographic order.
 Deliberately slow and only usable on tiny graphs.
 """
 
@@ -114,6 +116,45 @@ def reference_minimum(size: int, rows):
             if not any(all(labels[row[i]] == labels[i] for i in range(size)) for row in rows):
                 return r, labels
     raise AssertionError("distinct labels always distinguish")
+
+
+def reference_automorphisms(graph: Graph):
+    """The library's former automorphism enumerator, recursive and unchanged:
+    every automorphism in lexicographic image order."""
+    n = graph.n
+    if n == 0:
+        yield ()
+        return
+    nbr = graph.neighbor_sets
+    deg = [graph.degree(v) for v in range(n)]
+    by_degree: dict[int, list[int]] = {}
+    for v in range(n):
+        by_degree.setdefault(deg[v], []).append(v)
+
+    image = [-1] * n
+    used = [False] * n
+
+    def extend(v: int):
+        if v == n:
+            yield tuple(image)
+            return
+        v_nbrs = nbr[v]
+        for w in by_degree[deg[v]]:
+            if used[w]:
+                continue
+            w_nbrs = nbr[w]
+            ok = True
+            for u in range(v):
+                if (u in v_nbrs) != (image[u] in w_nbrs):
+                    ok = False
+                    break
+            if ok:
+                image[v] = w
+                used[w] = True
+                yield from extend(v + 1)
+                used[w] = False
+
+    yield from extend(0)
 
 
 def naive_hamiltonian_path(g: Graph) -> bool:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import graphsym.cli
 from graphsym import parse_graph6, path, serialize_edgelist, serialize_graph6, strong_product
 from graphsym.cli import dispatch
 
@@ -151,10 +152,20 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
-def test_deep_search_is_an_error_not_a_traceback(capsys, tmp_path):
-    # the automorphism search recurses once per vertex, so a long path
-    # exceeds the interpreter's recursion limit
+def test_deep_search_is_an_error_not_a_traceback(capsys, monkeypatch, g6):
+    # a search that overflows the interpreter stack exits 2 with a message
+    def overflow(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(graphsym.cli, "automorphism_group", overflow)
+    code, _, err = run(capsys, ["autgroup", g6("p4.g6", path(4))])
+    assert code == 2 and err.startswith("error: ")
+
+
+def test_autgroup_on_a_long_path(capsys, tmp_path):
+    # the automorphism search keeps its own stack, so its depth is not
+    # bounded by the interpreter's recursion limit
     f = tmp_path / "p1200.el"
     f.write_text("1200\n" + "".join(f"{i} {i + 1}\n" for i in range(1199)))
-    code, _, err = run(capsys, ["autgroup", str(f), "--aut-bound", "5000"])
-    assert code == 2 and err.startswith("error: ")
+    code, out, err = run(capsys, ["autgroup", str(f), "--aut-bound", "5000"])
+    assert (code, out, err) == (0, "order 2\n", "")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,3 +101,19 @@ def test_round_trip_random_graphs(data):
     # canonical graph6 strings reproduce byte for byte
     s = serialize_graph6(g)
     assert serialize_graph6(parse_graph6(s)) == s
+
+
+@pytest.mark.parametrize("n", [62, 63, 64, 400])
+def test_graph6_round_trip_across_the_long_header(n):
+    # n <= 62 takes a one-byte vertex count, larger n the four-byte "~" form
+    rng = random.Random(n)
+    g = Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.1])
+    s = serialize_graph6(g)
+    assert (s[0] == "~") == (n > 62)
+    assert parse_graph6(s) == g
+    assert serialize_graph6(parse_graph6(s)) == s
+    nx = pytest.importorskip("networkx")
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(n))
+    nxg.add_edges_from(g.edges)
+    assert parse_graph6(nx.to_graph6_bytes(nxg, header=False)) == g

@@ -1,7 +1,13 @@
+import importlib.util
+import itertools
 import math
+import random
+from pathlib import Path
 
 import pytest
 
+import graphsym.checks
+import graphsym.distinguishing
 from graphsym import (
     BudgetExceeded,
     Graph,
@@ -10,6 +16,8 @@ from graphsym import (
     complete,
     compose,
     cycle,
+    default_corpus,
+    direct_product,
     find_isomorphism,
     group_equal,
     has_nontrivial_automorphism,
@@ -17,11 +25,14 @@ from graphsym import (
     inverse,
     is_automorphism,
     is_isomorphic,
+    iter_automorphisms,
     layer,
     path,
+    run_all,
     strong_product,
 )
-from oracles import brute_automorphisms
+from oracles import brute_automorphisms, reference_automorphisms
+from test_acceptance import criterion
 
 # The caterpillar tree on 6 vertices: reversing the spine (0<->4, 1<->3)
 # and fixing the leaf 5 is an automorphism, so it is not asymmetric.
@@ -145,3 +156,133 @@ def test_find_isomorphism():
     p = find_isomorphism(g, h)
     edge_set = set(h.edges)
     assert all((min(p[u], p[v]), max(p[u], p[v])) in edge_set for u, v in g.edges)
+
+
+def _labeled_graphs(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    for bits in range(1 << len(pairs)):
+        yield Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+
+
+def _small_graphs():
+    """Every labeled graph on at most 5 vertices, and one labeling of every
+    graph on 6 vertices (the networkx atlas), connected or not."""
+    nx = pytest.importorskip("networkx")
+    for n in range(6):
+        yield from _labeled_graphs(n)
+    for a in nx.graph_atlas_g():
+        if a.number_of_nodes() == 6:
+            yield Graph.from_edges(6, a.edges())
+
+
+def _random_graphs(count=200, seed=3):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 10)
+        p = rng.uniform(0.1, 0.9)
+        yield Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+
+
+def _assert_matches_reference(g):
+    expected = tuple(reference_automorphisms(g))
+    assert automorphism_group(g).elements == expected, g
+    assert tuple(iter_automorphisms(g)) == expected, g
+    assert has_nontrivial_automorphism(g) == (len(expected) > 1), g
+
+
+def test_matches_reference_enumerator_on_all_small_graphs():
+    for g in _small_graphs():
+        _assert_matches_reference(g)
+
+
+def test_matches_reference_enumerator_on_random_graphs():
+    for g in _random_graphs():
+        _assert_matches_reference(g)
+
+
+def test_matches_reference_enumerator_on_corpus_groups(monkeypatch):
+    # record every group the harness builds within its budgets, from cold caches
+    built = {}
+
+    def recording(graph, **kwargs):
+        group = automorphism_group(graph, **kwargs)
+        built[graph] = group
+        return group
+
+    for module in (graphsym.checks, graphsym.distinguishing):
+        monkeypatch.setattr(module, "automorphism_group", recording)
+    for cache in ("_aut_cache", "_number_cache", "_index_cache"):
+        monkeypatch.setattr(graphsym.checks, cache, {})
+    run_all(default_corpus())
+    assert len(built) > 50
+    for g, group in built.items():
+        assert group.elements == tuple(reference_automorphisms(g)), g
+
+
+def test_order_budget_boundary():
+    g = strong_product(path(4), cycle(3))
+    assert automorphism_group(g, max_order=2592).order == 2592
+    with pytest.raises(BudgetExceeded) as exc:
+        automorphism_group(g, max_order=2591)
+    assert str(exc.value) == "automorphism group larger than the order budget 2591"
+
+
+def test_oversized_groups_are_rejected_without_enumeration():
+    # |Aut| is 8 * 5!^4, 10 * 4!^5 and 8 * 4!^4: the order budget is decided
+    # from the coset representatives, long before 10001 elements are listed
+    for g in (strong_product(complete(5), cycle(4)), strong_product(complete(4), cycle(5)),
+              strong_product(complete(4), cycle(4))):
+        with criterion(14, 1, f"order budget decided on an over-budget group ({g.n} vertices)"):
+            with pytest.raises(BudgetExceeded) as exc:
+                automorphism_group(g, max_order=10000)
+        assert str(exc.value) == "automorphism group larger than the order budget 10000"
+
+
+def test_mapped_neighbour_count_prunes_early():
+    # K2 x P8 is two disjoint paths whose first eight vertices are pairwise
+    # non-adjacent; without the count of mapped neighbours a wrong image is
+    # only rejected near the leaves, which takes about 20 s here
+    g = direct_product(complete(2), path(8))
+    with criterion(15, 1, "Aut(K2 x P8), a disconnected direct product"):
+        assert automorphism_group(g).order == 8
+
+
+def test_group_order_matches_networkx_on_query_products():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    # the benchmark's query-mix product sample, read from its input generator
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    checked = 0
+    for k1, a, op, k2, b in inputs.product_catalogue()[::inputs.PRODUCT_STRIDE]:
+        n = a * b
+        edges = inputs.product_edges(op, a, inputs.factor_edges(k1, a), b, inputs.factor_edges(k2, b))
+        g = Graph.from_edges(n, edges)
+        try:
+            order = automorphism_group(g, max_order=10000).order
+        except BudgetExceeded:
+            continue
+        nxg = nx.Graph(list(g.edges))
+        nxg.add_nodes_from(range(n))
+        assert sum(1 for _ in GraphMatcher(nxg, nxg).isomorphisms_iter()) == order, (k1, a, op, k2, b)
+        checked += 1
+    assert checked == 17  # the other 9 products are over the order cap
+
+
+def test_find_isomorphism_is_the_first_in_lexicographic_order():
+    rng = random.Random(11)
+    for g in _random_graphs(60, seed=5):
+        if g.n > 7:
+            continue
+        relabel = list(range(g.n))
+        rng.shuffle(relabel)
+        h = Graph.from_edges(g.n, [(relabel[u], relabel[v]) for u, v in g.edges])
+        h_edges = set(h.edges)
+        first = next(
+            p for p in itertools.permutations(range(g.n))
+            if all((min(p[u], p[v]), max(p[u], p[v])) in h_edges for u, v in g.edges)
+        )
+        assert find_isomorphism(g, h) == first
