@@ -10,12 +10,11 @@ fails only on a hypothesis-satisfying counterexample.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .distinguishing import (
-    CERTIFIED_UPPER,
     DEFAULT_BUDGETS,
     EXACT,
     UNDEFINED,
@@ -23,6 +22,8 @@ from .distinguishing import (
     DistinguishingResult,
     EdgeLabeling,
     VertexLabeling,
+    _group_of,
+    _labeling_json,
     distinguishing_index,
     distinguishing_number,
     is_distinguishing_edge,
@@ -39,13 +40,7 @@ from .structure import (
     is_s_thin,
     is_spanning_subgraph,
 )
-from .symmetry import (
-    AutomorphismGroup,
-    BudgetExceeded,
-    automorphism_group,
-    group_equal,
-    is_isomorphic,
-)
+from .symmetry import AutomorphismGroup, BudgetExceeded, group_equal, is_isomorphic
 
 PASS = "pass"
 FAIL = "fail"
@@ -60,6 +55,9 @@ INDEX_MONOTONE = "index-bound-plus-one"
 INDEX_STHIN = "index-bound-sthin"
 INDEX_LIFT = "index-lift"
 TRACEABLE_INDEX = "traceable-index-two"
+
+_HYPOTHESIS_FAILED = "hypothesis failed"
+_INEXACT_FACTOR = "budget: factor distinguishing number not exact"
 
 
 @dataclass(frozen=True)
@@ -129,18 +127,6 @@ class BoundReport:
         }
 
 
-def _labeling_json(obj):
-    if isinstance(obj, VertexLabeling):
-        return {"kind": "vertex", "labels": list(obj.labels), "r": obj.r}
-    if isinstance(obj, EdgeLabeling):
-        return {
-            "kind": "edge",
-            "labels": sorted([u, v, lab] for (u, v), lab in obj.labels.items()),
-            "r": obj.r,
-        }
-    return None
-
-
 def graph_name(g: Graph) -> str:
     """Family shorthand when recognizable, else a generic size tag."""
     if g.n == 1:
@@ -154,64 +140,92 @@ def graph_name(g: Graph) -> str:
     return f"graph(n={g.n},m={g.edge_count})"
 
 
-# Automorphism groups and distinguishing values are pure functions of the
-# graph and the budgets, so harness runs memoize them (including budget
-# failures, which would otherwise redo the aborted enumeration).
-_aut_cache: dict = {}
-_number_cache: dict = {}
-_index_cache: dict = {}
+class _Run:
+    """The budgets of one harness run and its memo of groups and values.
 
+    Automorphism groups and distinguishing values are pure functions of the
+    graph and the budgets, so the checks of one run share them, budget
+    failures included (they would otherwise redo the aborted search).
+    run_all passes one run to every check in the budgets position; a check
+    called with plain Budgets starts a fresh run, so nothing outlives a call.
+    """
 
-def _aut(g: Graph, budgets: Budgets) -> AutomorphismGroup:
-    key = (g, budgets.aut_vertices, budgets.aut_max_order)
-    hit = _aut_cache.get(key)
-    if hit is None:
-        try:
-            hit = automorphism_group(
-                g, max_vertices=budgets.aut_vertices, max_order=budgets.aut_max_order
-            )
-        except BudgetExceeded as exc:
-            hit = exc
-        _aut_cache[key] = hit
-    if isinstance(hit, BudgetExceeded):
-        raise hit
-    return hit
+    def __init__(self, budgets: Budgets) -> None:
+        self.budgets = budgets
+        self._memo: dict = {}
 
+    @staticmethod
+    def of(budgets: Union[Budgets, "_Run"]) -> "_Run":
+        return budgets if isinstance(budgets, _Run) else _Run(budgets)
 
-def _dist_number(g: Graph, budgets: Budgets) -> DistinguishingResult:
-    key = (g, budgets)
-    hit = _number_cache.get(key)
-    if hit is None:
-        try:
-            hit = distinguishing_number(g, budgets, group=_aut(g, budgets))
-        except BudgetExceeded as exc:
-            hit = exc
-        _number_cache[key] = hit
-    if isinstance(hit, BudgetExceeded):
-        raise hit
-    return hit
+    def aut(self, g: Graph) -> AutomorphismGroup:
+        return self._get("aut", g, _group_of)
 
+    def number(self, g: Graph) -> DistinguishingResult:
+        return self._get("number", g, distinguishing_number)
 
-def _dist_index(g: Graph, budgets: Budgets) -> DistinguishingResult:
-    key = (g, budgets)
-    hit = _index_cache.get(key)
-    if hit is None:
-        try:
-            hit = distinguishing_index(g, budgets, group=_aut(g, budgets))
-        except BudgetExceeded as exc:
-            hit = exc
-        _index_cache[key] = hit
-    if isinstance(hit, BudgetExceeded):
-        raise hit
-    return hit
+    def index(self, g: Graph) -> DistinguishingResult:
+        return self._get("index", g, distinguishing_index)
+
+    def _get(self, kind: str, g: Graph, solve: Callable):
+        """solve(g, budgets, group=...) once per graph; the values reuse Aut(g)."""
+        key = (kind, g)
+        hit = self._memo.get(key)
+        if hit is None:
+            try:
+                hit = solve(g, self.budgets, group=None if kind == "aut" else self.aut(g))
+            except BudgetExceeded as exc:
+                hit = exc
+            self._memo[key] = hit
+        if isinstance(hit, BudgetExceeded):
+            raise hit.with_traceback(None)
+        return hit
 
 
 def _pair_label(g: Graph, h: Graph, label: Optional[str]) -> str:
     return label if label is not None else f"{graph_name(g)} x {graph_name(h)}"
 
 
-def _na(check: str, instance: str, hyps: dict, note: str, quantities=None) -> BoundReport:
-    return BoundReport(check, instance, hyps, quantities or {}, NOT_APPLICABLE, notes=(note,))
+def _connected(g: Graph, h: Graph) -> dict[str, bool]:
+    return {"G connected": is_connected(g), "H connected": is_connected(h)}
+
+
+def _thin_prime(g: Graph, h: Graph) -> dict[str, bool]:
+    """Connected, S-thin and declared-prime factors: the S-thin checks' hypotheses."""
+    return {
+        **_connected(g, h),
+        "G S-thin": is_s_thin(g),
+        "H S-thin": is_s_thin(h),
+        "G declared prime": declared_strong_prime(g),
+        "H declared prime": declared_strong_prime(h),
+    }
+
+
+def _aut_note(order: int, budgets: Budgets, what: str = "product") -> Optional[str]:
+    """The budget note when an order-vertex product is over the automorphism bound."""
+    if order <= budgets.aut_vertices:
+        return None
+    return f"budget: {what} has {order} vertices, automorphism bound is {budgets.aut_vertices}"
+
+
+def _decide(check: str, instance: str, hyps: dict[str, bool], over_budget: Optional[str],
+            body: Callable):
+    """body(report), unless a hypothesis fails, over_budget holds a size
+    note, or body runs out of a search budget: those are not-applicable.
+    report(status, quantities, *notes, witness=None) is a BoundReport of
+    this check, instance and (possibly extended) hypotheses."""
+
+    def report(status: str, quantities: dict, *notes: str, witness=None) -> BoundReport:
+        return BoundReport(check, instance, hyps, quantities, status, witness, notes)
+
+    if not all(hyps.values()):
+        return report(NOT_APPLICABLE, {}, _HYPOTHESIS_FAILED)
+    if over_budget is not None:
+        return report(NOT_APPLICABLE, {}, over_budget)
+    try:
+        return body(report)
+    except BudgetExceeded as exc:
+        return report(NOT_APPLICABLE, {}, f"budget: {exc}")
 
 
 def _result_summary(res: DistinguishingResult) -> str:
@@ -235,11 +249,7 @@ def layered_labeling(
     """
     if len(phi.labels) != g.n:
         raise ValueError("labeling length does not match the first factor")
-    if group is None:
-        group = automorphism_group(
-            g, max_vertices=budgets.aut_vertices, max_order=budgets.aut_max_order
-        )
-    if not is_distinguishing_vertex(g, group, phi):
+    if not is_distinguishing_vertex(g, _group_of(g, budgets, group), phi):
         raise ValueError("base labeling is not distinguishing")
     labels = [0] * (g.n * h.n)
     for x in range(g.n):
@@ -253,37 +263,33 @@ def check_layered_labeling(
 ) -> BoundReport:
     """Run the palette-shift construction in both orientations and verify
     each output is distinguishing with the advertised label count."""
-    instance = _pair_label(g, h, label)
-    hyps = {"G connected": is_connected(g), "H connected": is_connected(h)}
-    if not all(hyps.values()):
-        return _na(LAYERED_LABELING, instance, hyps, "hypothesis failed")
-    if g.n * h.n > budgets.aut_vertices:
-        return _na(
-            LAYERED_LABELING, instance, hyps,
-            f"budget: verification needs the product group, product has {g.n * h.n} vertices",
-        )
-    if max(g.n, h.n) > budgets.exact_vertices:
-        return _na(LAYERED_LABELING, instance, hyps, "budget: factor distinguishing number not exact")
-    try:
-        d_g = _dist_number(g, budgets)
-        d_h = _dist_number(h, budgets)
+    run = _Run.of(budgets)
+    instance, hyps = _pair_label(g, h, label), _connected(g, h)
+    if g.n * h.n > run.budgets.aut_vertices:
+        over = f"budget: verification needs the product group, product has {g.n * h.n} vertices"
+    else:
+        over = _INEXACT_FACTOR if max(g.n, h.n) > run.budgets.exact_vertices else None
+
+    def body(report) -> BoundReport:
+        d_g = run.number(g)
+        d_h = run.number(h)
         prod_gh = strong_product(g, h)
         prod_hg = strong_product(h, g)
-        lab_gh = layered_labeling(g, h, d_g.witness, group=_aut(g, budgets))
-        lab_hg = layered_labeling(h, g, d_h.witness, group=_aut(h, budgets))
-        ok_gh = is_distinguishing_vertex(prod_gh, _aut(prod_gh, budgets), lab_gh)
-        ok_hg = is_distinguishing_vertex(prod_hg, _aut(prod_hg, budgets), lab_hg)
-    except BudgetExceeded as exc:
-        return _na(LAYERED_LABELING, instance, hyps, f"budget: {exc}")
-    counts_ok = lab_gh.r == d_g.value * h.n and lab_hg.r == d_h.value * g.n
-    quantities = {
-        "labels used, G copies": lab_gh.r,
-        "labels used, H copies": lab_hg.r,
-        "distinguishing, G copies": ok_gh,
-        "distinguishing, H copies": ok_hg,
-    }
-    status = PASS if (ok_gh and ok_hg and counts_ok) else FAIL
-    return BoundReport(LAYERED_LABELING, instance, hyps, quantities, status, witness=lab_gh)
+        lab_gh = layered_labeling(g, h, d_g.witness, group=run.aut(g))
+        lab_hg = layered_labeling(h, g, d_h.witness, group=run.aut(h))
+        ok_gh = is_distinguishing_vertex(prod_gh, run.aut(prod_gh), lab_gh)
+        ok_hg = is_distinguishing_vertex(prod_hg, run.aut(prod_hg), lab_hg)
+        counts_ok = lab_gh.r == d_g.value * h.n and lab_hg.r == d_h.value * g.n
+        quantities = {
+            "labels used, G copies": lab_gh.r,
+            "labels used, H copies": lab_hg.r,
+            "distinguishing, G copies": ok_gh,
+            "distinguishing, H copies": ok_hg,
+        }
+        status = PASS if (ok_gh and ok_hg and counts_ok) else FAIL
+        return report(status, quantities, witness=lab_gh)
+
+    return _decide(LAYERED_LABELING, instance, hyps, over, body)
 
 
 def check_number_sandwich(
@@ -292,33 +298,31 @@ def check_number_sandwich(
     """Exactly compute D of both products and check the two-sided bound:
     the Cartesian value is at most the strong value, which is at most
     min(D(G)|V(H)|, |V(G)|D(H))."""
-    instance = _pair_label(g, h, label)
-    hyps = {"G connected": is_connected(g), "H connected": is_connected(h)}
-    if not all(hyps.values()):
-        return _na(NUMBER_SANDWICH, instance, hyps, "hypothesis failed")
-    if g.n * h.n > budgets.exact_vertices:
-        return _na(
-            NUMBER_SANDWICH, instance, hyps,
-            f"budget: exact distinguishing number limited to {budgets.exact_vertices} vertices, "
-            f"product has {g.n * h.n}",
-        )
-    try:
+    run = _Run.of(budgets)
+    instance, hyps = _pair_label(g, h, label), _connected(g, h)
+    limit = run.budgets.exact_vertices
+    over = None
+    if g.n * h.n > limit:
+        over = (f"budget: exact distinguishing number limited to {limit} vertices, "
+                f"product has {g.n * h.n}")
+
+    def body(report) -> BoundReport:
         strong = strong_product(g, h)
         box = cartesian_product(g, h)
-        d_box = _dist_number(box, budgets)
-        d_strong = _dist_number(strong, budgets)
-        d_g = _dist_number(g, budgets)
-        d_h = _dist_number(h, budgets)
-    except BudgetExceeded as exc:
-        return _na(NUMBER_SANDWICH, instance, hyps, f"budget: {exc}")
-    right = min(d_g.value * h.n, g.n * d_h.value)
-    quantities = {
-        "D(cartesian)": d_box.value,
-        "D(strong)": d_strong.value,
-        "min(D(G)|V(H)|, |V(G)|D(H))": right,
-    }
-    ok = d_box.value <= d_strong.value <= right
-    return BoundReport(NUMBER_SANDWICH, instance, hyps, quantities, PASS if ok else FAIL)
+        d_box = run.number(box)
+        d_strong = run.number(strong)
+        d_g = run.number(g)
+        d_h = run.number(h)
+        right = min(d_g.value * h.n, g.n * d_h.value)
+        quantities = {
+            "D(cartesian)": d_box.value,
+            "D(strong)": d_strong.value,
+            "min(D(G)|V(H)|, |V(G)|D(H))": right,
+        }
+        ok = d_box.value <= d_strong.value <= right
+        return report(PASS if ok else FAIL, quantities)
+
+    return _decide(NUMBER_SANDWICH, instance, hyps, over, body)
 
 
 def check_number_equality(
@@ -327,46 +331,31 @@ def check_number_equality(
     """For connected S-thin declared-prime factors: the strong and Cartesian
     products must have equal automorphism groups (element sets) and equal
     distinguishing numbers."""
-    instance = _pair_label(g, h, label)
-    hyps = {
-        "G connected": is_connected(g),
-        "H connected": is_connected(h),
-        "G S-thin": is_s_thin(g),
-        "H S-thin": is_s_thin(h),
-        "G declared prime": declared_strong_prime(g),
-        "H declared prime": declared_strong_prime(h),
-    }
-    if not all(hyps.values()):
-        return _na(NUMBER_EQUALITY, instance, hyps, "hypothesis failed")
-    if g.n * h.n > budgets.aut_vertices:
-        return _na(
-            NUMBER_EQUALITY, instance, hyps,
-            f"budget: product has {g.n * h.n} vertices, automorphism bound is {budgets.aut_vertices}",
-        )
-    try:
+    run = _Run.of(budgets)
+    instance, hyps = _pair_label(g, h, label), _thin_prime(g, h)
+
+    def body(report) -> BoundReport:
         strong = strong_product(g, h)
         box = cartesian_product(g, h)
-        aut_strong = _aut(strong, budgets)
-        aut_box = _aut(box, budgets)
-        d_strong = _dist_number(strong, budgets)
-        d_box = _dist_number(box, budgets)
-    except BudgetExceeded as exc:
-        return _na(NUMBER_EQUALITY, instance, hyps, f"budget: {exc}")
-    groups_equal = group_equal(aut_strong, aut_box)
-    quantities = {
-        "Aut(strong) order": aut_strong.order,
-        "Aut(cartesian) order": aut_box.order,
-        "groups equal": groups_equal,
-        "D(strong)": _result_summary(d_strong),
-        "D(cartesian)": _result_summary(d_box),
-    }
-    if not (d_strong.is_tight and d_box.is_tight):
-        return _na(
-            NUMBER_EQUALITY, instance, hyps,
-            "budget: certified values not tight enough to compare", quantities,
-        )
-    ok = groups_equal and d_strong.value == d_box.value
-    return BoundReport(NUMBER_EQUALITY, instance, hyps, quantities, PASS if ok else FAIL)
+        aut_strong = run.aut(strong)
+        aut_box = run.aut(box)
+        d_strong = run.number(strong)
+        d_box = run.number(box)
+        groups_equal = group_equal(aut_strong, aut_box)
+        quantities = {
+            "Aut(strong) order": aut_strong.order,
+            "Aut(cartesian) order": aut_box.order,
+            "groups equal": groups_equal,
+            "D(strong)": _result_summary(d_strong),
+            "D(cartesian)": _result_summary(d_box),
+        }
+        if not (d_strong.is_tight and d_box.is_tight):
+            return report(NOT_APPLICABLE, quantities,
+                          "budget: certified values not tight enough to compare")
+        ok = groups_equal and d_strong.value == d_box.value
+        return report(PASS if ok else FAIL, quantities)
+
+    return _decide(NUMBER_EQUALITY, instance, hyps, _aut_note(g.n * h.n, run.budgets), body)
 
 
 def check_power_number(
@@ -374,6 +363,7 @@ def check_power_number(
 ) -> BoundReport:
     """The k-th strong power of a nontrivial connected S-thin graph has
     distinguishing number exactly 2 for k >= 2."""
+    run = _Run.of(budgets)
     instance = label if label is not None else f"{graph_name(g)}^{k} (strong)"
     hyps = {
         "G connected": is_connected(g),
@@ -381,24 +371,16 @@ def check_power_number(
         "G S-thin": is_s_thin(g),
         "power at least 2": k >= 2,
     }
-    if not all(hyps.values()):
-        return _na(POWER_NUMBER, instance, hyps, "hypothesis failed")
     order = g.n ** k
-    if order > budgets.aut_vertices:
-        return _na(
-            POWER_NUMBER, instance, hyps,
-            f"budget: power has {order} vertices, automorphism bound is {budgets.aut_vertices}",
-        )
-    try:
-        power = strong_power(g, k)
-        result = _dist_number(power, budgets)
-    except BudgetExceeded as exc:
-        return _na(POWER_NUMBER, instance, hyps, f"budget: {exc}")
-    quantities = {"power order": order, "D(power)": _result_summary(result)}
-    if not result.is_tight:
-        return _na(POWER_NUMBER, instance, hyps, "budget: value not certified tight", quantities)
-    status = PASS if result.value == 2 else FAIL
-    return BoundReport(POWER_NUMBER, instance, hyps, quantities, status, witness=result.witness)
+
+    def body(report) -> BoundReport:
+        result = run.number(strong_power(g, k))
+        quantities = {"power order": order, "D(power)": _result_summary(result)}
+        if not result.is_tight:
+            return report(NOT_APPLICABLE, quantities, "budget: value not certified tight")
+        return report(PASS if result.value == 2 else FAIL, quantities, witness=result.witness)
+
+    return _decide(POWER_NUMBER, instance, hyps, _aut_note(order, run.budgets, "power"), body)
 
 
 def sequence_labeling(
@@ -420,106 +402,83 @@ def sequence_labeling(
     the first coordinate of the last copy's sequence; (iii) D(g) = 1 gives
     every copy a distinct sequence over min{l : l^n >= m} labels.
     """
+    run = _Run.of(budgets)
     instance = _pair_label(g, h, label)
     n, m = g.n, h.n
-    hyps = {
-        "G connected": is_connected(g),
-        "H connected": is_connected(h),
-        "G S-thin": is_s_thin(g),
-        "H S-thin": is_s_thin(h),
-        "G declared prime": declared_strong_prime(g),
-        "H declared prime": declared_strong_prime(h),
-    }
-    if all(hyps.values()):
-        if max(n, m) > 10:
-            return None, _na(
-                SEQUENCE_LABELING, instance, hyps,
-                "budget: non-isomorphism check limited to factors on 10 vertices",
-            )
-        hyps["G and H non-isomorphic"] = not is_isomorphic(g, h)
-    if not all(hyps.values()):
-        return None, _na(SEQUENCE_LABELING, instance, hyps, "hypothesis failed")
-    if n * m > budgets.aut_vertices:
-        return None, _na(
-            SEQUENCE_LABELING, instance, hyps,
-            f"budget: product has {n * m} vertices, automorphism bound is {budgets.aut_vertices}",
-        )
-    if n > budgets.exact_vertices:
-        return None, _na(
-            SEQUENCE_LABELING, instance, hyps, "budget: factor distinguishing number not exact"
-        )
-
-    try:
-        d_g = _dist_number(g, budgets)
-    except BudgetExceeded as exc:
-        return None, _na(SEQUENCE_LABELING, instance, hyps, f"budget: {exc}")
-    base = d_g.value
-    d = min_alphabet(n, m - 1)
-    log_reading = min_exponent(n, m - 1)
-    notes: list[str] = []
-    if log_reading is not None and log_reading != d:
-        notes.append(
-            f"integer-search alphabet {d} differs from the ceiling-log reading {log_reading}; "
-            "the construction uses the integer search"
-        )
-
-    new_label = False
-    if base == 1:
-        case = "iii"
-        alphabet = min_alphabet(n, m)
-        bound = alphabet
-        sequences = list(itertools.islice(SequenceFamily(alphabet, n), m))
+    hyps = _thin_prime(g, h)
+    if max(n, m) > 10:
+        over = "budget: non-isomorphism check limited to factors on 10 vertices"
     else:
-        case = "ii" if base == d else "i"
-        alphabet = max(base, d) if case == "i" else base
-        bound = base + 1 if case == "ii" else alphabet
-        phi_seq = tuple(d_g.witness.labels)
-        pool = (s for s in SequenceFamily(alphabet, n) if s != phi_seq)
-        chosen = list(itertools.islice(pool, m - 1))
-        if len(chosen) < m - 1:
-            # Alphabet exhausted after excluding the first copy's sequence
-            # (only possible when alphabet**n == m-1): spend the extra label
-            # on the first coordinate of the final copy.
-            chosen.append((alphabet + 1,) + phi_seq[1:])
-            new_label = True
-        sequences = [phi_seq] + chosen
+        if all(hyps.values()):
+            hyps["G and H non-isomorphic"] = not is_isomorphic(g, h)
+        over = _aut_note(n * m, run.budgets) or (
+            _INEXACT_FACTOR if n > run.budgets.exact_vertices else None)
 
-    labels = [0] * (n * m)
-    for i, seq in enumerate(sequences):
-        for x in range(n):
-            labels[x * m + i] = seq[x]
-    used = max(labels)
-    labeling = VertexLabeling(tuple(labels), used)
+    def body(report) -> tuple[VertexLabeling, BoundReport]:
+        d_g = run.number(g)
+        base = d_g.value
+        d = min_alphabet(n, m - 1)
+        log_reading = min_exponent(n, m - 1)
+        notes: list[str] = []
+        if log_reading is not None and log_reading != d:
+            notes.append(
+                f"integer-search alphabet {d} differs from the ceiling-log reading {log_reading}; "
+                "the construction uses the integer search"
+            )
 
-    try:
+        new_label = False
+        if base == 1:
+            case = "iii"
+            alphabet = min_alphabet(n, m)
+            bound = alphabet
+            sequences = list(itertools.islice(SequenceFamily(alphabet, n), m))
+        else:
+            case = "ii" if base == d else "i"
+            alphabet = max(base, d) if case == "i" else base
+            bound = base + 1 if case == "ii" else alphabet
+            phi_seq = tuple(d_g.witness.labels)
+            pool = (s for s in SequenceFamily(alphabet, n) if s != phi_seq)
+            chosen = list(itertools.islice(pool, m - 1))
+            if len(chosen) < m - 1:
+                # Alphabet exhausted after excluding the first copy's sequence
+                # (only possible when alphabet**n == m-1): spend the extra label
+                # on the first coordinate of the final copy.
+                chosen.append((alphabet + 1,) + phi_seq[1:])
+                new_label = True
+            sequences = [phi_seq] + chosen
+
+        labels = [0] * (n * m)
+        for i, seq in enumerate(sequences):
+            for x in range(n):
+                labels[x * m + i] = seq[x]
+        used = max(labels)
+        labeling = VertexLabeling(tuple(labels), used)
+
         product = strong_product(g, h)
-        group = _aut(product, budgets)
-    except BudgetExceeded as exc:
-        return None, _na(SEQUENCE_LABELING, instance, hyps, f"budget: {exc}")
-    distinct = len(set(sequences)) == m
-    distinguishing = is_distinguishing_vertex(product, group, labeling)
-    within = used <= bound
-    if new_label and case == "i":
-        notes.append("construction needed an extra label beyond the stated bound")
-    quantities = {
-        "case": case,
-        "D(G)": base,
-        "factor order n": n,
-        "copy count m": m,
-        "alphabet floor d": d,
-        "ceiling-log reading": log_reading,
-        "stated bound": bound,
-        "labels used": used,
-        "extra label introduced": new_label,
-        "sequences pairwise distinct": distinct,
-        "labeling distinguishing": distinguishing,
-    }
-    status = PASS if (distinct and distinguishing and within) else FAIL
-    report = BoundReport(
-        SEQUENCE_LABELING, instance, hyps, quantities, status,
-        witness=labeling, notes=tuple(notes),
-    )
-    return labeling, report
+        group = run.aut(product)
+        distinct = len(set(sequences)) == m
+        distinguishing = is_distinguishing_vertex(product, group, labeling)
+        within = used <= bound
+        if new_label and case == "i":
+            notes.append("construction needed an extra label beyond the stated bound")
+        quantities = {
+            "case": case,
+            "D(G)": base,
+            "factor order n": n,
+            "copy count m": m,
+            "alphabet floor d": d,
+            "ceiling-log reading": log_reading,
+            "stated bound": bound,
+            "labels used": used,
+            "extra label introduced": new_label,
+            "sequences pairwise distinct": distinct,
+            "labeling distinguishing": distinguishing,
+        }
+        status = PASS if (distinct and distinguishing and within) else FAIL
+        return labeling, report(status, quantities, *notes, witness=labeling)
+
+    out = _decide(SEQUENCE_LABELING, instance, hyps, over, body)
+    return out if isinstance(out, tuple) else (None, out)
 
 
 def lift_edge_labeling(
@@ -539,14 +498,8 @@ def lift_edge_labeling(
     """
     if not is_spanning_subgraph(h, g):
         raise ValueError("not a spanning subgraph")
-    if group_g is None:
-        group_g = automorphism_group(
-            g, max_vertices=budgets.aut_vertices, max_order=budgets.aut_max_order
-        )
-    if group_h is None:
-        group_h = automorphism_group(
-            h, max_vertices=budgets.aut_vertices, max_order=budgets.aut_max_order
-        )
+    group_g = _group_of(g, budgets, group_g)
+    group_h = _group_of(h, budgets, group_h)
     if not set(group_g.elements) <= set(group_h.elements):
         raise ValueError("host automorphisms are not all subgraph automorphisms")
     if not is_distinguishing_edge(h, group_h, labeling):
@@ -564,47 +517,36 @@ def check_lift(
     """Lift a distinguishing edge labeling from the Cartesian product onto
     the strong product and verify it stays distinguishing, witnessing that
     the strong index is at most the Cartesian index."""
-    instance = _pair_label(g, h, label)
-    hyps = {"G connected": is_connected(g), "H connected": is_connected(h)}
-    if not all(hyps.values()):
-        return _na(INDEX_LIFT, instance, hyps, "hypothesis failed")
-    if g.n * h.n > budgets.aut_vertices:
-        return _na(
-            INDEX_LIFT, instance, hyps,
-            f"budget: product has {g.n * h.n} vertices, automorphism bound is {budgets.aut_vertices}",
-        )
-    try:
+    run = _Run.of(budgets)
+    instance, hyps = _pair_label(g, h, label), _connected(g, h)
+
+    def body(report) -> BoundReport:
         strong = strong_product(g, h)
         box = cartesian_product(g, h)
-        aut_strong = _aut(strong, budgets)
-        aut_box = _aut(box, budgets)
-    except BudgetExceeded as exc:
-        return _na(INDEX_LIFT, instance, hyps, f"budget: {exc}")
-    hyps["cartesian spans strong"] = is_spanning_subgraph(box, strong)
-    hyps["Aut(strong) subgroup of Aut(cartesian)"] = (
-        set(aut_strong.elements) <= set(aut_box.elements)
-    )
-    if not all(hyps.values()):
-        return _na(INDEX_LIFT, instance, hyps, "hypothesis failed")
-    try:
-        base = _dist_index(box, budgets)
-    except BudgetExceeded as exc:
-        return _na(INDEX_LIFT, instance, hyps, f"budget: {exc}")
-    if base.mode == UNDEFINED:
-        return _na(INDEX_LIFT, instance, hyps, "cartesian index undefined")
-    lifted = lift_edge_labeling(
-        strong, box, base.witness, budgets=budgets,
-        group_g=aut_strong, group_h=aut_box,
-    )
-    ok = is_distinguishing_edge(strong, aut_strong, lifted)
-    quantities = {
-        "D'(cartesian)": _result_summary(base),
-        "lifted labels": lifted.r,
-        "lift distinguishing": ok,
-    }
-    return BoundReport(
-        INDEX_LIFT, instance, hyps, quantities, PASS if ok else FAIL, witness=lifted
-    )
+        aut_strong = run.aut(strong)
+        aut_box = run.aut(box)
+        hyps["cartesian spans strong"] = is_spanning_subgraph(box, strong)
+        hyps["Aut(strong) subgroup of Aut(cartesian)"] = (
+            set(aut_strong.elements) <= set(aut_box.elements)
+        )
+        if not all(hyps.values()):
+            return report(NOT_APPLICABLE, {}, _HYPOTHESIS_FAILED)
+        base = run.index(box)
+        if base.mode == UNDEFINED:
+            return report(NOT_APPLICABLE, {}, "cartesian index undefined")
+        lifted = lift_edge_labeling(
+            strong, box, base.witness, budgets=run.budgets,
+            group_g=aut_strong, group_h=aut_box,
+        )
+        ok = is_distinguishing_edge(strong, aut_strong, lifted)
+        quantities = {
+            "D'(cartesian)": _result_summary(base),
+            "lifted labels": lifted.r,
+            "lift distinguishing": ok,
+        }
+        return report(PASS if ok else FAIL, quantities, witness=lifted)
+
+    return _decide(INDEX_LIFT, instance, hyps, _aut_note(g.n * h.n, run.budgets), body)
 
 
 def _index_comparison(
@@ -613,44 +555,35 @@ def _index_comparison(
     h: Graph,
     slack: int,
     hyps: dict[str, bool],
-    budgets: Budgets,
+    budgets: Union[Budgets, _Run],
     instance: str,
 ) -> BoundReport:
     """Shared engine: compare D'(strong) <= D'(cartesian) + slack using the
     certified brackets of both computations."""
-    if not all(hyps.values()):
-        return _na(check, instance, hyps, "hypothesis failed")
-    if g.n * h.n > budgets.aut_vertices:
-        return _na(
-            check, instance, hyps,
-            f"budget: product has {g.n * h.n} vertices, automorphism bound is {budgets.aut_vertices}",
-        )
-    try:
-        strong = strong_product(g, h)
-        box = cartesian_product(g, h)
-        r_strong = _dist_index(strong, budgets)
-        r_box = _dist_index(box, budgets)
-    except BudgetExceeded as exc:
-        return _na(check, instance, hyps, f"budget: {exc}")
-    if r_strong.mode == UNDEFINED or r_box.mode == UNDEFINED:
-        return _na(check, instance, hyps, "an index is undefined on this instance")
-    lo_s, hi_s = r_strong.bounds
-    lo_b, hi_b = r_box.bounds
-    quantities = {
-        "D'(strong)": _result_summary(r_strong),
-        "D'(cartesian)": _result_summary(r_box),
-        "slack": slack,
-    }
-    if hi_s <= lo_b + slack:
-        status = PASS
-    elif lo_s > hi_b + slack:
-        status = FAIL
-    else:
-        return _na(
-            check, instance, hyps,
-            "budget: brackets too loose to decide the inequality", quantities,
-        )
-    return BoundReport(check, instance, hyps, quantities, status, witness=r_strong.witness)
+    run = _Run.of(budgets)
+
+    def body(report) -> BoundReport:
+        r_strong = run.index(strong_product(g, h))
+        r_box = run.index(cartesian_product(g, h))
+        if r_strong.mode == UNDEFINED or r_box.mode == UNDEFINED:
+            return report(NOT_APPLICABLE, {}, "an index is undefined on this instance")
+        lo_s, hi_s = r_strong.bounds
+        lo_b, hi_b = r_box.bounds
+        quantities = {
+            "D'(strong)": _result_summary(r_strong),
+            "D'(cartesian)": _result_summary(r_box),
+            "slack": slack,
+        }
+        if hi_s <= lo_b + slack:
+            status = PASS
+        elif lo_s > hi_b + slack:
+            status = FAIL
+        else:
+            return report(NOT_APPLICABLE, quantities,
+                          "budget: brackets too loose to decide the inequality")
+        return report(status, quantities, witness=r_strong.witness)
+
+    return _decide(check, instance, hyps, _aut_note(g.n * h.n, run.budgets), body)
 
 
 def check_index_monotone(
@@ -659,13 +592,12 @@ def check_index_monotone(
     """D'(strong) <= D'(cartesian) + 1 for connected factors: the Cartesian
     product spans the strong product, and a spanning subgraph costs at most
     one extra edge label."""
-    instance = _pair_label(g, h, label)
-    hyps = {"G connected": is_connected(g), "H connected": is_connected(h)}
+    hyps = _connected(g, h)
     if all(hyps.values()):
         hyps["cartesian spans strong"] = is_spanning_subgraph(
             cartesian_product(g, h), strong_product(g, h)
         )
-    return _index_comparison(INDEX_MONOTONE, g, h, 1, hyps, budgets, instance)
+    return _index_comparison(INDEX_MONOTONE, g, h, 1, hyps, budgets, _pair_label(g, h, label))
 
 
 def check_index_sthin(
@@ -673,16 +605,9 @@ def check_index_sthin(
 ) -> BoundReport:
     """D'(strong) <= D'(cartesian) for connected S-thin declared-prime
     factors, where the two products share their automorphism group."""
-    instance = _pair_label(g, h, label)
-    hyps = {
-        "G connected": is_connected(g),
-        "H connected": is_connected(h),
-        "G S-thin": is_s_thin(g),
-        "H S-thin": is_s_thin(h),
-        "G declared prime": declared_strong_prime(g),
-        "H declared prime": declared_strong_prime(h),
-    }
-    return _index_comparison(INDEX_STHIN, g, h, 0, hyps, budgets, instance)
+    return _index_comparison(
+        INDEX_STHIN, g, h, 0, _thin_prime(g, h), budgets, _pair_label(g, h, label)
+    )
 
 
 def check_traceable_index(
@@ -692,6 +617,8 @@ def check_traceable_index(
     do not exceed the factor count, and whose order product is at least 7,
     the strong product must be traceable with a witnessed two-label
     distinguishing edge labeling."""
+    run = _Run.of(budgets)
+    b = run.budgets
     factors = list(factors)
     delta = len(factors)
     instance = label if label is not None else " x ".join(graph_name(f) for f in factors)
@@ -706,45 +633,36 @@ def check_traceable_index(
         ),
         "product order at least 7": order >= 7,
     }
-    if not all(hyps.values()):
-        return _na(TRACEABLE_INDEX, instance, hyps, "hypothesis failed")
-    if order > budgets.aut_vertices or order > budgets.hamiltonian_vertices:
-        return _na(
-            TRACEABLE_INDEX, instance, hyps,
-            f"budget: product has {order} vertices, bounds are aut {budgets.aut_vertices} "
-            f"and traceability {budgets.hamiltonian_vertices}",
-        )
-    product = factors[0]
-    for f in factors[1:]:
-        product = strong_product(product, f)
-    try:
-        traceable = hamiltonian_path_exists(product, max_vertices=budgets.hamiltonian_vertices)
-        result = _dist_index(product, budgets)
-    except BudgetExceeded as exc:
-        return _na(TRACEABLE_INDEX, instance, hyps, f"budget: {exc}")
-    if result.mode == UNDEFINED:
-        return _na(TRACEABLE_INDEX, instance, hyps, "index undefined on this instance")
-    quantities = {
-        "product order": order,
-        "traceable": traceable,
-        "D'(product)": _result_summary(result),
-    }
-    if not traceable:
-        return BoundReport(
-            TRACEABLE_INDEX, instance, hyps, quantities, FAIL,
-            notes=("product is not traceable although every factor meets the degree bound",),
-        )
-    _, hi = result.bounds
-    if hi <= 2:
-        return BoundReport(
-            TRACEABLE_INDEX, instance, hyps, quantities, PASS, witness=result.witness
-        )
-    if result.mode == EXACT:
-        return BoundReport(TRACEABLE_INDEX, instance, hyps, quantities, FAIL)
-    return _na(
-        TRACEABLE_INDEX, instance, hyps,
-        "budget: no two-label witness found within the trial budget", quantities,
-    )
+    over = None
+    if order > b.aut_vertices or order > b.hamiltonian_vertices:
+        over = (f"budget: product has {order} vertices, bounds are aut {b.aut_vertices} "
+                f"and traceability {b.hamiltonian_vertices}")
+
+    def body(report) -> BoundReport:
+        product = factors[0]
+        for f in factors[1:]:
+            product = strong_product(product, f)
+        traceable = hamiltonian_path_exists(product, max_vertices=b.hamiltonian_vertices)
+        result = run.index(product)
+        if result.mode == UNDEFINED:
+            return report(NOT_APPLICABLE, {}, "index undefined on this instance")
+        quantities = {
+            "product order": order,
+            "traceable": traceable,
+            "D'(product)": _result_summary(result),
+        }
+        if not traceable:
+            return report(FAIL, quantities,
+                          "product is not traceable although every factor meets the degree bound")
+        _, hi = result.bounds
+        if hi <= 2:
+            return report(PASS, quantities, witness=result.witness)
+        if result.mode == EXACT:
+            return report(FAIL, quantities)
+        return report(NOT_APPLICABLE, quantities,
+                      "budget: no two-label witness found within the trial budget")
+
+    return _decide(TRACEABLE_INDEX, instance, hyps, over, body)
 
 
 CorpusEntry = Union[Graph, tuple[str, Graph]]
@@ -779,7 +697,8 @@ def run_all(
     and the second strong power of every base graph.
 
     Reports appear in corpus order regardless of how long each check takes;
-    hypothesis violations and budget skips are data, not errors.
+    hypothesis violations and budget skips are data, not errors.  The checks
+    share one memo of groups and values, which lives for this call only.
     """
     bases = default_corpus() if corpus is None else _normalize_corpus(corpus)
     pairs: list[tuple[tuple[str, Graph], tuple[str, Graph]]] = []
@@ -789,21 +708,22 @@ def run_all(
     for a, b in extra_pairs:
         pairs.append((_normalize_corpus([a])[0], _normalize_corpus([b])[0]))
 
+    run = _Run(budgets)
     reports: list[BoundReport] = []
     for (na, a), (nb, b) in pairs:
         lbl = f"{na} x {nb}"
-        reports.append(check_number_sandwich(a, b, budgets, label=lbl))
-        reports.append(check_layered_labeling(a, b, budgets, label=lbl))
-        reports.append(check_number_equality(a, b, budgets, label=lbl))
-        reports.append(sequence_labeling(a, b, budgets, label=lbl)[1])
+        reports.append(check_number_sandwich(a, b, run, label=lbl))
+        reports.append(check_layered_labeling(a, b, run, label=lbl))
+        reports.append(check_number_equality(a, b, run, label=lbl))
+        reports.append(sequence_labeling(a, b, run, label=lbl)[1])
         if (na, a) != (nb, b):
-            reports.append(sequence_labeling(b, a, budgets, label=f"{nb} x {na}")[1])
-        reports.append(check_index_monotone(a, b, budgets, label=lbl))
-        reports.append(check_index_sthin(a, b, budgets, label=lbl))
-        reports.append(check_lift(a, b, budgets, label=lbl))
-        reports.append(check_traceable_index([a, b], budgets, label=lbl))
+            reports.append(sequence_labeling(b, a, run, label=f"{nb} x {na}")[1])
+        reports.append(check_index_monotone(a, b, run, label=lbl))
+        reports.append(check_index_sthin(a, b, run, label=lbl))
+        reports.append(check_lift(a, b, run, label=lbl))
+        reports.append(check_traceable_index([a, b], run, label=lbl))
     for name, g in bases:
-        reports.append(check_power_number(g, 2, budgets, label=f"{name}^2 (strong)"))
+        reports.append(check_power_number(g, 2, run, label=f"{name}^2 (strong)"))
     return reports
 
 

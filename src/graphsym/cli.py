@@ -158,11 +158,10 @@ def _cmd_distidx(args: argparse.Namespace) -> int:
     if result.mode == UNDEFINED:
         lines = ["undefined: a non-identity automorphism fixes every edge"]
     else:
-        triples = sorted([u, v, lab] for (u, v), lab in result.witness.labels.items())
         lines = [
             f"value {result.value} ({result.mode})",
             f"reason {result.lower_bound_reason}",
-            f"witness {triples}",
+            f"witness {payload['witness']['labels']}",
         ]
     _emit(args, payload, lines)
     return 0
@@ -315,3 +314,7 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

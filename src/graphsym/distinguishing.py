@@ -117,21 +117,24 @@ class DistinguishingResult:
             return True
         return self.mode == CERTIFIED_UPPER and self.value == 2
 
-    def witness_json(self):
-        if isinstance(self.witness, VertexLabeling):
-            return {"kind": "vertex", "labels": list(self.witness.labels), "r": self.witness.r}
-        if isinstance(self.witness, EdgeLabeling):
-            triples = sorted([u, v, lab] for (u, v), lab in self.witness.labels.items())
-            return {"kind": "edge", "labels": triples, "r": self.witness.r}
-        return None
-
     def to_json_dict(self) -> dict:
         return {
             "value": self.value,
             "mode": self.mode,
-            "witness": self.witness_json(),
+            "witness": _labeling_json(self.witness),
             "reason": self.lower_bound_reason,
         }
+
+
+def _labeling_json(labeling: object) -> Optional[dict]:
+    """JSON form of a labeling: vertex labels in vertex order, edge labels
+    as sorted [u, v, label] triples; None for anything else."""
+    if isinstance(labeling, VertexLabeling):
+        return {"kind": "vertex", "labels": list(labeling.labels), "r": labeling.r}
+    if isinstance(labeling, EdgeLabeling):
+        triples = sorted([u, v, lab] for (u, v), lab in labeling.labels.items())
+        return {"kind": "edge", "labels": triples, "r": labeling.r}
+    return None
 
 
 def is_distinguishing_vertex(
@@ -214,6 +217,9 @@ def _transposition_class_bound(size: int, rows: Sequence[tuple[int, ...]]) -> in
     """
     swapped = [1] * size
     for row in rows:
+        # a transposition fixes one of any three positions: most rows fail at once
+        if size > 2 and row[0] != 0 and row[1] != 1 and row[2] != 2:
+            continue
         moved = [i for i, j in enumerate(row) if i != j]
         if len(moved) == 2:
             for i in moved:
@@ -233,7 +239,7 @@ def _normalize_labels(labels: Sequence[int]) -> tuple[tuple[int, ...], int]:
 
 
 def _exhaustive_minimum(
-    size: int, rows: Sequence[tuple[int, ...]]
+    size: int, rows: Sequence[tuple[int, ...]], start: int
 ) -> tuple[int, tuple[int, ...]]:
     """Smallest label count with a distinguishing assignment of `size`
     positions, and the first such assignment in canonical order.
@@ -244,8 +250,8 @@ def _exhaustive_minimum(
     keeps a bitmask of the live rows, those the prefix has not broken: a
     row is broken once some i and row[i] are both labeled and differ.  A
     live row whose moved positions are all labeled preserves every
-    completion, which cuts the branch.  The search starts at the
-    transposition-class bound, since no smaller r has a witness.
+    completion, which cuts the branch.  The search starts at r = start,
+    a lower bound on the answer.
 
     Requires that the all-distinct assignment is distinguishing (true for
     vertex labelings always, for edge labelings once the edge-fixing
@@ -286,25 +292,25 @@ def _exhaustive_minimum(
         return False
 
     every_row = (1 << len(rows)) - 1
-    for r in range(max(2, _transposition_class_bound(size, rows)), size + 1):
+    for r in range(start, size + 1):
         if extend(0, 0, every_row, r):
             return r, tuple(labels)
     raise AssertionError("the all-distinct labeling must be distinguishing")
 
 
 def _randomized_minimum(
-    size: int, rows: Sequence[tuple[int, ...]], budgets: Budgets
+    size: int, rows: Sequence[tuple[int, ...]], budgets: Budgets, start: int
 ) -> tuple[int, tuple[int, ...]]:
     """Witness search above the exhaustive budget.
 
     Seeded random labelings with greedy repair: while some automorphism
     preserves the labeling, flip the label at the first position it moves.
     Every stabilizer evaluation counts against the trial budget, applied
-    afresh per label count r.  At r = size the all-distinct labeling is
-    tried first, which guarantees termination.
+    afresh per label count r, from r = start up.  At r = size the
+    all-distinct labeling is tried first, which guarantees termination.
     """
     rng = random.Random(budgets.seed)
-    for r in range(2, size + 1):
+    for r in range(start, size + 1):
         trials = 0
         pending: list[list[int]] = []
         if r == size:
@@ -324,6 +330,24 @@ def _randomized_minimum(
                 normalized, distinct = _normalize_labels(labels)
                 return distinct, normalized
     raise AssertionError("the all-distinct labeling must be distinguishing")
+
+
+def _minimum(
+    size: int, rows: Sequence[tuple[int, ...]], exact: bool, budgets: Budgets, wrap
+) -> DistinguishingResult:
+    """The least label count for `size` positions under the non-identity
+    rows, exact or certified-upper; wrap(labels, r) builds the witness.
+
+    Both searches start at the transposition-class bound (at least 2,
+    since the group is nontrivial): no smaller r has a witness.
+    """
+    start = max(2, _transposition_class_bound(size, rows))
+    if exact:
+        value, labels = _exhaustive_minimum(size, rows, start)
+        reason = REASON_NONTRIVIAL_AUT if value == 2 else REASON_EXHAUSTED
+        return DistinguishingResult(value, EXACT, wrap(labels, value), reason)
+    value, labels = _randomized_minimum(size, rows, budgets, start)
+    return DistinguishingResult(value, CERTIFIED_UPPER, wrap(labels, value), REASON_NONTRIVIAL_AUT)
 
 
 def _group_of(
@@ -356,14 +380,7 @@ def distinguishing_number(
         witness = VertexLabeling((1,) * graph.n, 1)
         return DistinguishingResult(1, EXACT, witness, REASON_ASYMMETRIC)
     rows = _nonidentity_rows(group.elements, identity(graph.n))
-    if graph.n <= budgets.exact_vertices:
-        value, labels = _exhaustive_minimum(graph.n, rows)
-        reason = REASON_NONTRIVIAL_AUT if value == 2 else REASON_EXHAUSTED
-        return DistinguishingResult(value, EXACT, VertexLabeling(labels, value), reason)
-    value, labels = _randomized_minimum(graph.n, rows, budgets)
-    return DistinguishingResult(
-        value, CERTIFIED_UPPER, VertexLabeling(labels, value), REASON_NONTRIVIAL_AUT
-    )
+    return _minimum(graph.n, rows, graph.n <= budgets.exact_vertices, budgets, VertexLabeling)
 
 
 def distinguishing_index(
@@ -396,11 +413,4 @@ def distinguishing_index(
     def wrap(flat: tuple[int, ...], r: int) -> EdgeLabeling:
         return EdgeLabeling(dict(zip(graph.edges, flat)), r)
 
-    if m <= budgets.exact_edges:
-        value, flat = _exhaustive_minimum(m, rows)
-        reason = REASON_NONTRIVIAL_AUT if value == 2 else REASON_EXHAUSTED
-        return DistinguishingResult(value, EXACT, wrap(flat, value), reason)
-    value, flat = _randomized_minimum(m, rows, budgets)
-    return DistinguishingResult(
-        value, CERTIFIED_UPPER, wrap(flat, value), REASON_NONTRIVIAL_AUT
-    )
+    return _minimum(m, rows, m <= budgets.exact_edges, budgets, wrap)

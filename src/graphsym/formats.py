@@ -48,19 +48,19 @@ def _decode_count(s: str) -> tuple[int, int]:
 
 
 def serialize_graph6(graph: Graph) -> str:
-    out = [_encode_count(graph.n)]
-    bits = 0
-    nbits = 0
-    for v in range(1, graph.n):
-        for u in range(v):
-            bits = (bits << 1) | (1 if graph.has_edge(u, v) else 0)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(bits + 63))
-                bits = nbits = 0
-    if nbits:
-        out.append(chr((bits << (6 - nbits)) + 63))
-    return "".join(out)
+    # bit k = v(v-1)/2 + u is the pair (u, v), u < v, most significant bit
+    # first in its six-bit group; every group starts at "?" (offset 63, no bits)
+    n = graph.n
+    header = _encode_count(n)
+    groups = bytearray(b"?" * ((n * (n - 1) // 2 + 5) // 6))
+    for v, nbrs in enumerate(graph.adj):
+        start = v * (v - 1) // 2
+        for u in nbrs:
+            if u >= v:
+                break
+            k = start + u
+            groups[k // 6] += 32 >> (k % 6)
+    return header + groups.decode("ascii")
 
 
 def parse_graph6(text: str | bytes) -> Graph:

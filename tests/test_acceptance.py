@@ -4,6 +4,7 @@ Each test prints a single pass/fail line (visible with pytest -s) and
 asserts both the expected values and the stated time limit.
 """
 
+import hashlib
 import time
 from contextlib import contextmanager
 
@@ -227,3 +228,14 @@ def test_cli_verify_all_exits_zero(capsys):
     assert dispatch(["verify", "--all"]) == 0
     out = capsys.readouterr().out
     assert "result: PASS" in out
+
+
+# sha256 of `graphsym verify --all --json`; a change that moves a report
+# updates it and names the report
+VERIFY_ALL_JSON_SHA256 = "cc183125b487bdeb210c2081db49a01e5ceec94265fd24a78542719f00ad02b5"
+
+
+def test_verify_all_json_is_pinned(capsys):
+    assert dispatch(["verify", "--all", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_JSON_SHA256

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import graphsym.distinguishing
 from graphsym import (
     Budgets,
     EdgeLabeling,
@@ -303,3 +304,43 @@ def test_report_json_shape():
     lab, report = sequence_labeling(path(3), cycle(5))
     doc = report.to_json_dict()
     assert doc["witness"]["kind"] == "vertex"
+
+
+def test_run_all_matches_direct_check_calls():
+    # the memo shared within run_all changes no report
+    bases = [("P3", path(3)), ("C4", cycle(4)), ("K2", complete(2))]
+    expected = []
+    for i, (na, a) in enumerate(bases):
+        for nb, b in bases[i:]:
+            lbl = f"{na} x {nb}"
+            expected.append(check_number_sandwich(a, b, label=lbl))
+            expected.append(check_layered_labeling(a, b, label=lbl))
+            expected.append(check_number_equality(a, b, label=lbl))
+            expected.append(sequence_labeling(a, b, label=lbl)[1])
+            if na != nb:
+                expected.append(sequence_labeling(b, a, label=f"{nb} x {na}")[1])
+            expected.append(check_index_monotone(a, b, label=lbl))
+            expected.append(check_index_sthin(a, b, label=lbl))
+            expected.append(check_lift(a, b, label=lbl))
+            expected.append(check_traceable_index([a, b], label=lbl))
+    for name, g in bases:
+        expected.append(check_power_number(g, 2, label=f"{name}^2 (strong)"))
+    assert run_all(bases) == expected
+
+
+def test_direct_check_calls_retain_nothing(monkeypatch):
+    # each call computes its groups afresh: no memo outlives a call
+    calls = []
+
+    def counting(graph, **kwargs):
+        calls.append(graph)
+        return automorphism_group(graph, **kwargs)
+
+    monkeypatch.setattr(graphsym.distinguishing, "automorphism_group", counting)
+    for check in (check_lift, check_number_sandwich, check_index_monotone):
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            assert check(path(3), path(4)).passed
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0, check.__name__

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -169,3 +173,23 @@ def test_autgroup_on_a_long_path(capsys, tmp_path):
     f.write_text("1200\n" + "".join(f"{i} {i + 1}\n" for i in range(1199)))
     code, out, err = run(capsys, ["autgroup", str(f), "--aut-bound", "5000"])
     assert (code, out, err) == (0, "order 2\n", "")
+
+
+def test_module_entry_point_runs_the_cli():
+    # `python -m graphsym.cli` must reach main(), not import and exit silently
+    src = str(Path(graphsym.cli.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    done = subprocess.run(
+        [sys.executable, "-m", "graphsym.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage:")
+
+
+def test_distidx_text_witness_matches_json(capsys, g6):
+    a = g6("p4.g6", path(4))
+    _, text, _ = run(capsys, ["distidx", a])
+    _, doc, _ = run(capsys, ["distidx", a, "--json"])
+    assert text.splitlines()[2] == f"witness {json.loads(doc)['witness']['labels']}"

@@ -31,6 +31,7 @@ from oracles import (
     reference_minimum,
     vertex_rows,
 )
+from test_acceptance import criterion
 
 
 def test_is_distinguishing_vertex_examples():
@@ -268,3 +269,18 @@ def test_given_group_matches_computed_group():
         distinguishing_number(path(4), group=automorphism_group(path(5)))
     with pytest.raises(ValueError):
         distinguishing_index(path(4), group=automorphism_group(path(5)))
+
+
+def test_randomized_search_starts_at_the_transposition_class_bound():
+    # five pendant leaves at vertex 0 need five labels; with 16 vertices and
+    # 15 edges both values come from the randomized search, which must not
+    # spend its trial budget on the label counts below the bound
+    tree = Graph.from_edges(16, [(0, i) for i in range(1, 7)] + [(i, i + 1) for i in range(6, 15)])
+    with criterion(17, 0.1, "D and D' of a 16-vertex tree with a five-leaf vertex"):
+        number = distinguishing_number(tree)
+        index = distinguishing_index(tree)
+    assert (number.value, number.mode) == (5, "certified-upper")
+    assert (index.value, index.mode) == (5, "certified-upper")
+    group = automorphism_group(tree)
+    assert is_distinguishing_vertex(tree, group, number.witness)
+    assert is_distinguishing_edge(tree, group, index.witness)

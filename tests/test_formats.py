@@ -20,6 +20,7 @@ from graphsym import (
     strong_product,
 )
 from graphsym.formats import detect_format
+from test_acceptance import criterion
 
 
 def corpus():
@@ -117,3 +118,12 @@ def test_graph6_round_trip_across_the_long_header(n):
     nxg.add_nodes_from(range(n))
     nxg.add_edges_from(g.edges)
     assert parse_graph6(nx.to_graph6_bytes(nxg, header=False)) == g
+
+
+def test_graph6_writer_on_a_large_product():
+    # the writer sets one bit per edge instead of testing every vertex pair
+    g = strong_product(cycle(60), cycle(60))
+    with criterion(16, 0.5, "graph6 of C60 x C60 (3600 vertices) written"):
+        s = serialize_graph6(g)
+    assert len(s) == 4 + (3600 * 3599 // 2 + 5) // 6
+    assert parse_graph6(s) == g

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-import graphsym.checks
 import graphsym.distinguishing
 from graphsym import (
     BudgetExceeded,
@@ -201,7 +200,8 @@ def test_matches_reference_enumerator_on_random_graphs():
 
 
 def test_matches_reference_enumerator_on_corpus_groups(monkeypatch):
-    # record every group the harness builds within its budgets, from cold caches
+    # record every group the harness builds within its budgets; every run_all
+    # call starts from an empty memo
     built = {}
 
     def recording(graph, **kwargs):
@@ -209,10 +209,8 @@ def test_matches_reference_enumerator_on_corpus_groups(monkeypatch):
         built[graph] = group
         return group
 
-    for module in (graphsym.checks, graphsym.distinguishing):
-        monkeypatch.setattr(module, "automorphism_group", recording)
-    for cache in ("_aut_cache", "_number_cache", "_index_cache"):
-        monkeypatch.setattr(graphsym.checks, cache, {})
+    # the harness builds every group through distinguishing._group_of
+    monkeypatch.setattr(graphsym.distinguishing, "automorphism_group", recording)
     run_all(default_corpus())
     assert len(built) > 50
     for g, group in built.items():
