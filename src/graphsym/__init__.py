@@ -5,7 +5,6 @@ from .graph import (
     closed_neighborhood,
     complete,
     cycle,
-    induced_subgraph,
     is_connected,
     path,
 )
@@ -20,17 +19,10 @@ from .formats import (
     serialize_graph6,
 )
 from .products import (
-    Layer,
-    ProductVertex,
     cartesian_product,
     direct_product,
-    flatten,
-    layer,
-    product_vertex,
     strong_power,
     strong_product,
-    unflatten,
-    vertex_at,
 )
 from .symmetry import (
     AutomorphismGroup,
@@ -49,7 +41,6 @@ from .symmetry import (
 )
 from .structure import (
     SPartition,
-    aut_subgroup_of,
     declared_strong_prime,
     hamiltonian_path_exists,
     is_complete_graph,

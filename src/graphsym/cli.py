@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from typing import Optional
@@ -36,50 +35,49 @@ from .products import cartesian_product, direct_product, strong_product
 from .structure import hamiltonian_path_exists, s_partition, is_s_thin
 from .symmetry import BudgetExceeded, automorphism_group
 
-ENV_PREFIX = "GRAPHSYM_"
-
 _FAMILY_RE = re.compile(r"^([PCK])(\d+)$")
 _PAIR_RE = re.compile(r"^([PCK]\d+)x([PCK]\d+)s?$")
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
+def _count(text: str) -> int:
+    """A budget: a non-negative integer."""
     try:
-        return int(raw)
+        value = int(text)
     except ValueError:
-        raise FormatError(f"environment variable {ENV_PREFIX}{name} must be an integer")
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def _budget_parent() -> argparse.ArgumentParser:
     d = DEFAULT_BUDGETS
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument(
-        "--exact-bound", type=int, default=_env_int("EXACT_BOUND", d.exact_vertices),
+        "--exact-bound", type=_count, default=d.exact_vertices,
         help="largest vertex count for exhaustive vertex-labeling search",
     )
     p.add_argument(
-        "--edge-exact-bound", type=int, default=_env_int("EDGE_EXACT_BOUND", d.exact_edges),
+        "--edge-exact-bound", type=_count, default=d.exact_edges,
         help="largest edge count for exhaustive edge-labeling search",
     )
     p.add_argument(
-        "--aut-bound", type=int, default=_env_int("AUT_BOUND", d.aut_vertices),
+        "--aut-bound", type=_count, default=d.aut_vertices,
         help="largest vertex count for automorphism enumeration",
     )
     p.add_argument(
-        "--max-order", type=int, default=_env_int("MAX_ORDER", d.aut_max_order or 0),
+        "--max-order", type=_count, default=d.aut_max_order or 0,
         help="abort automorphism enumeration beyond this many elements (0 = unlimited)",
     )
     p.add_argument(
-        "--ham-bound", type=int, default=_env_int("HAM_BOUND", d.hamiltonian_vertices),
+        "--ham-bound", type=_count, default=d.hamiltonian_vertices,
         help="largest vertex count for the Hamiltonian path search",
     )
     p.add_argument(
-        "--trials", type=int, default=_env_int("TRIALS", d.trials),
+        "--trials", type=_count, default=d.trials,
         help="randomized witness search budget per label count",
     )
-    p.add_argument("--seed", type=int, default=_env_int("SEED", d.seed))
+    p.add_argument("--seed", type=int, default=d.seed)
     p.add_argument("--json", action="store_true", help="emit one JSON document")
     return p
 

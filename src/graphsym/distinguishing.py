@@ -270,31 +270,34 @@ def _exhaustive_minimum(
                 hi, lo = max(i, j), min(i, j)
                 ties[hi][lo] = ties[hi].get(lo, 0) | bit
         settled[last] |= bit
+    # labels[k]: the label tried last at position k (0: none yet);
+    # used[k], live[k]: the label count and the live rows of the prefix 0..k-1
     labels = [0] * size
-
-    def extend(k: int, used: int, live: int, r: int) -> bool:
-        if k == size:
-            return True
-        for lab in range(1, min(used + 1, r) + 1):
-            now = max(used, lab)
-            if now + (size - k - 1) < r:
-                continue
-            broken = 0
-            for j, mask in ties[k].items():
-                if labels[j] != lab:
-                    broken |= mask
-            kept = live & ~broken
-            if kept & settled[k]:
-                continue
-            labels[k] = lab
-            if extend(k + 1, now, kept, r):
-                return True
-        return False
-
-    every_row = (1 << len(rows)) - 1
+    used = [0] * (size + 1)
+    live = [(1 << len(rows)) - 1] * (size + 1)
     for r in range(start, size + 1):
-        if extend(0, 0, every_row, r):
-            return r, tuple(labels)
+        k = 0
+        while k >= 0:
+            if k == size:
+                return r, tuple(labels)
+            for lab in range(labels[k] + 1, min(used[k] + 1, r) + 1):
+                now = max(used[k], lab)
+                if now + (size - k - 1) < r:
+                    continue
+                broken = 0
+                for j, mask in ties[k].items():
+                    if labels[j] != lab:
+                        broken |= mask
+                kept = live[k] & ~broken
+                if kept & settled[k]:
+                    continue
+                labels[k] = lab
+                used[k + 1], live[k + 1] = now, kept
+                k += 1
+                break
+            else:
+                labels[k] = 0
+                k -= 1
     raise AssertionError("the all-distinct labeling must be distinguishing")
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 from .graph import Graph
 
 GRAPH6_HEADER = ">>graph6<<"
-FORMATS = ("graph6", "edgelist")
+# the largest vertex count graph6 encodes in one "~" header; edge lists share it
+_MAX_COUNT = 258047
 
 
 class FormatError(ValueError):
@@ -26,7 +27,7 @@ def _encode_count(n: int) -> str:
         raise FormatError("negative vertex count")
     if n <= 62:
         return chr(n + 63)
-    if n <= 258047:
+    if n <= _MAX_COUNT:
         return "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
     raise FormatError(f"vertex count {n} too large for this graph6 writer")
 
@@ -38,7 +39,7 @@ def _decode_count(s: str) -> tuple[int, int]:
     if s[0] != "~":
         return ord(s[0]) - 63, 1
     if len(s) >= 2 and s[1] == "~":
-        raise FormatError("graph6 vertex counts above 258047 not supported")
+        raise FormatError(f"graph6 vertex counts above {_MAX_COUNT} not supported")
     if len(s) < 4:
         raise FormatError("truncated graph6 vertex count")
     n = 0
@@ -122,8 +123,8 @@ def parse_edgelist(text: str | bytes) -> Graph:
         n = int(rows[0])
     except ValueError:
         raise FormatError(f"first line must be the vertex count, got {rows[0]!r}") from None
-    if n < 0:
-        raise FormatError("negative vertex count")
+    if not 0 <= n <= _MAX_COUNT:
+        raise FormatError(f"vertex count {n} outside 0..{_MAX_COUNT}")
     seen = set()
     edges = []
     for line in rows[1:]:

@@ -113,18 +113,3 @@ def is_connected(graph: Graph) -> bool:
                 count += 1
                 stack.append(w)
     return count == graph.n
-
-
-def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph induced on ``vertices``, relabeled 0..k-1 in the given order."""
-    verts = list(vertices)
-    if len(set(verts)) != len(verts):
-        raise ValueError("duplicate vertices")
-    index = {v: i for i, v in enumerate(verts)}
-    edges = []
-    for i, v in enumerate(verts):
-        for w in graph.adj[v]:
-            j = index.get(w)
-            if j is not None and i < j:
-                edges.append((i, j))
-    return Graph.from_edges(len(verts), edges)

@@ -1,58 +1,13 @@
-"""Cartesian, direct, and strong graph products, layers, and projections.
+"""Cartesian, direct, and strong graph products and strong powers.
 
-Product vertices are flattened row-major over the factor orders: a pair
+Product vertices are numbered row-major over the factor orders: a pair
 (g, h) of a product of G and H becomes the single index g*|V(H)| + h, and
-k-tuples nest the same way.  Iterated binary products with left
-association produce exactly this flattening, so every module can share
-one convention.
+the left-associated k-fold power numbers k-tuples the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import prod
-from typing import Sequence
-
 from .graph import Graph
-
-
-def flatten(coords: Sequence[int], orders: Sequence[int]) -> int:
-    """Row-major index of a coordinate tuple with the given factor orders."""
-    if len(coords) != len(orders):
-        raise ValueError("coordinate/order length mismatch")
-    flat = 0
-    for c, o in zip(coords, orders):
-        if not 0 <= c < o:
-            raise ValueError(f"coordinate {c} out of range for factor of order {o}")
-        flat = flat * o + c
-    return flat
-
-
-def unflatten(flat: int, orders: Sequence[int]) -> tuple[int, ...]:
-    """Inverse of :func:`flatten`."""
-    if not 0 <= flat < prod(orders):
-        raise ValueError(f"flat index {flat} out of range")
-    coords = []
-    for o in reversed(orders):
-        flat, c = divmod(flat, o)
-        coords.append(c)
-    return tuple(reversed(coords))
-
-
-@dataclass(frozen=True)
-class ProductVertex:
-    """A product vertex as its coordinate tuple plus its flattened index."""
-
-    coords: tuple[int, ...]
-    flat: int
-
-
-def product_vertex(coords: Sequence[int], orders: Sequence[int]) -> ProductVertex:
-    return ProductVertex(tuple(coords), flatten(coords, orders))
-
-
-def vertex_at(flat: int, orders: Sequence[int]) -> ProductVertex:
-    return ProductVertex(unflatten(flat, orders), flat)
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
@@ -98,42 +53,3 @@ def strong_power(g: Graph, k: int) -> Graph:
     for _ in range(k - 1):
         result = strong_product(result, g)
     return result
-
-
-@dataclass(frozen=True)
-class Layer:
-    """The copy of factor i through an anchor vertex of a product.
-
-    ``vertices`` lists the flattened product indices obtained by varying
-    coordinate i over factor i's vertex order, all other coordinates fixed
-    to the anchor's.
-    """
-
-    factor_index: int
-    anchor: ProductVertex
-    vertices: tuple[int, ...]
-
-
-def layer(product: Graph, factors: Sequence[Graph], i: int, anchor) -> Layer:
-    """Layer of ``factors[i]`` through ``anchor`` in a product built from ``factors``.
-
-    ``anchor`` may be a ProductVertex or a plain coordinate tuple.  Anchors
-    differing only in coordinate i produce the same layer.
-    """
-    orders = [f.n for f in factors]
-    if product.n != prod(orders):
-        raise ValueError("product order does not match factor orders")
-    if not 0 <= i < len(factors):
-        raise ValueError(f"factor index {i} out of range")
-    coords = anchor.coords if isinstance(anchor, ProductVertex) else tuple(anchor)
-    if len(coords) != len(orders):
-        raise ValueError("anchor arity does not match factor count")
-    for c, o in zip(coords, orders):
-        if not 0 <= c < o:
-            raise ValueError(f"anchor coordinate {c} out of range")
-    verts = []
-    for x in range(orders[i]):
-        c = list(coords)
-        c[i] = x
-        verts.append(flatten(c, orders))
-    return Layer(i, product_vertex(coords, orders), tuple(verts))

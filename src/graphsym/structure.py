@@ -1,18 +1,17 @@
 """Structural predicates used as hypotheses by the verification checks.
 
 Covers the closed-neighborhood equivalence (two vertices are related when
-N[x] = N[y]), S-thinness, spanning-subgraph and automorphism-subgroup
-relations, traceability, and the declared-prime flag for factors whose
-strong-product primality is known rather than computed.
+N[x] = N[y]), S-thinness, the spanning-subgraph relation, traceability,
+and the declared-prime flag for factors whose strong-product primality is
+known rather than computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .graph import Graph, closed_neighborhood, is_connected
-from .symmetry import BudgetExceeded, automorphism_group, is_automorphism
+from .symmetry import BudgetExceeded
 
 
 @dataclass(frozen=True)
@@ -41,26 +40,15 @@ def is_spanning_subgraph(h: Graph, g: Graph) -> bool:
     return h.n == g.n and set(h.edges) <= set(g.edges)
 
 
-def aut_subgroup_of(
-    g: Graph,
-    h: Graph,
-    *,
-    max_vertices: int = 20,
-    max_order: Optional[int] = None,
-) -> bool:
-    """True iff every automorphism of g is also an automorphism of h."""
-    if g.n != h.n:
-        raise ValueError("graphs have different vertex counts")
-    group = automorphism_group(g, max_vertices=max_vertices, max_order=max_order)
-    return all(is_automorphism(h, p) for p in group)
-
-
 def hamiltonian_path_exists(graph: Graph, *, max_vertices: int = 16) -> bool:
     """Backtracking search for a Hamiltonian path.
 
-    Candidates are tried in ascending-degree order, which keeps the search
-    shallow on the structured instances this library targets; the result
-    does not depend on the ordering.
+    A vertex of degree 1 can only be an end of the path, so a graph with
+    more than two of them has none, and with one or two the search starts
+    from one of them only.  Otherwise every start is tried.  Candidates
+    are tried in ascending-degree order, which keeps the search shallow on
+    the structured instances this library targets; the result does not
+    depend on the ordering.
     """
     n = graph.n
     if n > max_vertices:
@@ -73,24 +61,27 @@ def hamiltonian_path_exists(graph: Graph, *, max_vertices: int = 16) -> bool:
         return False
     deg = [graph.degree(v) for v in range(n)]
     nbrs = [sorted(graph.adj[v], key=lambda w: (deg[w], w)) for v in range(n)]
-    visited = [False] * n
-
-    def extend(v: int, placed: int) -> bool:
-        if placed == n:
-            return True
-        for w in nbrs[v]:
-            if not visited[w]:
-                visited[w] = True
-                if extend(w, placed + 1):
-                    return True
-                visited[w] = False
+    leaves = [v for v in range(n) if deg[v] == 1]
+    if len(leaves) > 2:
         return False
-
-    for start in sorted(range(n), key=lambda v: (deg[v], v)):
+    visited = [False] * n
+    for start in leaves[:1] or sorted(range(n), key=lambda v: (deg[v], v)):
+        # the path so far, and the untried neighbours of each of its vertices
         visited[start] = True
-        if extend(start, 1):
-            return True
-        visited[start] = False
+        path = [start]
+        untried = [iter(nbrs[start])]
+        while untried:
+            for w in untried[-1]:
+                if not visited[w]:
+                    if len(path) == n - 1:
+                        return True
+                    visited[w] = True
+                    path.append(w)
+                    untried.append(iter(nbrs[w]))
+                    break
+            else:
+                untried.pop()
+                visited[path.pop()] = False
     return False
 
 

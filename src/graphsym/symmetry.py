@@ -73,15 +73,6 @@ class AutomorphismGroup:
     def is_trivial(self) -> bool:
         return self.order == 1
 
-    def __iter__(self) -> Iterator[Permutation]:
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, p: Permutation) -> bool:
-        return tuple(p) in set(self.elements)
-
 
 class _Matcher:
     """A map of g's vertices 0..depth-1 into h, extended in vertex order.

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import graphsym.cli
-from graphsym import parse_graph6, path, serialize_edgelist, serialize_graph6, strong_product
+from graphsym import Graph, parse_graph6, path, serialize_edgelist, serialize_graph6, strong_product
 from graphsym.cli import dispatch
 
 
@@ -166,12 +166,17 @@ def test_deep_search_is_an_error_not_a_traceback(capsys, monkeypatch, g6):
     assert code == 2 and err.startswith("error: ")
 
 
-def test_autgroup_on_a_long_path(capsys, tmp_path):
-    # the automorphism search keeps its own stack, so its depth is not
-    # bounded by the interpreter's recursion limit
+@pytest.fixture
+def p1200(tmp_path):
     f = tmp_path / "p1200.el"
     f.write_text("1200\n" + "".join(f"{i} {i + 1}\n" for i in range(1199)))
-    code, out, err = run(capsys, ["autgroup", str(f), "--aut-bound", "5000"])
+    return str(f)
+
+
+def test_autgroup_on_a_long_path(capsys, p1200):
+    # the automorphism search keeps its own stack, so its depth is not
+    # bounded by the interpreter's recursion limit
+    code, out, err = run(capsys, ["autgroup", p1200, "--aut-bound", "5000"])
     assert (code, out, err) == (0, "order 2\n", "")
 
 
@@ -193,3 +198,55 @@ def test_distidx_text_witness_matches_json(capsys, g6):
     _, text, _ = run(capsys, ["distidx", a])
     _, doc, _ = run(capsys, ["distidx", a, "--json"])
     assert text.splitlines()[2] == f"witness {json.loads(doc)['witness']['labels']}"
+
+
+def test_budgets_ignore_the_environment(capsys, monkeypatch, g6):
+    # budgets come from the flags only: no environment variable changes a run
+    a = g6("p4.g6", path(4))
+    expected = run(capsys, ["distnum", a])
+    monkeypatch.setenv("GRAPHSYM_SEED", "abc")
+    monkeypatch.setenv("GRAPHSYM_AUT_BOUND", "3")
+    assert run(capsys, ["distnum", a]) == expected
+    assert expected[0] == 0
+
+
+@pytest.mark.parametrize(
+    "flag",
+    ["--exact-bound", "--edge-exact-bound", "--aut-bound", "--max-order", "--ham-bound", "--trials"],
+)
+def test_negative_budget_is_a_usage_error(capsys, tmp_path, flag):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("P3\n")
+    code, out, err = run(capsys, ["verify", "--corpus", str(corpus), flag, "-1"])
+    assert (code, out) == (2, "") and "non-negative" in err
+
+
+def test_zero_order_cap_and_zero_trials_are_accepted(capsys, g6):
+    code, out, _ = run(capsys, ["distnum", g6("p4.g6", path(4)), "--max-order", "0", "--trials", "0"])
+    assert code == 0 and out.startswith("value 2 (exact)")
+
+
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        (["traceable", "--ham-bound", "5000"], "traceable: yes"),
+        (["distnum", "--exact-bound", "5000", "--aut-bound", "5000"], "value 2 (exact)"),
+        (["distidx", "--edge-exact-bound", "5000", "--aut-bound", "5000"], "value 2 (exact)"),
+    ],
+)
+def test_searches_on_a_long_path(capsys, p1200, argv, first_line):
+    # the Hamiltonian and exact labeling searches keep their own stacks too
+    code, out, err = run(capsys, [*argv, p1200])
+    assert (code, out.splitlines()[0], err) == (0, first_line, "")
+
+
+def test_oversized_edge_list_count_is_a_parse_error(capsys, monkeypatch, tmp_path):
+    # the count is refused before any per-vertex storage is allocated
+    def refuse(n, edges):
+        raise AssertionError(f"asked to allocate {n} vertices")
+
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(refuse))
+    f = tmp_path / "huge.el"
+    f.write_text("1234567890123\n")
+    code, _, err = run(capsys, ["distnum", str(f)])
+    assert code == 2 and err.startswith("error: ")

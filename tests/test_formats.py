@@ -64,6 +64,8 @@ def test_edgelist_errors():
         parse_edgelist("x\n0 1")
     with pytest.raises(FormatError):
         parse_edgelist("3\n0 1 2")
+    with pytest.raises(FormatError):
+        parse_edgelist("258048\n")  # more vertices than graph6 can encode
 
 
 def test_graph6_errors():
@@ -102,6 +104,15 @@ def test_round_trip_random_graphs(data):
     # canonical graph6 strings reproduce byte for byte
     s = serialize_graph6(g)
     assert serialize_graph6(parse_graph6(s)) == s
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(), st.text()))
+def test_parse_auto_returns_a_graph_or_a_format_error(data):
+    try:
+        assert isinstance(parse_auto(data), Graph)
+    except FormatError:
+        pass
 
 
 @pytest.mark.parametrize("n", [62, 63, 64, 400])

@@ -5,7 +5,6 @@ from graphsym import (
     closed_neighborhood,
     complete,
     cycle,
-    induced_subgraph,
     is_connected,
     path,
 )
@@ -94,11 +93,3 @@ def test_graph_equality_and_hash():
     assert path(3) == path(3)
     assert path(3) != cycle(3)
     assert len({path(3), path(3), cycle(3)}) == 2
-
-
-def test_induced_subgraph():
-    g = cycle(5)
-    sub = induced_subgraph(g, [0, 1, 2])
-    assert sub == path(3)
-    with pytest.raises(ValueError):
-        induced_subgraph(g, [0, 0])

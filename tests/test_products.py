@@ -1,21 +1,20 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsym import (
+    Graph,
     cartesian_product,
     complete,
     cycle,
     direct_product,
-    flatten,
-    induced_subgraph,
     is_connected,
     is_isomorphic,
-    layer,
     path,
-    product_vertex,
     strong_power,
     strong_product,
-    unflatten,
-    vertex_at,
 )
 
 FACTORS = [path(2), path(3), path(4), cycle(3), cycle(4), complete(2), complete(3)]
@@ -91,48 +90,45 @@ def test_strong_power():
         strong_power(path(3), 0)
 
 
-def test_flatten_unflatten():
-    orders = [3, 4, 2]
-    for flat in range(24):
-        coords = unflatten(flat, orders)
-        assert flatten(coords, orders) == flat
-    assert flatten((1, 2), (3, 4)) == 1 * 4 + 2
-    with pytest.raises(ValueError):
-        flatten((3, 0), (3, 4))
-    with pytest.raises(ValueError):
-        unflatten(24, orders)
-    pv = product_vertex((2, 1), (3, 4))
-    assert pv.flat == 9 and vertex_at(9, (3, 4)) == pv
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    pairs = list(itertools.combinations(range(n), 2))
+    picks = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.from_edges(n, picks)
 
 
-def test_layer_vertices():
-    g, h = path(3), path(4)
-    p = strong_product(g, h)
-    lay = layer(p, [g, h], 0, (0, 2))
-    assert lay.vertices == (2, 6, 10)
-    assert len(lay.vertices) == g.n
-    # anchors differing only in the layer coordinate give the same layer
-    assert layer(p, [g, h], 0, (2, 2)).vertices == lay.vertices
-    with pytest.raises(ValueError):
-        layer(p, [g, h], 0, (0, 9))
-    with pytest.raises(ValueError):
-        layer(p, [g, h], 2, (0, 0))
+def edges_by_definition(factors, adjacent):
+    """Edges of a product on row-major coordinate tuples: two distinct tuples
+    are adjacent when adjacent(equal, joined) holds for their per-coordinate
+    lists of "same vertex" and "factor edge" flags."""
+    tuples = list(itertools.product(*(range(f.n) for f in factors)))
+    edges = set()
+    for (i, a), (j, b) in itertools.combinations(enumerate(tuples), 2):
+        equal = [x == y for x, y in zip(a, b)]
+        joined = [f.has_edge(x, y) for f, x, y in zip(factors, a, b)]
+        if adjacent(equal, joined):
+            edges.add((i, j))
+    return edges
 
 
-def test_layer_induced_subgraph_isomorphic_to_factor():
-    g, h = path(3), path(4)
-    for product in (strong_product(g, h), cartesian_product(g, h)):
-        for anchor_h in range(h.n):
-            lay = layer(product, [g, h], 0, (0, anchor_h))
-            assert is_isomorphic(induced_subgraph(product, lay.vertices), g)
-        for anchor_g in range(g.n):
-            lay = layer(product, [g, h], 1, (anchor_g, 0))
-            assert is_isomorphic(induced_subgraph(product, lay.vertices), h)
+def cartesian_rule(equal, joined):
+    return sum(joined) == 1 and sum(equal) == len(equal) - 1
 
 
-def test_layer_in_triple_power():
-    g = path(2)
-    p = strong_power(g, 3)
-    lay = layer(p, [g, g, g], 1, (1, 0, 1))
-    assert lay.vertices == (flatten((1, 0, 1), [2, 2, 2]), flatten((1, 1, 1), [2, 2, 2]))
-    assert is_isomorphic(induced_subgraph(p, lay.vertices), g)
+def direct_rule(equal, joined):
+    return all(joined)
+
+
+def strong_rule(equal, joined):
+    return all(e or j for e, j in zip(equal, joined))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(), small_graphs())
+def test_products_match_the_definitions(g, h):
+    # (x, y) is vertex x*|V(H)| + y, and a k-fold power numbers k-tuples the same way
+    assert set(cartesian_product(g, h).edges) == edges_by_definition([g, h], cartesian_rule)
+    assert set(direct_product(g, h).edges) == edges_by_definition([g, h], direct_rule)
+    assert set(strong_product(g, h).edges) == edges_by_definition([g, h], strong_rule)
+    assert set(strong_power(g, 3).edges) == edges_by_definition([g, g, g], strong_rule)
