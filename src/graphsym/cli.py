@@ -136,22 +136,9 @@ def _cmd_autgroup(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_distnum(args: argparse.Namespace) -> int:
+def _cmd_distinguishing(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    result = distinguishing_number(g, _budgets(args))
-    payload = result.to_json_dict()
-    lines = [
-        f"value {result.value} ({result.mode})",
-        f"reason {result.lower_bound_reason}",
-        f"witness {list(result.witness.labels)}",
-    ]
-    _emit(args, payload, lines)
-    return 0
-
-
-def _cmd_distidx(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    result = distinguishing_index(g, _budgets(args))
+    result = args.solve(g, _budgets(args))
     payload = result.to_json_dict()
     if result.mode == UNDEFINED:
         lines = ["undefined: a non-identity automorphism fixes every edge"]
@@ -273,13 +260,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--elements", action="store_true", help="print one permutation per line")
     p.set_defaults(func=_cmd_autgroup)
 
-    p = sub.add_parser("distnum", parents=[budget], help="distinguishing number")
-    p.add_argument("graph")
-    p.set_defaults(func=_cmd_distnum)
-
-    p = sub.add_parser("distidx", parents=[budget], help="distinguishing index")
-    p.add_argument("graph")
-    p.set_defaults(func=_cmd_distidx)
+    for verb, solve, about in (
+        ("distnum", distinguishing_number, "distinguishing number"),
+        ("distidx", distinguishing_index, "distinguishing index"),
+    ):
+        p = sub.add_parser(verb, parents=[budget], help=about)
+        p.add_argument("graph")
+        p.set_defaults(func=_cmd_distinguishing, solve=solve)
 
     p = sub.add_parser("sthin", parents=[budget], help="closed-neighborhood partition")
     p.add_argument("graph")

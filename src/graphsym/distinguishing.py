@@ -5,6 +5,13 @@ every label, i.e. the stabilizer of the labeling inside the automorphism
 group is trivial.  The minimum over vertex labelings is the distinguishing
 number, over edge labelings the distinguishing index.
 
+Both are one problem over positions, the vertices or the edges in
+``graph.edges`` order: the row builders write the non-identity group
+elements as permutations of positions, and one stabilizer test and one
+solver serve both.  No rows: the group is trivial and the value is 1.  A
+row fixing every position (K_2's swap on its edge, never a vertex row)
+makes the minimum undefined.
+
 Exactness contract: below the configured exhaustive budgets every smaller
 label count is either excluded by the transposition-class bound or
 exhausted by a pruned backtracking search, and the result is exact.
@@ -141,12 +148,9 @@ def is_distinguishing_vertex(
     graph: Graph, group: AutomorphismGroup, labeling: VertexLabeling
 ) -> bool:
     """True iff no non-identity automorphism preserves all vertex labels."""
-    if group.n != graph.n:
-        raise ValueError("group does not act on this graph")
     if len(labeling.labels) != graph.n:
         raise ValueError("labeling length does not match vertex count")
-    rows = _nonidentity_rows(group.elements, identity(graph.n))
-    return _preserving_row(labeling.labels, rows) is None
+    return _preserving_row(labeling.labels, _vertex_rows(graph, group)) is None
 
 
 def is_distinguishing_edge(
@@ -158,39 +162,39 @@ def is_distinguishing_edge(
     edge outside the edge set would mean the group is not a group of
     automorphisms and is treated as an internal fault.
     """
-    if group.n != graph.n:
-        raise ValueError("group does not act on this graph")
     if set(labeling.labels) != set(graph.edges):
         raise ValueError("labeling domain is not exactly the edge set")
     flat = tuple(labeling.labels[e] for e in graph.edges)
+    return _preserving_row(flat, _edge_rows(graph, group)) is None
+
+
+def _vertex_rows(graph: Graph, group: AutomorphismGroup) -> list[Permutation]:
+    """The non-identity group elements, as permutations of the vertices."""
+    if group.n != graph.n:
+        raise ValueError("group does not act on this graph")
     ident = identity(graph.n)
-    rows = [row for p, row in zip(group.elements, _edge_images(graph, group.elements))
-            if p != ident]
-    return _preserving_row(flat, rows) is None
+    return [p for p in group.elements if p != ident]
 
 
-def _edge_images(graph: Graph, elements: Sequence[Permutation]) -> list[tuple[int, ...]]:
-    """For each group element, the induced permutation of edge positions."""
-    index = {e: i for i, e in enumerate(graph.edges)}
+def _edge_rows(graph: Graph, group: AutomorphismGroup) -> list[tuple[int, ...]]:
+    """The non-identity group elements, as permutations of edge positions.
+
+    position[a][b] is the index of edge {a, b} in graph.edges, -1 for a
+    non-edge.  A non-identity element may still fix every edge (K_2's swap).
+    """
+    edges = graph.edges
+    position = [[-1] * graph.n for _ in range(graph.n)]
+    for i, (u, v) in enumerate(edges):
+        position[u][v] = position[v][u] = i
     out = []
-    for p in elements:
-        row = []
-        for (u, v) in graph.edges:
-            a, b = p[u], p[v]
-            key = (a, b) if a < b else (b, a)
-            if key not in index:
-                raise RuntimeError(
-                    "internal fault: group element maps an edge outside the edge set"
-                )
-            row.append(index[key])
-        out.append(tuple(row))
+    for p in _vertex_rows(graph, group):
+        row = tuple([position[p[u]][p[v]] for u, v in edges])
+        if -1 in row:
+            raise RuntimeError(
+                "internal fault: group element maps an edge outside the edge set"
+            )
+        out.append(row)
     return out
-
-
-def _nonidentity_rows(
-    elements: Sequence[Permutation], ident: Permutation
-) -> list[Permutation]:
-    return [p for p in elements if p != ident]
 
 
 def _preserving_row(
@@ -253,9 +257,8 @@ def _exhaustive_minimum(
     completion, which cuts the branch.  The search starts at r = start,
     a lower bound on the answer.
 
-    Requires that the all-distinct assignment is distinguishing (true for
-    vertex labelings always, for edge labelings once the edge-fixing
-    kernel is known trivial), so the search terminates at r = size.
+    Requires that no row fixes every position, so that the all-distinct
+    assignment is distinguishing and the search terminates at r = size.
     """
     # ties[k][j], j < k: bitmask of the rows mapping j to k or k to j;
     # settled[k]: bitmask of the rows whose largest moved position is k
@@ -335,15 +338,21 @@ def _randomized_minimum(
     raise AssertionError("the all-distinct labeling must be distinguishing")
 
 
-def _minimum(
+def _solve(
     size: int, rows: Sequence[tuple[int, ...]], exact: bool, budgets: Budgets, wrap
 ) -> DistinguishingResult:
     """The least label count for `size` positions under the non-identity
     rows, exact or certified-upper; wrap(labels, r) builds the witness.
 
-    Both searches start at the transposition-class bound (at least 2,
-    since the group is nontrivial): no smaller r has a witness.
+    No rows: the group is trivial and one label suffices.  A row fixing
+    every position preserves every labeling: the minimum is undefined.
+    Otherwise both searches start at the transposition-class bound (at
+    least 2, since the group is nontrivial): no smaller r has a witness.
     """
+    if not rows:
+        return DistinguishingResult(1, EXACT, wrap((1,) * size, 1), REASON_ASYMMETRIC)
+    if tuple(range(size)) in rows:
+        return DistinguishingResult(None, UNDEFINED, None, None)
     start = max(2, _transposition_class_bound(size, rows))
     if exact:
         value, labels = _exhaustive_minimum(size, rows, start)
@@ -356,13 +365,12 @@ def _minimum(
 def _group_of(
     graph: Graph, budgets: Budgets, group: Optional[AutomorphismGroup]
 ) -> AutomorphismGroup:
-    """The given group after a size check, else Aut(graph) within the budgets."""
+    """The given group, else Aut(graph) within the budgets; the row
+    builders check that it acts on graph."""
     if group is None:
         return automorphism_group(
             graph, max_vertices=budgets.aut_vertices, max_order=budgets.aut_max_order
         )
-    if group.n != graph.n:
-        raise ValueError("group does not act on this graph")
     return group
 
 
@@ -378,12 +386,8 @@ def distinguishing_number(
     upper bound with a verified witness (tight when the value is 2).  A
     caller that already holds Aut(graph) passes it as group.
     """
-    group = _group_of(graph, budgets, group)
-    if group.is_trivial:
-        witness = VertexLabeling((1,) * graph.n, 1)
-        return DistinguishingResult(1, EXACT, witness, REASON_ASYMMETRIC)
-    rows = _nonidentity_rows(group.elements, identity(graph.n))
-    return _minimum(graph.n, rows, graph.n <= budgets.exact_vertices, budgets, VertexLabeling)
+    rows = _vertex_rows(graph, _group_of(graph, budgets, group))
+    return _solve(graph.n, rows, graph.n <= budgets.exact_vertices, budgets, VertexLabeling)
 
 
 def distinguishing_index(
@@ -395,25 +399,16 @@ def distinguishing_index(
     """Least number of edge labels admitting a distinguishing edge labeling.
 
     Undefined (dedicated outcome, not an error) when some non-identity
-    automorphism fixes every edge as a set; among connected graphs that
-    happens only for K_2, whose swap fixes the unique edge.  A caller that
-    already holds Aut(graph) passes it as group.
+    automorphism fixes every edge as a set, as K_2's swap does, or a swap
+    of two isolated vertices.  A caller that already holds Aut(graph)
+    passes it as group.
     """
-    if graph.edge_count == 0:
-        raise ValueError("distinguishing index needs at least one edge")
-    group = _group_of(graph, budgets, group)
-    if group.is_trivial:
-        witness = EdgeLabeling({e: 1 for e in graph.edges}, 1)
-        return DistinguishingResult(1, EXACT, witness, REASON_ASYMMETRIC)
-    ident = identity(graph.n)
     m = graph.edge_count
-    ident_row = tuple(range(m))
-    rows = [row for p, row in zip(group.elements, _edge_images(graph, group.elements))
-            if p != ident]
-    if any(row == ident_row for row in rows):
-        return DistinguishingResult(None, UNDEFINED, None, None)
+    if m == 0:
+        raise ValueError("distinguishing index needs at least one edge")
+    rows = _edge_rows(graph, _group_of(graph, budgets, group))
 
     def wrap(flat: tuple[int, ...], r: int) -> EdgeLabeling:
         return EdgeLabeling(dict(zip(graph.edges, flat)), r)
 
-    return _minimum(m, rows, m <= budgets.exact_edges, budgets, wrap)
+    return _solve(m, rows, m <= budgets.exact_edges, budgets, wrap)

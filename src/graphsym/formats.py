@@ -11,11 +11,16 @@ vertex count, every following line is ``u v`` with 0-based indices, and
 
 from __future__ import annotations
 
+import re
+
 from .graph import Graph
 
 GRAPH6_HEADER = ">>graph6<<"
 # the largest vertex count graph6 encodes in one "~" header; edge lists share it
 _MAX_COUNT = 258047
+# a count line with more significant digits than _MAX_COUNT, which is out of
+# range whatever its digits; int() refuses one of more than 4,300 digits
+_LONG_COUNT = re.compile(r"[+-]?0*[1-9][0-9]{%d,}" % len(str(_MAX_COUNT)))
 
 
 class FormatError(ValueError):
@@ -119,6 +124,8 @@ def parse_edgelist(text: str | bytes) -> Graph:
             rows.append(line)
     if not rows:
         raise FormatError("empty edge list")
+    if _LONG_COUNT.fullmatch(rows[0]):
+        raise FormatError(f"vertex count of {len(rows[0])} characters outside 0..{_MAX_COUNT}")
     try:
         n = int(rows[0])
     except ValueError:
@@ -171,6 +178,8 @@ def detect_format(text: str | bytes) -> str:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        if _LONG_COUNT.fullmatch(line):
+            return "edgelist"
         try:
             int(line)
             return "edgelist"

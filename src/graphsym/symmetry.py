@@ -69,10 +69,6 @@ class AutomorphismGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
 
 class _Matcher:
     """A map of g's vertices 0..depth-1 into h, extended in vertex order.

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import graphsym.cli
-from graphsym import Graph, parse_graph6, path, serialize_edgelist, serialize_graph6, strong_product
+from graphsym import (
+    Graph, cycle, parse_graph6, path, serialize_edgelist, serialize_graph6, strong_product,
+)
 from graphsym.cli import dispatch
 
 
@@ -200,6 +202,21 @@ def test_distidx_text_witness_matches_json(capsys, g6):
     assert text.splitlines()[2] == f"witness {json.loads(doc)['witness']['labels']}"
 
 
+def test_distnum_text_output(capsys, g6):
+    code, out, err = run(capsys, ["distnum", g6("c5.g6", cycle(5))])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "value 3 (exact)",
+        "reason exhausted-smaller-r",
+        "witness [1, 1, 1, 2, 3]",
+    ]
+    a = g6("p4.g6", path(4))
+    _, text, _ = run(capsys, ["distnum", a])
+    _, doc, _ = run(capsys, ["distnum", a, "--json"])
+    assert text.splitlines()[:2] == ["value 2 (exact)", "reason nontrivial-aut"]
+    assert text.splitlines()[2] == f"witness {json.loads(doc)['witness']['labels']}"
+
+
 def test_budgets_ignore_the_environment(capsys, monkeypatch, g6):
     # budgets come from the flags only: no environment variable changes a run
     a = g6("p4.g6", path(4))
@@ -247,6 +264,9 @@ def test_oversized_edge_list_count_is_a_parse_error(capsys, monkeypatch, tmp_pat
 
     monkeypatch.setattr(Graph, "from_edges", staticmethod(refuse))
     f = tmp_path / "huge.el"
-    f.write_text("1234567890123\n")
-    code, _, err = run(capsys, ["distnum", str(f)])
-    assert code == 2 and err.startswith("error: ")
+    # 5000 digits are more than int() parses: still an edge-list count
+    for count in ("1234567890123", "9" * 5000):
+        f.write_text(count + "\n")
+        code, out, err = run(capsys, ["distnum", str(f)])
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        assert "outside 0..258047" in err and count not in err

@@ -5,6 +5,7 @@ import pytest
 
 from graphsym import (
     DEFAULT_BUDGETS,
+    AutomorphismGroup,
     Budgets,
     EdgeLabeling,
     Graph,
@@ -95,6 +96,31 @@ def test_distinguishing_index_known_values():
     assert undef.mode == "undefined" and undef.value is None
     with pytest.raises(ValueError):
         distinguishing_index(Graph.from_edges(3, []))
+
+
+def test_index_is_undefined_when_a_swap_of_isolated_vertices_fixes_every_edge():
+    # K2 plus two isolated vertices: the first edge-fixing element in the
+    # group is the swap of the isolated vertices, not K2's swap
+    k2_plus = Graph.from_edges(4, [(0, 1)])
+    assert automorphism_group(k2_plus).elements[1] == (0, 1, 3, 2)
+    undef = distinguishing_index(k2_plus)
+    assert (undef.value, undef.mode, undef.witness) == (None, "undefined", None)
+    # P3 alone has index 2; two isolated vertices beside it make it undefined
+    assert distinguishing_index(path(3)).value == 2
+    assert distinguishing_index(Graph.from_edges(5, [(0, 1), (1, 2)])).mode == "undefined"
+    # vertices never meet that rule: the number stays defined
+    assert distinguishing_number(k2_plus).value == 2
+
+
+def test_edge_test_rejects_a_group_that_is_not_of_automorphisms():
+    p3 = path(3)
+    # (1 0 2) maps the edge {1, 2} to the non-edge {0, 2}
+    fake = AutomorphismGroup(3, ((0, 1, 2), (1, 0, 2)))
+    labeling = EdgeLabeling({(0, 1): 1, (1, 2): 2}, 2)
+    with pytest.raises(RuntimeError, match="internal fault"):
+        is_distinguishing_edge(p3, fake, labeling)
+    with pytest.raises(RuntimeError, match="internal fault"):
+        distinguishing_index(p3, group=fake)
 
 
 def test_results_are_exact_with_verified_witness_in_budget():

@@ -92,6 +92,16 @@ def test_detect_format():
     assert parse_auto("D?{") == parse_graph6("D?{")
 
 
+def test_overlong_count_line_is_an_edge_list():
+    # int() refuses more than 4,300 digits; the count is refused by its length
+    text = "9" * 5000 + "\n"
+    assert detect_format(text) == "edgelist"
+    with pytest.raises(FormatError, match=r"outside 0\.\.258047") as err:
+        parse_auto(text)
+    assert "99" not in str(err.value)
+    assert parse_edgelist("0000005\n").n == 5
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_round_trip_random_graphs(data):

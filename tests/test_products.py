@@ -45,15 +45,6 @@ def test_strong_counts_and_identities():
     assert p.n == 9 and p.edge_count == 20
 
 
-def test_edge_count_formulas():
-    for g in FACTORS:
-        for h in FACTORS:
-            mg, ng, mh, nh = g.edge_count, g.n, h.edge_count, h.n
-            assert cartesian_product(g, h).edge_count == mg * nh + ng * mh
-            assert direct_product(g, h).edge_count == 2 * mg * mh
-            assert strong_product(g, h).edge_count == mg * nh + ng * mh + 2 * mg * mh
-
-
 def test_commutativity_up_to_isomorphism():
     for g in FACTORS:
         for h in FACTORS:
@@ -91,8 +82,8 @@ def test_strong_power():
 
 
 @st.composite
-def small_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=5))
+def small_graphs(draw, max_vertices=5):
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
     pairs = list(itertools.combinations(range(n), 2))
     picks = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return Graph.from_edges(n, picks)
@@ -132,3 +123,12 @@ def test_products_match_the_definitions(g, h):
     assert set(direct_product(g, h).edges) == edges_by_definition([g, h], direct_rule)
     assert set(strong_product(g, h).edges) == edges_by_definition([g, h], strong_rule)
     assert set(strong_power(g, 3).edges) == edges_by_definition([g, g, g], strong_rule)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(max_vertices=6), small_graphs(max_vertices=6))
+def test_edge_count_formulas(g, h):
+    mg, ng, mh, nh = g.edge_count, g.n, h.edge_count, h.n
+    assert cartesian_product(g, h).edge_count == mg * nh + ng * mh
+    assert direct_product(g, h).edge_count == 2 * mg * mh
+    assert strong_product(g, h).edge_count == mg * nh + ng * mh + 2 * mg * mh
