@@ -141,13 +141,14 @@ def graph_name(g: Graph) -> str:
 
 
 class _Run:
-    """The budgets of one harness run and its memo of groups and values.
+    """The budgets of one harness run and its memo of products, groups and values.
 
-    Automorphism groups and distinguishing values are pure functions of the
-    graph and the budgets, so the checks of one run share them, budget
-    failures included (they would otherwise redo the aborted search).
-    run_all passes one run to every check in the budgets position; a check
-    called with plain Budgets starts a fresh run, so nothing outlives a call.
+    Products, automorphism groups and distinguishing values are pure
+    functions of the graphs and the budgets, so the checks of one run share
+    them, budget failures included (they would otherwise redo the aborted
+    search).  run_all passes one run to every check in the budgets position;
+    a check called with plain Budgets starts a fresh run, so nothing
+    outlives a call.
     """
 
     def __init__(self, budgets: Budgets) -> None:
@@ -158,22 +159,29 @@ class _Run:
     def of(budgets: Union[Budgets, "_Run"]) -> "_Run":
         return budgets if isinstance(budgets, _Run) else _Run(budgets)
 
+    def strong(self, g: Graph, h: Graph) -> Graph:
+        return self._get(("strong", g, h), lambda: strong_product(g, h))
+
+    def box(self, g: Graph, h: Graph) -> Graph:
+        return self._get(("box", g, h), lambda: cartesian_product(g, h))
+
     def aut(self, g: Graph) -> AutomorphismGroup:
-        return self._get("aut", g, _group_of)
+        return self._get(("aut", g), lambda: _group_of(g, self.budgets, None))
 
     def number(self, g: Graph) -> DistinguishingResult:
-        return self._get("number", g, distinguishing_number)
+        return self._get(
+            ("number", g), lambda: distinguishing_number(g, self.budgets, group=self.aut(g)))
 
     def index(self, g: Graph) -> DistinguishingResult:
-        return self._get("index", g, distinguishing_index)
+        return self._get(
+            ("index", g), lambda: distinguishing_index(g, self.budgets, group=self.aut(g)))
 
-    def _get(self, kind: str, g: Graph, solve: Callable):
-        """solve(g, budgets, group=...) once per graph; the values reuse Aut(g)."""
-        key = (kind, g)
+    def _get(self, key: tuple, compute: Callable):
+        """compute() once per key; a budget failure is memoized and re-raised."""
         hit = self._memo.get(key)
         if hit is None:
             try:
-                hit = solve(g, self.budgets, group=None if kind == "aut" else self.aut(g))
+                hit = compute()
             except BudgetExceeded as exc:
                 hit = exc
             self._memo[key] = hit
@@ -273,8 +281,8 @@ def check_layered_labeling(
     def body(report) -> BoundReport:
         d_g = run.number(g)
         d_h = run.number(h)
-        prod_gh = strong_product(g, h)
-        prod_hg = strong_product(h, g)
+        prod_gh = run.strong(g, h)
+        prod_hg = run.strong(h, g)
         lab_gh = layered_labeling(g, h, d_g.witness, group=run.aut(g))
         lab_hg = layered_labeling(h, g, d_h.witness, group=run.aut(h))
         ok_gh = is_distinguishing_vertex(prod_gh, run.aut(prod_gh), lab_gh)
@@ -307,8 +315,8 @@ def check_number_sandwich(
                 f"product has {g.n * h.n}")
 
     def body(report) -> BoundReport:
-        strong = strong_product(g, h)
-        box = cartesian_product(g, h)
+        strong = run.strong(g, h)
+        box = run.box(g, h)
         d_box = run.number(box)
         d_strong = run.number(strong)
         d_g = run.number(g)
@@ -335,8 +343,8 @@ def check_number_equality(
     instance, hyps = _pair_label(g, h, label), _thin_prime(g, h)
 
     def body(report) -> BoundReport:
-        strong = strong_product(g, h)
-        box = cartesian_product(g, h)
+        strong = run.strong(g, h)
+        box = run.box(g, h)
         aut_strong = run.aut(strong)
         aut_box = run.aut(box)
         d_strong = run.number(strong)
@@ -454,7 +462,7 @@ def sequence_labeling(
         used = max(labels)
         labeling = VertexLabeling(tuple(labels), used)
 
-        product = strong_product(g, h)
+        product = run.strong(g, h)
         group = run.aut(product)
         distinct = len(set(sequences)) == m
         distinguishing = is_distinguishing_vertex(product, group, labeling)
@@ -521,8 +529,8 @@ def check_lift(
     instance, hyps = _pair_label(g, h, label), _connected(g, h)
 
     def body(report) -> BoundReport:
-        strong = strong_product(g, h)
-        box = cartesian_product(g, h)
+        strong = run.strong(g, h)
+        box = run.box(g, h)
         aut_strong = run.aut(strong)
         aut_box = run.aut(box)
         hyps["cartesian spans strong"] = is_spanning_subgraph(box, strong)
@@ -563,8 +571,8 @@ def _index_comparison(
     run = _Run.of(budgets)
 
     def body(report) -> BoundReport:
-        r_strong = run.index(strong_product(g, h))
-        r_box = run.index(cartesian_product(g, h))
+        r_strong = run.index(run.strong(g, h))
+        r_box = run.index(run.box(g, h))
         if r_strong.mode == UNDEFINED or r_box.mode == UNDEFINED:
             return report(NOT_APPLICABLE, {}, "an index is undefined on this instance")
         lo_s, hi_s = r_strong.bounds
@@ -592,12 +600,11 @@ def check_index_monotone(
     """D'(strong) <= D'(cartesian) + 1 for connected factors: the Cartesian
     product spans the strong product, and a spanning subgraph costs at most
     one extra edge label."""
+    run = _Run.of(budgets)
     hyps = _connected(g, h)
     if all(hyps.values()):
-        hyps["cartesian spans strong"] = is_spanning_subgraph(
-            cartesian_product(g, h), strong_product(g, h)
-        )
-    return _index_comparison(INDEX_MONOTONE, g, h, 1, hyps, budgets, _pair_label(g, h, label))
+        hyps["cartesian spans strong"] = is_spanning_subgraph(run.box(g, h), run.strong(g, h))
+    return _index_comparison(INDEX_MONOTONE, g, h, 1, hyps, run, _pair_label(g, h, label))
 
 
 def check_index_sthin(
@@ -641,7 +648,7 @@ def check_traceable_index(
     def body(report) -> BoundReport:
         product = factors[0]
         for f in factors[1:]:
-            product = strong_product(product, f)
+            product = run.strong(product, f)
         traceable = hamiltonian_path_exists(product, max_vertices=b.hamiltonian_vertices)
         result = run.index(product)
         if result.mode == UNDEFINED:

@@ -46,7 +46,8 @@ class Budgets:
     exact_vertices / exact_edges: largest instance for which labelings are
     enumerated exhaustively (exact mode).  aut_vertices / aut_max_order:
     automorphism enumeration bounds.  hamiltonian_vertices: traceability
-    search bound.  trials: randomized witness budget per label count.
+    search bound.  trials: stabilizer tests per label count in the
+    randomized witness search, repair steps included (not labelings).
     """
 
     exact_vertices: int = 12
@@ -197,16 +198,58 @@ def _edge_rows(graph: Graph, group: AutomorphismGroup) -> list[tuple[int, ...]]:
     return out
 
 
+def _prefix_index(rows: Sequence[tuple[int, ...]]) -> tuple[list[int], list[int]]:
+    """The prefix index of the rows, for _preserving_row.
+
+    lcp[k] is the length of the common prefix of rows k and k + 1 (0 for
+    the last row); after[k] is the first k' > k with lcp[k'] < lcp[k]
+    (len(rows) if none), so the rows k + 1 .. after[k] all share the first
+    lcp[k] positions of row k.
+    """
+    lcp = [0] * len(rows)
+    for k in range(len(rows) - 1):
+        a, b = rows[k], rows[k + 1]
+        i = 0
+        while i < len(a) and a[i] == b[i]:
+            i += 1
+        lcp[k] = i
+    after = [len(rows)] * len(rows)
+    stack: list[int] = []
+    for k, depth in enumerate(lcp):
+        while stack and lcp[stack[-1]] > depth:
+            after[stack.pop()] = k
+        stack.append(k)
+    return lcp, after
+
+
 def _preserving_row(
-    labels: Sequence[int], rows: Sequence[tuple[int, ...]]
+    labels: Sequence[int],
+    rows: Sequence[tuple[int, ...]],
+    index: Optional[tuple[list[int], list[int]]] = None,
 ) -> Optional[tuple[int, ...]]:
-    """The first row (a permutation of label positions) preserving all labels, if any."""
-    for row in rows:
+    """The first row (a permutation of label positions) preserving all labels, if any.
+
+    A row that first fails at position i fails there because of its
+    positions 0..i alone, so every row sharing them fails at i too.  With
+    the _prefix_index of the rows, the scan skips the block of following
+    rows whose common prefix with the failed row is longer than i, by
+    following the next-smaller pointers after[k] to the first k with
+    lcp[k] <= i; without it, each row is its own block.  Either way the
+    result is the first preserving row in list order.
+    """
+    t, end = 0, len(rows)
+    while t < end:
+        row = rows[t]
         for i, lab in enumerate(labels):
             if labels[row[i]] != lab:
                 break
         else:
             return row
+        if index is not None:
+            lcp, after = index
+            while lcp[t] > i:
+                t = after[t]
+        t += 1
     return None
 
 
@@ -314,8 +357,16 @@ def _randomized_minimum(
     Every stabilizer evaluation counts against the trial budget, applied
     afresh per label count r, from r = start up.  At r = size the
     all-distinct labeling is tried first, which guarantees termination.
+
+    The first repair step builds the _prefix_index of the rows, and every
+    later stabilizer test uses it to skip whole blocks of rows that share
+    the prefix on which a row failed; a search whose first labeling is
+    distinguishing builds none.  The test still returns the first
+    preserving row, so the repair steps and the random trajectory do not
+    depend on the index.
     """
     rng = random.Random(budgets.seed)
+    index = None
     for r in range(start, size + 1):
         trials = 0
         pending: list[list[int]] = []
@@ -324,14 +375,16 @@ def _randomized_minimum(
         while trials < budgets.trials or pending:
             labels = pending.pop() if pending else [rng.randint(1, r) for _ in range(size)]
             trials += 1
-            row = _preserving_row(labels, rows)
+            row = _preserving_row(labels, rows, index)
             steps = 0
             while row is not None and trials < budgets.trials and steps < 2 * size:
+                if index is None:
+                    index = _prefix_index(rows)
                 moved = next(i for i in range(size) if row[i] != i)
                 labels[moved] = labels[moved] % r + 1
                 trials += 1
                 steps += 1
-                row = _preserving_row(labels, rows)
+                row = _preserving_row(labels, rows, index)
             if row is None:
                 normalized, distinct = _normalize_labels(labels)
                 return distinct, normalized

@@ -18,9 +18,9 @@ from .graph import Graph
 GRAPH6_HEADER = ">>graph6<<"
 # the largest vertex count graph6 encodes in one "~" header; edge lists share it
 _MAX_COUNT = 258047
-# a count line with more significant digits than _MAX_COUNT, which is out of
-# range whatever its digits; int() refuses one of more than 4,300 digits
-_LONG_COUNT = re.compile(r"[+-]?0*[1-9][0-9]{%d,}" % len(str(_MAX_COUNT)))
+# a vertex count or index with more significant digits than _MAX_COUNT, which
+# is out of range whatever its digits; int() refuses one of more than 4,300 digits
+_LONG_NUMBER = re.compile(r"[+-]?0*[1-9][0-9]{%d,}" % len(str(_MAX_COUNT)))
 
 
 class FormatError(ValueError):
@@ -114,6 +114,16 @@ def serialize_edgelist(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _edge_line_error(message: str, parts: list[str], n: int) -> FormatError:
+    """The error for a bad edge line: an index with more digits than any
+    vertex count is out of range, and is named by its length, not echoed."""
+    for part in parts:
+        if _LONG_NUMBER.fullmatch(part):
+            return FormatError(
+                f"vertex index of {len(part)} characters out of range for {n} vertices")
+    return FormatError(message)
+
+
 def parse_edgelist(text: str | bytes) -> Graph:
     if isinstance(text, bytes):
         text = text.decode("ascii", errors="replace")
@@ -124,7 +134,7 @@ def parse_edgelist(text: str | bytes) -> Graph:
             rows.append(line)
     if not rows:
         raise FormatError("empty edge list")
-    if _LONG_COUNT.fullmatch(rows[0]):
+    if _LONG_NUMBER.fullmatch(rows[0]):
         raise FormatError(f"vertex count of {len(rows[0])} characters outside 0..{_MAX_COUNT}")
     try:
         n = int(rows[0])
@@ -141,11 +151,11 @@ def parse_edgelist(text: str | bytes) -> Graph:
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise FormatError(f"non-integer vertex in {line!r}") from None
+            raise _edge_line_error(f"non-integer vertex in {line!r}", parts, n) from None
         if u == v:
-            raise FormatError(f"self-loop {u} {v}")
+            raise _edge_line_error(f"self-loop {u} {v}", parts, n)
         if not (0 <= u < n and 0 <= v < n):
-            raise FormatError(f"vertex index out of range in {line!r}")
+            raise _edge_line_error(f"vertex index out of range in {line!r}", parts, n)
         key = (min(u, v), max(u, v))
         if key in seen:
             raise FormatError(f"duplicate edge {u} {v}")
@@ -178,7 +188,7 @@ def detect_format(text: str | bytes) -> str:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if _LONG_COUNT.fullmatch(line):
+        if _LONG_NUMBER.fullmatch(line):
             return "edgelist"
         try:
             int(line)

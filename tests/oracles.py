@@ -2,12 +2,13 @@
 
 Everything here works straight from definitions with no pruning or shared
 code paths: permutations come from itertools, labelings from full
-cartesian enumeration.  The two exceptions are former library searches
+cartesian enumeration.  The three exceptions are former library searches
 kept as references, so that results can be compared exactly and not only
 in value: reference_minimum, the generate-and-test labeling search, which
 enumerates one labeling per palette renaming in the library's canonical
-order, and reference_automorphisms, the recursive enumerator that listed
-every automorphism in lexicographic order.
+order; reference_automorphisms, the recursive enumerator that listed
+every automorphism in lexicographic order; and reference_preserving_row,
+the linear stabilizer test that checks every row in list order.
 Deliberately slow and only usable on tiny graphs.
 """
 
@@ -116,6 +117,17 @@ def reference_minimum(size: int, rows):
             if not any(all(labels[row[i]] == labels[i] for i in range(size)) for row in rows):
                 return r, labels
     raise AssertionError("distinct labels always distinguish")
+
+
+def reference_preserving_row(labels, rows):
+    """The first row (a permutation of label positions) preserving all labels, if any."""
+    for row in rows:
+        for i, lab in enumerate(labels):
+            if labels[row[i]] != lab:
+                break
+        else:
+            return row
+    return None
 
 
 def reference_automorphisms(graph: Graph):

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import graphsym.checks
 import graphsym.distinguishing
 from graphsym import (
     Budgets,
@@ -326,6 +327,26 @@ def test_run_all_matches_direct_check_calls():
     for name, g in bases:
         expected.append(check_power_number(g, 2, label=f"{name}^2 (strong)"))
     assert run_all(bases) == expected
+
+
+def test_run_all_builds_each_product_once(monkeypatch):
+    # the checks of one run share the strong and Cartesian products of a
+    # factor pair; a direct check call builds its own
+    built = {"strong": [], "box": []}
+    for kind, name, build in (("strong", "strong_product", strong_product),
+                              ("box", "cartesian_product", cartesian_product)):
+        def counting(g, h, kind=kind, build=build):
+            built[kind].append((g, h))
+            return build(g, h)
+
+        monkeypatch.setattr(graphsym.checks, name, counting)
+    run_all([path(2), path(3), cycle(4), complete(3)])
+    for kind, pairs in built.items():
+        assert pairs and len(pairs) == len(set(pairs)), kind
+    for _ in range(2):
+        built["strong"].clear()
+        assert check_lift(path(3), path(4)).passed
+        assert built["strong"] == [(path(3), path(4))]
 
 
 def test_direct_check_calls_retain_nothing(monkeypatch):

@@ -270,3 +270,11 @@ def test_oversized_edge_list_count_is_a_parse_error(capsys, monkeypatch, tmp_pat
         code, out, err = run(capsys, ["distnum", str(f)])
         assert (code, out) == (2, "") and err.startswith("error: ")
         assert "outside 0..258047" in err and count not in err
+
+
+def test_overlong_edge_list_vertex_index_is_a_parse_error(capsys, tmp_path):
+    f = tmp_path / "long-index.el"
+    f.write_text("3\n0 " + "9" * 5000 + "\n")
+    code, out, err = run(capsys, ["distnum", str(f)])
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    assert "out of range for 3 vertices" in err and len(err) < 100

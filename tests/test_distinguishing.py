@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from graphsym import (
     DEFAULT_BUDGETS,
     AutomorphismGroup,
+    BudgetExceeded,
     Budgets,
     EdgeLabeling,
     Graph,
@@ -22,7 +25,13 @@ from graphsym import (
     path,
     strong_product,
 )
-from graphsym.distinguishing import _transposition_class_bound
+from graphsym.distinguishing import (
+    _edge_rows,
+    _prefix_index,
+    _preserving_row,
+    _transposition_class_bound,
+    _vertex_rows,
+)
 from oracles import (
     all_connected_graphs,
     connected_graph_sample,
@@ -30,6 +39,7 @@ from oracles import (
     naive_distinguishing_index,
     naive_distinguishing_number,
     reference_minimum,
+    reference_preserving_row,
     vertex_rows,
 )
 from test_acceptance import criterion
@@ -310,3 +320,109 @@ def test_randomized_search_starts_at_the_transposition_class_bound():
     group = automorphism_group(tree)
     assert is_distinguishing_vertex(tree, group, number.witness)
     assert is_distinguishing_edge(tree, group, index.witness)
+
+
+def _orbit_labels(size, chosen, rng, r=None):
+    """Labels constant on the orbits of the group the chosen rows generate,
+    so that every chosen row preserves them: one label per orbit, or a
+    random one of 1..r per orbit."""
+    parent = list(range(size))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for row in chosen:
+        for i, j in enumerate(row):
+            parent[find(i)] = find(j)
+    label = {}
+    for root in sorted({find(i) for i in range(size)}):
+        label[root] = len(label) + 1 if r is None else rng.randint(1, r)
+    return [label[find(i)] for i in range(size)]
+
+
+def _stabilizer_test_cases():
+    graphs = [
+        strong_product(path(10), complete(2)),
+        strong_product(path(2), cycle(8)),
+        cartesian_product(complete(2), complete(3)),
+    ]
+    rng = random.Random(18)
+    while len(graphs) < 63:
+        n = rng.randint(2, 8)
+        p = rng.uniform(0.2, 0.8)
+        g = Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+        if g.edge_count:
+            graphs.append(g)
+    for g in graphs:
+        group = automorphism_group(g)
+        yield _vertex_rows(g, group)
+        rows = _edge_rows(g, group)
+        if tuple(range(g.edge_count)) not in rows:  # undefined index: no search runs
+            yield rows
+
+
+def test_indexed_scan_returns_the_reference_row():
+    rng = random.Random(8)
+    outcomes = {True: 0, False: 0}
+    for rows in _stabilizer_test_cases():
+        if not rows:
+            continue
+        size = len(rows[0])
+        index = _prefix_index(rows)
+        labelings = [[rng.randint(1, r) for _ in range(size)] for r in (2, 3) for _ in range(30)]
+        for _ in range(10):
+            # preserved by one chosen row, or by several
+            chosen = [rng.choice(rows)]
+            labelings.append(_orbit_labels(size, chosen, rng))
+            labelings.append(_orbit_labels(size, chosen, rng, r=3))
+            several = rng.sample(rows, min(len(rows), rng.randint(2, 3)))
+            labelings.append(_orbit_labels(size, several, rng))
+            labelings.append(_orbit_labels(size, several, rng, r=2))
+        # preserved by the last row: a scan that skips too far misses it
+        labelings.append(_orbit_labels(size, [rows[-1]], rng))
+        for labels in labelings:
+            expected = reference_preserving_row(labels, rows)
+            assert _preserving_row(labels, rows, index) == expected
+            assert _preserving_row(labels, rows) == expected
+            outcomes[expected is None] += 1
+    assert min(outcomes.values()) > 1000  # both distinguishing and preserved labelings
+
+
+def test_prefix_index_definition():
+    g = strong_product(path(2), cycle(8))
+    rows = _vertex_rows(g, automorphism_group(g))
+    lcp, after = _prefix_index(rows)
+    assert len(lcp) == len(after) == len(rows) and lcp[-1] == 0
+    for k in range(len(rows) - 1):
+        a, b = rows[k], rows[k + 1]
+        assert a[:lcp[k]] == b[:lcp[k]] and a[lcp[k]] != b[lcp[k]]
+        nxt = next((j for j in range(k + 1, len(rows)) if lcp[j] < lcp[k]), len(rows))
+        assert after[k] == nxt
+
+
+def test_randomized_search_on_a_product_with_twin_classes():
+    # P10 x K2 has D = 3 but no two-label witness, so the whole trial
+    # budget is spent at r = 2; the witness is the one the linear scan found
+    g = strong_product(path(10), complete(2))
+    with criterion(18, 0.5, "D(P10 x K2) = 3 after a full trial budget at r = 2"):
+        result = distinguishing_number(g)
+    assert (result.value, result.mode) == (3, "certified-upper")
+    assert result.witness.labels == (1, 2, 2, 1, 1, 2, 1, 2, 2, 1, 3, 2, 1, 3, 1, 3, 1, 3, 3, 2)
+
+
+def test_randomized_path_is_pinned(query_products):
+    # D and D' of the 13-20-vertex query-mix products come from the
+    # randomized search, so their witnesses follow its random trajectory;
+    # a change that moves one must update this hash and say which
+    out = []
+    for _, g in query_products:
+        for solve in (distinguishing_number, distinguishing_index):
+            try:
+                out.append(solve(g).to_json_dict())
+            except BudgetExceeded as exc:
+                out.append(str(exc))
+    digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+    assert digest == "f2e5c3903cb3936cf61b63f861e85032876f21c1b0fe96c75fb3beaf116bda5a"

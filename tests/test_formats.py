@@ -102,6 +102,16 @@ def test_overlong_count_line_is_an_edge_list():
     assert parse_edgelist("0000005\n").n == 5
 
 
+def test_overlong_vertex_index_is_out_of_range():
+    # refused by its length before int(), without echoing the digits
+    for index in ("9" * 5000, "-" + "9" * 5000, "1234567"):
+        for line in (f"0 {index}", f"{index} 1"):
+            with pytest.raises(FormatError, match="out of range for 3 vertices") as err:
+                parse_auto(f"3\n{line}\n")
+            assert index not in str(err.value) and len(str(err.value)) < 80
+    assert parse_edgelist("3\n0000000 0000002\n").edges == ((0, 2),)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_round_trip_random_graphs(data):

@@ -1,8 +1,6 @@
-import importlib.util
 import itertools
 import math
 import random
-from pathlib import Path
 
 import pytest
 
@@ -244,27 +242,19 @@ def test_mapped_neighbour_count_prunes_early():
         assert automorphism_group(g).order == 8
 
 
-def test_group_order_matches_networkx_on_query_products():
+def test_group_order_matches_networkx_on_query_products(query_products):
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.isomorphism import GraphMatcher
 
-    # the benchmark's query-mix product sample, read from its input generator
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
     checked = 0
-    for k1, a, op, k2, b in inputs.product_catalogue()[::inputs.PRODUCT_STRIDE]:
-        n = a * b
-        edges = inputs.product_edges(op, a, inputs.factor_edges(k1, a), b, inputs.factor_edges(k2, b))
-        g = Graph.from_edges(n, edges)
+    for spec, g in query_products:
         try:
             order = automorphism_group(g, max_order=10000).order
         except BudgetExceeded:
             continue
         nxg = nx.Graph(list(g.edges))
-        nxg.add_nodes_from(range(n))
-        assert sum(1 for _ in GraphMatcher(nxg, nxg).isomorphisms_iter()) == order, (k1, a, op, k2, b)
+        nxg.add_nodes_from(range(g.n))
+        assert sum(1 for _ in GraphMatcher(nxg, nxg).isomorphisms_iter()) == order, spec
         checked += 1
     assert checked == 17  # the other 9 products are over the order cap
 
