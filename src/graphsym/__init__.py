@@ -67,7 +67,6 @@ from .distinguishing import (
 )
 from .checks import (
     BoundReport,
-    SequenceFamily,
     all_applicable_pass,
     check_index_monotone,
     check_index_sthin,

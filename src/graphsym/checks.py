@@ -60,21 +60,6 @@ _HYPOTHESIS_FAILED = "hypothesis failed"
 _INEXACT_FACTOR = "budget: factor distinguishing number not exact"
 
 
-@dataclass(frozen=True)
-class SequenceFamily:
-    """All length-n sequences over the alphabet 1..l, in lexicographic order."""
-
-    alphabet: int
-    length: int
-
-    @property
-    def size(self) -> int:
-        return self.alphabet ** self.length
-
-    def __iter__(self):
-        return iter(itertools.product(range(1, self.alphabet + 1), repeat=self.length))
-
-
 def min_alphabet(length: int, target: int) -> int:
     """Smallest l >= 1 with l**length >= target, by integer search."""
     if length < 1:
@@ -393,9 +378,10 @@ def check_power_number(
 
 def sequence_labeling(
     g: Graph, h: Graph, budgets: Budgets = DEFAULT_BUDGETS, label: Optional[str] = None
-) -> tuple[Optional[VertexLabeling], BoundReport]:
+) -> BoundReport:
     """Label the copies of g inside the strong product with distinct label
-    sequences and verify the advertised label count.
+    sequences and verify the advertised label count; a decided report
+    carries the labeling as its witness.
 
     One copy of g receives a distinguishing minimum labeling; the other
     copies receive pairwise distinct sequences over an alphabet just large
@@ -414,15 +400,12 @@ def sequence_labeling(
     instance = _pair_label(g, h, label)
     n, m = g.n, h.n
     hyps = _thin_prime(g, h)
-    if max(n, m) > 10:
-        over = "budget: non-isomorphism check limited to factors on 10 vertices"
-    else:
-        if all(hyps.values()):
-            hyps["G and H non-isomorphic"] = not is_isomorphic(g, h)
-        over = _aut_note(n * m, run.budgets) or (
-            _INEXACT_FACTOR if n > run.budgets.exact_vertices else None)
+    if all(hyps.values()):
+        hyps["G and H non-isomorphic"] = not is_isomorphic(g, h)
+    over = _aut_note(n * m, run.budgets) or (
+        _INEXACT_FACTOR if n > run.budgets.exact_vertices else None)
 
-    def body(report) -> tuple[VertexLabeling, BoundReport]:
+    def body(report) -> BoundReport:
         d_g = run.number(g)
         base = d_g.value
         d = min_alphabet(n, m - 1)
@@ -439,13 +422,15 @@ def sequence_labeling(
             case = "iii"
             alphabet = min_alphabet(n, m)
             bound = alphabet
-            sequences = list(itertools.islice(SequenceFamily(alphabet, n), m))
+            family = itertools.product(range(1, alphabet + 1), repeat=n)
+            sequences = list(itertools.islice(family, m))
         else:
             case = "ii" if base == d else "i"
             alphabet = max(base, d) if case == "i" else base
             bound = base + 1 if case == "ii" else alphabet
             phi_seq = tuple(d_g.witness.labels)
-            pool = (s for s in SequenceFamily(alphabet, n) if s != phi_seq)
+            family = itertools.product(range(1, alphabet + 1), repeat=n)
+            pool = (s for s in family if s != phi_seq)
             chosen = list(itertools.islice(pool, m - 1))
             if len(chosen) < m - 1:
                 # Alphabet exhausted after excluding the first copy's sequence
@@ -483,10 +468,9 @@ def sequence_labeling(
             "labeling distinguishing": distinguishing,
         }
         status = PASS if (distinct and distinguishing and within) else FAIL
-        return labeling, report(status, quantities, *notes, witness=labeling)
+        return report(status, quantities, *notes, witness=labeling)
 
-    out = _decide(SEQUENCE_LABELING, instance, hyps, over, body)
-    return out if isinstance(out, tuple) else (None, out)
+    return _decide(SEQUENCE_LABELING, instance, hyps, over, body)
 
 
 def lift_edge_labeling(
@@ -672,9 +656,6 @@ def check_traceable_index(
     return _decide(TRACEABLE_INDEX, instance, hyps, over, body)
 
 
-CorpusEntry = Union[Graph, tuple[str, Graph]]
-
-
 def default_corpus() -> list[tuple[str, Graph]]:
     """Paths on 2..6 vertices, cycles on 3..7, complete graphs on 2..5."""
     entries: list[tuple[str, Graph]] = []
@@ -684,21 +665,10 @@ def default_corpus() -> list[tuple[str, Graph]]:
     return entries
 
 
-def _normalize_corpus(corpus: Iterable[CorpusEntry]) -> list[tuple[str, Graph]]:
-    out = []
-    for entry in corpus:
-        if isinstance(entry, Graph):
-            out.append((graph_name(entry), entry))
-        else:
-            name, g = entry
-            out.append((str(name), g))
-    return out
-
-
 def run_all(
-    corpus: Optional[Iterable[CorpusEntry]] = None,
+    corpus: Iterable[tuple[str, Graph]],
     budgets: Budgets = DEFAULT_BUDGETS,
-    extra_pairs: Iterable[tuple[CorpusEntry, CorpusEntry]] = (),
+    extra_pairs: Iterable[tuple[tuple[str, Graph], tuple[str, Graph]]] = (),
 ) -> list[BoundReport]:
     """Run every check over all unordered base pairs (plus explicit pairs)
     and the second strong power of every base graph.
@@ -707,13 +677,8 @@ def run_all(
     hypothesis violations and budget skips are data, not errors.  The checks
     share one memo of groups and values, which lives for this call only.
     """
-    bases = default_corpus() if corpus is None else _normalize_corpus(corpus)
-    pairs: list[tuple[tuple[str, Graph], tuple[str, Graph]]] = []
-    for i in range(len(bases)):
-        for j in range(i, len(bases)):
-            pairs.append((bases[i], bases[j]))
-    for a, b in extra_pairs:
-        pairs.append((_normalize_corpus([a])[0], _normalize_corpus([b])[0]))
+    bases = list(corpus)
+    pairs = list(itertools.combinations_with_replacement(bases, 2)) + list(extra_pairs)
 
     run = _Run(budgets)
     reports: list[BoundReport] = []
@@ -722,9 +687,9 @@ def run_all(
         reports.append(check_number_sandwich(a, b, run, label=lbl))
         reports.append(check_layered_labeling(a, b, run, label=lbl))
         reports.append(check_number_equality(a, b, run, label=lbl))
-        reports.append(sequence_labeling(a, b, run, label=lbl)[1])
+        reports.append(sequence_labeling(a, b, run, label=lbl))
         if (na, a) != (nb, b):
-            reports.append(sequence_labeling(b, a, run, label=f"{nb} x {na}")[1])
+            reports.append(sequence_labeling(b, a, run, label=f"{nb} x {na}"))
         reports.append(check_index_monotone(a, b, run, label=lbl))
         reports.append(check_index_sthin(a, b, run, label=lbl))
         reports.append(check_lift(a, b, run, label=lbl))

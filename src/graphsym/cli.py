@@ -2,7 +2,8 @@
 
 Verbs: product, autgroup, distnum, distidx, sthin, traceable, verify.
 Graphs are read from files (or stdin via "-") in graph6 or edge-list
-format, detected automatically.  Exit status: 0 on success or pass, 1 when
+format, detected automatically.  Each verb takes only the budget flags
+its command reads.  Exit status: 0 on success or pass, 1 when
 a verification run contains a failed check, 2 on usage, parse, or budget
 errors.  All randomness flows from --seed, so identical invocations give
 byte-identical output.
@@ -14,6 +15,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import fields, replace
 from typing import Optional
 
 from .checks import (
@@ -50,48 +52,44 @@ def _count(text: str) -> int:
     return value
 
 
-def _budget_parent() -> argparse.ArgumentParser:
-    d = DEFAULT_BUDGETS
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument(
-        "--exact-bound", type=_count, default=d.exact_vertices,
-        help="largest vertex count for exhaustive vertex-labeling search",
-    )
-    p.add_argument(
-        "--edge-exact-bound", type=_count, default=d.exact_edges,
-        help="largest edge count for exhaustive edge-labeling search",
-    )
-    p.add_argument(
-        "--aut-bound", type=_count, default=d.aut_vertices,
-        help="largest vertex count for automorphism enumeration",
-    )
-    p.add_argument(
-        "--max-order", type=_count, default=d.aut_max_order or 0,
-        help="abort automorphism enumeration beyond this many elements (0 = unlimited)",
-    )
-    p.add_argument(
-        "--ham-bound", type=_count, default=d.hamiltonian_vertices,
-        help="largest vertex count for the Hamiltonian path search",
-    )
-    p.add_argument(
-        "--trials", type=_count, default=d.trials,
-        help="randomized witness search budget per label count",
-    )
-    p.add_argument("--seed", type=int, default=d.seed)
+def _order_cap(text: str) -> Optional[int]:
+    """An element cap: a non-negative integer, 0 for unlimited."""
+    return _count(text) or None
+
+
+# flag: (Budgets field, argument type, help)
+_BUDGET_FLAGS = {
+    "--exact-bound": (
+        "exact_vertices", _count, "largest vertex count for exhaustive vertex-labeling search"),
+    "--edge-exact-bound": (
+        "exact_edges", _count, "largest edge count for exhaustive edge-labeling search"),
+    "--aut-bound": ("aut_vertices", _count, "largest vertex count for automorphism enumeration"),
+    "--max-order": (
+        "aut_max_order", _order_cap,
+        "abort automorphism enumeration beyond this many elements (0 = unlimited)"),
+    "--ham-bound": (
+        "hamiltonian_vertices", _count, "largest vertex count for the Hamiltonian path search"),
+    "--trials": ("trials", _count, "randomized witness search budget per label count"),
+    "--seed": ("seed", int, "seed of the randomized witness search"),
+}
+
+
+def _add_verb(sub, name: str, about: str, *flags: str) -> argparse.ArgumentParser:
+    """A subparser taking --json and the named budget flags, each stored
+    under its Budgets field."""
+    p = sub.add_parser(name, help=about)
+    for flag in flags:
+        field, kind, text = _BUDGET_FLAGS[flag]
+        p.add_argument(flag, dest=field, type=kind, default=getattr(DEFAULT_BUDGETS, field),
+                       metavar="N", help=text)
     p.add_argument("--json", action="store_true", help="emit one JSON document")
     return p
 
 
 def _budgets(args: argparse.Namespace) -> Budgets:
-    return Budgets(
-        exact_vertices=args.exact_bound,
-        exact_edges=args.edge_exact_bound,
-        aut_vertices=args.aut_bound,
-        aut_max_order=None if args.max_order == 0 else args.max_order,
-        hamiltonian_vertices=args.ham_bound,
-        trials=args.trials,
-        seed=args.seed,
-    )
+    """DEFAULT_BUDGETS with the fields of the flags this verb takes."""
+    present = {f.name for f in fields(Budgets)} & vars(args).keys()
+    return replace(DEFAULT_BUDGETS, **{name: getattr(args, name) for name in present})
 
 
 def _load_graph(source: str) -> Graph:
@@ -242,41 +240,42 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    budget = _budget_parent()
     parser = argparse.ArgumentParser(
         prog="graphsym",
         description="Graph products, automorphism groups, and symmetry-breaking labelings.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    aut = ("--aut-bound", "--max-order")
+    search = (*aut, "--trials", "--seed")
 
-    p = sub.add_parser("product", parents=[budget], help="build a graph product")
+    p = _add_verb(sub, "product", "build a graph product")
     p.add_argument("--op", choices=("cartesian", "direct", "strong"), required=True)
     p.add_argument("a")
     p.add_argument("b")
     p.set_defaults(func=_cmd_product)
 
-    p = sub.add_parser("autgroup", parents=[budget], help="enumerate the automorphism group")
+    p = _add_verb(sub, "autgroup", "enumerate the automorphism group", *aut)
     p.add_argument("graph")
     p.add_argument("--elements", action="store_true", help="print one permutation per line")
     p.set_defaults(func=_cmd_autgroup)
 
-    for verb, solve, about in (
-        ("distnum", distinguishing_number, "distinguishing number"),
-        ("distidx", distinguishing_index, "distinguishing index"),
+    for verb, solve, about, exact in (
+        ("distnum", distinguishing_number, "distinguishing number", "--exact-bound"),
+        ("distidx", distinguishing_index, "distinguishing index", "--edge-exact-bound"),
     ):
-        p = sub.add_parser(verb, parents=[budget], help=about)
+        p = _add_verb(sub, verb, about, exact, *search)
         p.add_argument("graph")
         p.set_defaults(func=_cmd_distinguishing, solve=solve)
 
-    p = sub.add_parser("sthin", parents=[budget], help="closed-neighborhood partition")
+    p = _add_verb(sub, "sthin", "closed-neighborhood partition")
     p.add_argument("graph")
     p.set_defaults(func=_cmd_sthin)
 
-    p = sub.add_parser("traceable", parents=[budget], help="Hamiltonian path existence")
+    p = _add_verb(sub, "traceable", "Hamiltonian path existence", "--ham-bound")
     p.add_argument("graph")
     p.set_defaults(func=_cmd_traceable)
 
-    p = sub.add_parser("verify", parents=[budget], help="run the verification harness")
+    p = _add_verb(sub, "verify", "run the verification harness", *_BUDGET_FLAGS)
     p.add_argument("--all", action="store_true", help="use the built-in corpus")
     p.add_argument("--corpus", metavar="FILE", help="corpus file of graphs and pairs")
     p.set_defaults(func=_cmd_verify)

@@ -8,7 +8,6 @@ from graphsym import (
     Budgets,
     EdgeLabeling,
     Graph,
-    SequenceFamily,
     VertexLabeling,
     all_applicable_pass,
     automorphism_group,
@@ -40,15 +39,6 @@ from graphsym import (
 )
 
 SPIDER7 = Graph.from_edges(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
-
-
-def test_sequence_family():
-    fam = SequenceFamily(3, 2)
-    assert fam.size == 9
-    seqs = list(fam)
-    assert len(seqs) == 9 and len(set(seqs)) == 9
-    assert seqs[:3] == [(1, 1), (1, 2), (1, 3)]
-    assert all(1 <= x <= 3 for s in seqs for x in s)
 
 
 def test_alphabet_search_vs_log_reading():
@@ -132,7 +122,7 @@ def test_check_power_number():
 
 
 def test_sequence_labeling_case_two():
-    lab, report = sequence_labeling(path(4), cycle(5))
+    report = sequence_labeling(path(4), cycle(5))
     assert report.passed
     q = report.quantities
     assert q["case"] == "ii" and q["alphabet floor d"] == 2 and q["stated bound"] == 3
@@ -145,7 +135,7 @@ def test_sequence_labeling_case_two():
 
 
 def test_sequence_labeling_case_three_asymmetric_factor():
-    lab, report = sequence_labeling(SPIDER7, path(3), Budgets(aut_vertices=21))
+    report = sequence_labeling(SPIDER7, path(3), Budgets(aut_vertices=21))
     assert report.passed
     q = report.quantities
     assert q["case"] == "iii"
@@ -156,7 +146,7 @@ def test_sequence_labeling_case_three_asymmetric_factor():
 def test_sequence_labeling_case_one():
     # C5 has distinguishing number 3 while 4 copies only need a 2-letter
     # alphabet: the two quantities differ, so no extra label is ever needed
-    lab, report = sequence_labeling(cycle(5), path(4))
+    report = sequence_labeling(cycle(5), path(4))
     assert report.passed
     q = report.quantities
     assert q["case"] == "i"
@@ -169,7 +159,7 @@ def test_sequence_labeling_case_two_extra_label():
     # with sequences of length 3 over 2 letters there are exactly 8 of them,
     # so 9 copies exhaust the family once the first copy's labeling is
     # excluded and the extra label has to appear
-    lab, report = sequence_labeling(path(3), path(9), Budgets(aut_vertices=27))
+    report = sequence_labeling(path(3), path(9), Budgets(aut_vertices=27))
     assert report.passed
     q = report.quantities
     assert q["case"] == "ii"
@@ -178,19 +168,27 @@ def test_sequence_labeling_case_two_extra_label():
 
 
 def test_sequence_labeling_layer_sequences_distinct():
-    lab, report = sequence_labeling(path(3), cycle(5))
+    report = sequence_labeling(path(3), cycle(5))
     assert report.passed
     n, m = 3, 5
+    lab = report.witness
     layer_sequences = {tuple(lab.labels[x * m + i] for x in range(n)) for i in range(m)}
     assert len(layer_sequences) == m
 
 
 def test_sequence_labeling_hypothesis_gating():
-    _, report = sequence_labeling(path(3), complete(2))
+    report = sequence_labeling(path(3), complete(2))
     assert report.status == "not-applicable" and not report.hypotheses["H S-thin"]
-    _, report = sequence_labeling(path(3), path(3))
+    report = sequence_labeling(path(3), path(3))
     assert report.status == "not-applicable"
     assert not report.hypotheses["G and H non-isomorphic"]
+
+
+def test_sequence_labeling_decides_factors_over_ten_vertices():
+    # the non-isomorphism hypothesis is tested at any factor order
+    report = sequence_labeling(path(12), cycle(5), Budgets(aut_vertices=60))
+    assert report.passed and report.hypotheses["G and H non-isomorphic"]
+    assert report.witness.r == report.quantities["labels used"]
 
 
 def test_lift_edge_labeling():
@@ -302,7 +300,7 @@ def test_report_json_shape():
     assert doc["status"] == "pass"
     assert set(doc) == {"check", "instance", "hypotheses", "quantities",
                         "status", "witness", "notes"}
-    lab, report = sequence_labeling(path(3), cycle(5))
+    report = sequence_labeling(path(3), cycle(5))
     doc = report.to_json_dict()
     assert doc["witness"]["kind"] == "vertex"
 
@@ -317,9 +315,9 @@ def test_run_all_matches_direct_check_calls():
             expected.append(check_number_sandwich(a, b, label=lbl))
             expected.append(check_layered_labeling(a, b, label=lbl))
             expected.append(check_number_equality(a, b, label=lbl))
-            expected.append(sequence_labeling(a, b, label=lbl)[1])
+            expected.append(sequence_labeling(a, b, label=lbl))
             if na != nb:
-                expected.append(sequence_labeling(b, a, label=f"{nb} x {na}")[1])
+                expected.append(sequence_labeling(b, a, label=f"{nb} x {na}"))
             expected.append(check_index_monotone(a, b, label=lbl))
             expected.append(check_index_sthin(a, b, label=lbl))
             expected.append(check_lift(a, b, label=lbl))
@@ -340,7 +338,7 @@ def test_run_all_builds_each_product_once(monkeypatch):
             return build(g, h)
 
         monkeypatch.setattr(graphsym.checks, name, counting)
-    run_all([path(2), path(3), cycle(4), complete(3)])
+    run_all([(graph_name(g), g) for g in (path(2), path(3), cycle(4), complete(3))])
     for kind, pairs in built.items():
         assert pairs and len(pairs) == len(set(pairs)), kind
     for _ in range(2):

@@ -2,13 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import graphsym.cli
 from graphsym import (
-    Graph, cycle, parse_graph6, path, serialize_edgelist, serialize_graph6, strong_product,
+    DEFAULT_BUDGETS, Budgets, Graph, cycle, parse_graph6, path, serialize_edgelist,
+    serialize_graph6, strong_product,
 )
 from graphsym.cli import dispatch
 
@@ -278,3 +280,65 @@ def test_overlong_edge_list_vertex_index_is_a_parse_error(capsys, tmp_path):
     code, out, err = run(capsys, ["distnum", str(f)])
     assert (code, out) == (2, "") and err.startswith("error: ")
     assert "out of range for 3 vertices" in err and len(err) < 100
+
+
+BUDGET_FLAGS_BY_VERB = {
+    "product": set(),
+    "sthin": set(),
+    "autgroup": {"--aut-bound", "--max-order"},
+    "distnum": {"--exact-bound", "--aut-bound", "--max-order", "--trials", "--seed"},
+    "distidx": {"--edge-exact-bound", "--aut-bound", "--max-order", "--trials", "--seed"},
+    "traceable": {"--ham-bound"},
+    "verify": {"--exact-bound", "--edge-exact-bound", "--aut-bound", "--max-order",
+               "--ham-bound", "--trials", "--seed"},
+}
+ALL_BUDGET_FLAGS = BUDGET_FLAGS_BY_VERB["verify"]
+OPERANDS = {"product": ["--op", "strong", "a", "b"], "verify": ["--all"]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["product", "--op", "strong", "{g}", "{g}", "--trials", "3"],
+        ["sthin", "{g}", "--aut-bound", "3"],
+        ["traceable", "{g}", "--exact-bound", "3"],
+        ["autgroup", "{g}", "--seed", "1"],
+        ["distnum", "{g}", "--edge-exact-bound", "3"],
+        ["distidx", "{g}", "--ham-bound", "3"],
+    ],
+)
+def test_a_budget_flag_the_verb_does_not_read_is_a_usage_error(capsys, g6, argv):
+    g = g6("p3.g6", path(3))
+    code, out, err = run(capsys, [arg.format(g=g) for arg in argv])
+    assert (code, out) == (2, "") and "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("verb", sorted(BUDGET_FLAGS_BY_VERB))
+def test_each_verb_takes_exactly_the_budget_flags_it_reads(capsys, verb):
+    parser = graphsym.cli.build_parser()
+    operands = OPERANDS.get(verb, ["g"])
+    accepted = set()
+    for flag in ALL_BUDGET_FLAGS:
+        try:
+            parser.parse_args([verb, *operands, flag, "3"])
+        except SystemExit:
+            continue
+        accepted.add(flag)
+    capsys.readouterr()
+    assert accepted == BUDGET_FLAGS_BY_VERB[verb]
+    assert parser.parse_args([verb, *operands, "--json"]).json
+
+
+def test_each_budget_field_has_exactly_one_flag():
+    # a new Budgets field cannot go without a flag
+    parser = graphsym.cli.build_parser()
+    assert set().union(*BUDGET_FLAGS_BY_VERB.values()) == ALL_BUDGET_FLAGS
+    set_by_flags = []
+    for flag in sorted(ALL_BUDGET_FLAGS):
+        b = graphsym.cli._budgets(parser.parse_args(["verify", flag, "3"]))
+        set_by_flags += [f.name for f in fields(Budgets)
+                         if getattr(b, f.name) != getattr(DEFAULT_BUDGETS, f.name)]
+    assert sorted(set_by_flags) == sorted(f.name for f in fields(Budgets))
+    assert graphsym.cli._budgets(parser.parse_args(["verify"])) == DEFAULT_BUDGETS
+    args = parser.parse_args(["distnum", "g", "--max-order", "0"])
+    assert graphsym.cli._budgets(args).aut_max_order is None
