@@ -210,11 +210,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         with open(args.corpus, "r", encoding="ascii") as fh:
             bases, pairs = _parse_corpus(fh.read())
         reports = run_all(bases, budgets, extra_pairs=pairs)
-    elif args.all:
-        reports = run_all(default_corpus(), budgets)
     else:
-        print("error: verify needs --all or --corpus FILE", file=sys.stderr)
-        return 2
+        reports = run_all(default_corpus(), budgets)
     passed = all_applicable_pass(reports)
     counts = {
         "pass": sum(r.status == "pass" for r in reports),
@@ -276,8 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_traceable)
 
     p = _add_verb(sub, "verify", "run the verification harness", *_BUDGET_FLAGS)
-    p.add_argument("--all", action="store_true", help="use the built-in corpus")
-    p.add_argument("--corpus", metavar="FILE", help="corpus file of graphs and pairs")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--all", action="store_true", help="use the built-in corpus")
+    source.add_argument("--corpus", metavar="FILE", help="corpus file of graphs and pairs")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -16,9 +16,10 @@ Exactness contract: below the configured exhaustive budgets every smaller
 label count is either excluded by the transposition-class bound or
 exhausted by a pruned backtracking search, and the result is exact.
 Above them the result is a certified upper bound: the returned witness is
-always verified against the full automorphism group, and a nontrivial
-group certifies the lower bound 2.  A certified value of 2 is therefore
-tight (value 1 happens exactly for asymmetric graphs).
+always verified against the full automorphism group, and the
+transposition-class bound (at least 2, as the group is nontrivial)
+certifies the lower bound.  A certified value equal to that bound is
+therefore tight (value 1 happens exactly for asymmetric graphs).
 """
 
 from __future__ import annotations
@@ -99,31 +100,29 @@ class DistinguishingResult:
 
     value is the exact minimum (mode "exact") or a witnessed upper bound
     (mode "certified-upper"); lower_bound_reason certifies the matching
-    lower bound.  The edge-labeling singularity (a non-identity
-    automorphism that fixes every edge, as in K_2) is reported with mode
-    "undefined" and no value.
+    lower bound.  lower is the certified lower bound: the value itself
+    when exact, else the transposition-class bound, at least 2.  The
+    edge-labeling singularity (a non-identity automorphism that fixes
+    every edge, as in K_2) is reported with mode "undefined" and no value.
     """
 
     value: Optional[int]
     mode: str
     witness: object
     lower_bound_reason: Optional[str]
+    lower: Optional[int]
 
     @property
     def bounds(self) -> tuple[int, int]:
         """Certified (lower, upper) bracket for the true value."""
-        if self.mode == EXACT:
-            return (self.value, self.value)
-        if self.mode == CERTIFIED_UPPER:
-            return (2, self.value)
-        raise ValueError("undefined result has no bounds")
+        if self.mode == UNDEFINED:
+            raise ValueError("undefined result has no bounds")
+        return (self.lower, self.value)
 
     @property
     def is_tight(self) -> bool:
         """True when the reported value is provably the exact minimum."""
-        if self.mode == EXACT:
-            return True
-        return self.mode == CERTIFIED_UPPER and self.value == 2
+        return self.mode != UNDEFINED and self.lower == self.value
 
     def to_json_dict(self) -> dict:
         return {
@@ -403,16 +402,18 @@ def _solve(
     least 2, since the group is nontrivial): no smaller r has a witness.
     """
     if not rows:
-        return DistinguishingResult(1, EXACT, wrap((1,) * size, 1), REASON_ASYMMETRIC)
+        return DistinguishingResult(1, EXACT, wrap((1,) * size, 1), REASON_ASYMMETRIC, 1)
     if tuple(range(size)) in rows:
-        return DistinguishingResult(None, UNDEFINED, None, None)
+        return DistinguishingResult(None, UNDEFINED, None, None, None)
     start = max(2, _transposition_class_bound(size, rows))
     if exact:
         value, labels = _exhaustive_minimum(size, rows, start)
         reason = REASON_NONTRIVIAL_AUT if value == 2 else REASON_EXHAUSTED
-        return DistinguishingResult(value, EXACT, wrap(labels, value), reason)
+        return DistinguishingResult(value, EXACT, wrap(labels, value), reason, value)
     value, labels = _randomized_minimum(size, rows, budgets, start)
-    return DistinguishingResult(value, CERTIFIED_UPPER, wrap(labels, value), REASON_NONTRIVIAL_AUT)
+    return DistinguishingResult(
+        value, CERTIFIED_UPPER, wrap(labels, value), REASON_NONTRIVIAL_AUT, start
+    )
 
 
 def _group_of(
@@ -436,8 +437,9 @@ def distinguishing_number(
     """Least number of vertex labels admitting a distinguishing labeling.
 
     Exact for graphs within budgets.exact_vertices; otherwise a certified
-    upper bound with a verified witness (tight when the value is 2).  A
-    caller that already holds Aut(graph) passes it as group.
+    upper bound with a verified witness (tight when the value meets the
+    transposition-class bound).  A caller that already holds Aut(graph)
+    passes it as group.
     """
     rows = _vertex_rows(graph, _group_of(graph, budgets, group))
     return _solve(graph.n, rows, graph.n <= budgets.exact_vertices, budgets, VertexLabeling)

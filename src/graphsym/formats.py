@@ -3,6 +3,11 @@
 graph6 is the standard ASCII encoding: a vertex-count header followed by
 the upper triangle of the adjacency matrix packed into 6-bit groups, each
 offset by 63.  The optional ``>>graph6<<`` prefix is accepted on input.
+The reader validates the whole string before it decodes any group, and
+its errors keep one order: whitespace anywhere, then the first character
+out of range, then the vertex count, then the body length.  Only the
+groups with a set bit are visited, and padding bits past the last pair
+are ignored.
 
 The edge-list format is line oriented: the first non-comment line is the
 vertex count, every following line is ``u v`` with 0-based indices, and
@@ -21,6 +26,12 @@ _MAX_COUNT = 258047
 # a vertex count or index with more significant digits than _MAX_COUNT, which
 # is out of range whatever its digits; int() refuses one of more than 4,300 digits
 _LONG_NUMBER = re.compile(r"[+-]?0*[1-9][0-9]{%d,}" % len(str(_MAX_COUNT)))
+# a string of graph6 characters, chr(63)..chr(126)
+_GRAPH6_TEXT = re.compile(r"[?-~]+")
+# a six-bit group with at least one bit set, and the offsets of its set bits
+# counted from the most significant one
+_SET_GROUP = re.compile(r"[^?]")
+_SET_BITS = tuple(tuple(b for b in range(6) if group & (32 >> b)) for group in range(64))
 
 
 class FormatError(ValueError):
@@ -77,11 +88,13 @@ def parse_graph6(text: str | bytes) -> Graph:
         s = s[len(GRAPH6_HEADER):].strip()
     if not s:
         raise FormatError("empty graph6 string")
-    if any(ch.isspace() for ch in s):
-        raise FormatError("unexpected whitespace inside graph6 string")
-    for ch in s:
-        if not 63 <= ord(ch) <= 126:
-            raise FormatError(f"graph6 character {ch!r} out of range")
+    if not _GRAPH6_TEXT.fullmatch(s):
+        # whitespace anywhere is reported before the first character out of range
+        if any(ch.isspace() for ch in s):
+            raise FormatError("unexpected whitespace inside graph6 string")
+        for ch in s:
+            if not 63 <= ord(ch) <= 126:
+                raise FormatError(f"graph6 character {ch!r} out of range")
     n, pos = _decode_count(s)
     npairs = n * (n - 1) // 2
     need = (npairs + 5) // 6
@@ -90,22 +103,22 @@ def parse_graph6(text: str | bytes) -> Graph:
         raise FormatError(f"graph6 body has {len(body)} characters, expected {need}")
     # bit k is the pair (u, v) of column v, which starts at k = v(v-1)/2;
     # the set bits come in increasing k, so the column only moves forward
-    edges = []
+    # and every neighbour list is filled in increasing order
+    adj: list[list[int]] = [[] for _ in range(n)]
     v, start = 1, 0
-    for i, c in enumerate(body):
-        group = ord(c) - 63
-        if not group:
-            continue
-        for bit in range(6):
-            if (group >> (5 - bit)) & 1:
-                k = 6 * i + bit
-                if k >= npairs:
-                    break
-                while k >= start + v:
-                    start += v
-                    v += 1
-                edges.append((k - start, v))
-    return Graph.from_edges(n, edges)
+    for group in _SET_GROUP.finditer(body):
+        first = 6 * group.start()
+        for bit in _SET_BITS[ord(group.group()) - 63]:
+            k = first + bit
+            if k >= npairs:
+                break
+            while k >= start + v:
+                start += v
+                v += 1
+            u = k - start
+            adj[u].append(v)
+            adj[v].append(u)
+    return Graph(n, tuple(map(tuple, adj)))
 
 
 def serialize_edgelist(graph: Graph) -> str:

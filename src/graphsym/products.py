@@ -10,39 +10,42 @@ from __future__ import annotations
 from .graph import Graph
 
 
-def cartesian_product(g: Graph, h: Graph) -> Graph:
-    """Product whose edges change exactly one coordinate along a factor edge."""
+def _order(g: Graph, h: Graph) -> int:
     if g.n == 0 or h.n == 0:
         raise ValueError("factors must be nonempty")
+    return g.n * h.n
+
+
+def _cartesian_edges(g: Graph, h: Graph) -> list[tuple[int, int]]:
     nh = h.n
-    edges = []
-    for (u, v) in g.edges:
-        for y in range(nh):
-            edges.append((u * nh + y, v * nh + y))
-    for x in range(g.n):
-        for (y, z) in h.edges:
-            edges.append((x * nh + y, x * nh + z))
-    return Graph.from_edges(g.n * nh, edges)
+    edges = [(u * nh + y, v * nh + y) for (u, v) in g.edges for y in range(nh)]
+    edges += [(x * nh + y, x * nh + z) for x in range(g.n) for (y, z) in h.edges]
+    return edges
 
 
-def direct_product(g: Graph, h: Graph) -> Graph:
-    """Product whose edges change both coordinates along factor edges."""
-    if g.n == 0 or h.n == 0:
-        raise ValueError("factors must be nonempty")
+def _direct_edges(g: Graph, h: Graph) -> list[tuple[int, int]]:
     nh = h.n
     edges = []
     for (u, v) in g.edges:
         for (y, z) in h.edges:
             edges.append((u * nh + y, v * nh + z))
             edges.append((u * nh + z, v * nh + y))
-    return Graph.from_edges(g.n * nh, edges)
+    return edges
+
+
+def cartesian_product(g: Graph, h: Graph) -> Graph:
+    """Product whose edges change exactly one coordinate along a factor edge."""
+    return Graph.from_edges(_order(g, h), _cartesian_edges(g, h))
+
+
+def direct_product(g: Graph, h: Graph) -> Graph:
+    """Product whose edges change both coordinates along factor edges."""
+    return Graph.from_edges(_order(g, h), _direct_edges(g, h))
 
 
 def strong_product(g: Graph, h: Graph) -> Graph:
     """Union of the Cartesian and direct edge sets on the same vertex order."""
-    box = cartesian_product(g, h)
-    times = direct_product(g, h)
-    return Graph.from_edges(box.n, list(box.edges) + list(times.edges))
+    return Graph.from_edges(_order(g, h), _cartesian_edges(g, h) + _direct_edges(g, h))
 
 
 def strong_power(g: Graph, k: int) -> Graph:

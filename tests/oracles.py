@@ -2,13 +2,15 @@
 
 Everything here works straight from definitions with no pruning or shared
 code paths: permutations come from itertools, labelings from full
-cartesian enumeration.  The three exceptions are former library searches
+cartesian enumeration.  The four exceptions are former library code
 kept as references, so that results can be compared exactly and not only
 in value: reference_minimum, the generate-and-test labeling search, which
 enumerates one labeling per palette renaming in the library's canonical
 order; reference_automorphisms, the recursive enumerator that listed
-every automorphism in lexicographic order; and reference_preserving_row,
-the linear stabilizer test that checks every row in list order.
+every automorphism in lexicographic order; reference_preserving_row,
+the linear stabilizer test that checks every row in list order; and
+reference_parse_graph6, the graph6 reader that stepped through every
+character, whose error messages the library's reader must reproduce.
 Deliberately slow and only usable on tiny graphs.
 """
 
@@ -17,7 +19,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from graphsym import Graph
+from graphsym import FormatError, Graph
+from graphsym.formats import GRAPH6_HEADER, _decode_count
 
 
 def brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
@@ -128,6 +131,47 @@ def reference_preserving_row(labels, rows):
         else:
             return row
     return None
+
+
+def reference_parse_graph6(text: str | bytes) -> Graph:
+    """The library's former graph6 reader, unchanged: one loop over every
+    character for each check and one over every six-bit group."""
+    if isinstance(text, bytes):
+        text = text.decode("ascii", errors="replace")
+    s = text.strip()
+    if s.startswith(GRAPH6_HEADER):
+        s = s[len(GRAPH6_HEADER):].strip()
+    if not s:
+        raise FormatError("empty graph6 string")
+    if any(ch.isspace() for ch in s):
+        raise FormatError("unexpected whitespace inside graph6 string")
+    for ch in s:
+        if not 63 <= ord(ch) <= 126:
+            raise FormatError(f"graph6 character {ch!r} out of range")
+    n, pos = _decode_count(s)
+    npairs = n * (n - 1) // 2
+    need = (npairs + 5) // 6
+    body = s[pos:]
+    if len(body) != need:
+        raise FormatError(f"graph6 body has {len(body)} characters, expected {need}")
+    # bit k is the pair (u, v) of column v, which starts at k = v(v-1)/2;
+    # the set bits come in increasing k, so the column only moves forward
+    edges = []
+    v, start = 1, 0
+    for i, c in enumerate(body):
+        group = ord(c) - 63
+        if not group:
+            continue
+        for bit in range(6):
+            if (group >> (5 - bit)) & 1:
+                k = 6 * i + bit
+                if k >= npairs:
+                    break
+                while k >= start + v:
+                    start += v
+                    v += 1
+                edges.append((k - start, v))
+    return Graph.from_edges(n, edges)
 
 
 def reference_automorphisms(graph: Graph):

@@ -126,6 +126,13 @@ def test_verify_requires_corpus_choice(capsys):
     assert code == 2 and "corpus" in err.lower()
 
 
+def test_verify_refuses_both_corpus_choices(capsys, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("P3\n")
+    code, out, err = run(capsys, ["verify", "--all", "--corpus", str(corpus)])
+    assert (code, out) == (2, "") and "not allowed with argument" in err
+
+
 def test_usage_errors(capsys, tmp_path):
     code, _, _ = run(capsys, ["frobnicate"])
     assert code == 2
@@ -335,10 +342,10 @@ def test_each_budget_field_has_exactly_one_flag():
     assert set().union(*BUDGET_FLAGS_BY_VERB.values()) == ALL_BUDGET_FLAGS
     set_by_flags = []
     for flag in sorted(ALL_BUDGET_FLAGS):
-        b = graphsym.cli._budgets(parser.parse_args(["verify", flag, "3"]))
+        b = graphsym.cli._budgets(parser.parse_args(["verify", "--all", flag, "3"]))
         set_by_flags += [f.name for f in fields(Budgets)
                          if getattr(b, f.name) != getattr(DEFAULT_BUDGETS, f.name)]
     assert sorted(set_by_flags) == sorted(f.name for f in fields(Budgets))
-    assert graphsym.cli._budgets(parser.parse_args(["verify"])) == DEFAULT_BUDGETS
+    assert graphsym.cli._budgets(parser.parse_args(["verify", "--all"])) == DEFAULT_BUDGETS
     args = parser.parse_args(["distnum", "g", "--max-order", "0"])
     assert graphsym.cli._budgets(args).aut_max_order is None

@@ -22,6 +22,7 @@ from graphsym import (
     identity,
     is_distinguishing_edge,
     is_distinguishing_vertex,
+    parse_graph6,
     path,
     strong_product,
 )
@@ -389,6 +390,26 @@ def test_indexed_scan_returns_the_reference_row():
             assert _preserving_row(labels, rows) == expected
             outcomes[expected is None] += 1
     assert min(outcomes.values()) > 1000  # both distinguishing and preserved labelings
+
+
+def test_certified_lower_bound_is_the_transposition_class_bound():
+    # a 14-vertex tree whose vertex 10 carries three leaves: every
+    # labeling needs three labels there, so the certified 3 is tight
+    g = parse_graph6("M?_G@PC?C__@__A??")
+    assert g.adj[10] == (0, 3, 9, 11)
+    num = distinguishing_number(g)
+    assert (num.value, num.mode) == (3, "certified-upper")
+    assert num.bounds == (3, 3) and num.is_tight
+    assert num.to_json_dict()["reason"] == "nontrivial-aut"
+    assert _transposition_class_bound(g.n, _vertex_rows(g, automorphism_group(g))) == 3
+    # P10 x K2 has twin pairs only: the bound is 2 and the witness needs 3
+    num = distinguishing_number(strong_product(path(10), complete(2)))
+    assert num.bounds == (2, 3) and not num.is_tight
+    exact = distinguishing_number(path(4))
+    assert exact.bounds == (2, 2) and exact.is_tight
+    assert distinguishing_index(complete(2)).is_tight is False
+    with pytest.raises(ValueError, match="no bounds"):
+        distinguishing_index(complete(2)).bounds
 
 
 def test_prefix_index_definition():

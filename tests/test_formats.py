@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from graphsym import (
     FormatError,
     Graph,
+    cartesian_product,
     complete,
     cycle,
     parse,
@@ -19,7 +20,8 @@ from graphsym import (
     serialize_graph6,
     strong_product,
 )
-from graphsym.formats import detect_format
+from graphsym.formats import GRAPH6_HEADER, detect_format
+from oracles import reference_parse_graph6
 from test_acceptance import criterion
 
 
@@ -158,3 +160,79 @@ def test_graph6_writer_on_a_large_product():
         s = serialize_graph6(g)
     assert len(s) == 4 + (3600 * 3599 // 2 + 5) // 6
     assert parse_graph6(s) == g
+
+
+def test_graph6_reader_on_a_large_product():
+    # only the groups with a set bit are decoded, after one regex pass
+    # validates the whole string
+    products = [f(cycle(60), cycle(60)) for f in (strong_product, cartesian_product)]
+    texts = [serialize_graph6(g) for g in products]
+    with criterion(19, 0.2, "graph6 of C60 x C60 and C60 [] C60 (3600 vertices) read"):
+        graphs = [parse_graph6(s) for s in texts]
+    assert graphs == products == [reference_parse_graph6(s) for s in texts]
+
+
+def parse_outcome(parser, text):
+    """The graph a reader returns, or the message of the FormatError it raises."""
+    try:
+        return parser(text)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.sampled_from([0, 1, 400]), st.integers(min_value=2, max_value=70)),
+       st.floats(min_value=0, max_value=1), st.integers(min_value=0, max_value=2**32))
+def test_graph6_reader_matches_the_reference_on_random_graphs(n, density, seed):
+    # n = 400 exercises the four-byte header; at most a tenth of its pairs
+    # are edges, since a dense one costs about a second per case to build
+    if n > 70:
+        density /= 10
+    rng = random.Random(seed)
+    g = Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < density])
+    s = serialize_graph6(g)
+    assert parse_graph6(s) == reference_parse_graph6(s) == g
+    assert parse_graph6(GRAPH6_HEADER + s) == g
+
+
+graph6_like = st.text(alphabet="?@AB_`{}~ \t\n\x0b\x1f\x7f\x85\xa0\xe9>graph6<")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.binary(), st.text(), graph6_like,
+                 graph6_like.map(lambda s: GRAPH6_HEADER + s)))
+def test_graph6_reader_matches_the_reference_on_any_input(data):
+    assert parse_outcome(parse_graph6, data) == parse_outcome(reference_parse_graph6, data)
+
+
+@pytest.mark.parametrize("text, outcome", [
+    # whitespace anywhere wins over an earlier character out of range
+    ("D\x7f {", "unexpected whitespace"),
+    ("D\x01?\t{", "unexpected whitespace"),
+    # str.isspace counts the unit separator as whitespace, and strip removes it
+    ("D\x1f{", "unexpected whitespace"),
+    ("\x1f", "empty graph6 string"),
+    ("\x1fD?{\x1f", "graph"),
+    # a non-ASCII character, and its UTF-8 bytes read as ASCII with replacement
+    ("D?\u00e9", "graph6 character '\u00e9' out of range"),
+    ("D?\u00e9".encode("utf-8"), "graph6 character '\ufffd' out of range"),
+    # set padding bits past the last pair are ignored
+    ("D?~", "graph"),
+    ("A~", "graph"),
+    ("~~??????", "graph6 vertex counts above 258047"),
+    ("~?", "truncated graph6 vertex count"),
+    ("D?{?", "graph6 body has 3 characters, expected 2"),
+])
+def test_graph6_reader_named_cases(text, outcome):
+    got = parse_outcome(parse_graph6, text)
+    assert got == parse_outcome(reference_parse_graph6, text)
+    if outcome == "graph":
+        assert isinstance(got, Graph)
+    else:
+        assert isinstance(got, str) and outcome in got
+
+
+def test_graph6_padding_bits_are_ignored():
+    assert parse_graph6("D?~") == parse_graph6("D?{")  # the star K_{1,4}
+    assert parse_graph6("A~") == complete(2)
+    assert parse_graph6("B~") == parse_graph6("Bw") == complete(3)
