@@ -34,10 +34,8 @@ from .symmetry import (
     group_equal,
     has_nontrivial_automorphism,
     identity,
-    inverse,
     is_automorphism,
     is_isomorphic,
-    iter_automorphisms,
 )
 from .structure import (
     SPartition,

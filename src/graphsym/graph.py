@@ -25,6 +25,11 @@ class Graph:
             raise ValueError("vertex count must be non-negative")
         if len(self.adj) != self.n:
             raise ValueError("adjacency table length differs from vertex count")
+        # pos[w] counts the entries of adj[w] matched so far.  In a symmetric
+        # table of sorted rows, v's turn finds v at adj[w][pos[w]], so a valid
+        # table costs O(1) per edge; on a miss the row is scanned, so every
+        # pair gets the verdict of a plain membership test
+        pos = [0] * self.n
         for v, nbrs in enumerate(self.adj):
             if list(nbrs) != sorted(set(nbrs)):
                 raise ValueError(f"neighbour list of vertex {v} not sorted duplicate-free")
@@ -33,7 +38,11 @@ class Graph:
                     raise ValueError(f"self-loop at vertex {v}")
                 if not 0 <= w < self.n:
                     raise ValueError(f"neighbour {w} of vertex {v} out of range")
-                if v not in self.adj[w]:
+                row = self.adj[w]
+                i = pos[w]
+                if i < len(row) and row[i] == v:
+                    pos[w] = i + 1
+                elif v not in row:
                     raise ValueError(f"adjacency not symmetric for pair {v}, {w}")
 
     @staticmethod

@@ -2,21 +2,27 @@
 
 A single iterative kernel extends a partial vertex map in vertex order,
 testing each candidate image on degree and on adjacency with the images of
-the vertex's earlier neighbours.  Isomorphisms and the full enumeration
-walk it from the empty map.  ``automorphism_group`` walks a stabilizer
-chain instead: for v = n-1 down to 0 it looks for one automorphism that
-fixes 0..v-1 and maps v to w, for each possible w.  These coset
-representatives multiply to every element exactly once, so their counts
-give a lower bound on the group order as soon as they are found, and the
-order budget is decided before any element is listed.  Under the budget
-the elements are listed in full, as permutations in one-line image
-notation (tuples) in lexicographic order, which keeps stabilizer checks
-exact and simple.
+the vertex's earlier neighbours.  Isomorphisms walk it from the empty map.
+``automorphism_group`` walks a stabilizer chain instead: for v = n-1 down
+to 0 it takes, for each possible w, one automorphism that fixes 0..v-1 and
+maps v to w.  The automorphisms that a search found are kept as
+generators, with the orbit of v under the group they make: where w is in
+that orbit the representative is read off the orbit's transversal, and
+where w is in the orbit of a candidate already refuted it is skipped, so
+the kernel searches only where the known group cannot answer.  Each
+successful search at least doubles the known group, so there are at most
+log2 |Aut| of them.  The coset representatives multiply to every element
+exactly once, so their counts give a lower bound on the group order as
+soon as they are found, and the order budget is decided before any
+element is listed.  Under the budget the elements are listed in full, as
+permutations in one-line image notation (tuples) in lexicographic order,
+which keeps stabilizer checks exact and simple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .graph import Graph
@@ -34,14 +40,9 @@ def identity(n: int) -> Permutation:
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """p after q: the image of v is p[q[v]]."""
-    return tuple(p[x] for x in q)
-
-
-def inverse(p: Permutation) -> Permutation:
-    inv = [0] * len(p)
-    for v, w in enumerate(p):
-        inv[w] = v
-    return tuple(inv)
+    if len(q) < 2:  # itemgetter needs an index, and for one it returns a bare item
+        return tuple(p[x] for x in q)
+    return itemgetter(*q)(p)
 
 
 def is_automorphism(graph: Graph, p: Permutation) -> bool:
@@ -163,36 +164,62 @@ class _Matcher:
         return found
 
 
+def _transversal(v: int, gens: list[Permutation], n: int) -> dict[int, Permutation]:
+    """The orbit of v under the group gens make, each point x with an
+    element of that group mapping v to x (a Schreier transversal)."""
+    trans = {v: identity(n)}
+    queue = [v]
+    for x in queue:
+        for g in gens:
+            y = g[x]
+            if y not in trans:
+                trans[y] = compose(g, trans[x])
+                queue.append(y)
+    return trans
+
+
 def _coset_representatives(graph: Graph) -> Iterator[tuple[int, Permutation]]:
     """Yield (v, p) for v = n-1 down to 0 and, in increasing order, each
-    w != v for which some automorphism fixes 0..v-1 and maps v to w; p is the
-    first such automorphism.
+    w != v for which some automorphism fixes 0..v-1 and maps v to w; p is
+    one such automorphism.
 
     With the identity, the p yielded for v are coset representatives of the
-    stabilizer of 0..v in the stabilizer of 0..v-1.  Each existence search
-    covers the part of the full search tree below the map (0..v-1 fixed,
-    v -> w), and these parts are disjoint.  The deepest levels come first
-    because their searches have the fewest free vertices: they are cheap,
-    and the order they prove can end the walk before a shallow search runs.
+    stabilizer of 0..v in the stabilizer of 0..v-1.  The automorphisms
+    that searches found are kept as generators; at level v they all fix
+    0..v-1.  A w in the orbit of v under the group they make takes its p
+    from the transversal, with no search.  A w in the orbit of a candidate
+    that a search refuted is skipped, because that group lies in the
+    stabilizer of 0..v-1 and so keeps v's orbit apart from the refuted one.
+    Any other w is searched for in the part of the full search tree below
+    the map (0..v-1 fixed, v -> w); a success is a new generator outside
+    the known group, so it at least doubles it.  The deepest levels come
+    first because their searches have the fewest free vertices: they are
+    cheap, and the order they prove can end the walk before a shallow
+    search runs.
     """
+    n = graph.n
     m = _Matcher(graph, graph)
-    for v in range(graph.n):
+    for v in range(n):
         m.push(v)
-    for v in reversed(range(graph.n)):
+    gens: list[Permutation] = []
+    for v in reversed(range(n)):
         m.pop()
+        trans = _transversal(v, gens, n)
+        dead: set[int] = set()
         for w in m.candidates():
-            if w != v:
+            if w == v or w in dead:
+                continue
+            p = trans.get(w)
+            if p is None:
                 m.push(w)
                 p = m.first()
                 m.pop()
-                if p is not None:
-                    yield v, p
-
-
-def iter_automorphisms(graph: Graph) -> Iterator[Permutation]:
-    """Yield every automorphism in lexicographic image order; the identity
-    is always the first."""
-    yield from _Matcher(graph, graph).completions()
+                if p is None:
+                    dead.update(_transversal(w, gens, n))
+                    continue
+                gens.append(p)
+                trans = _transversal(v, gens, n)
+            yield v, p
 
 
 def automorphism_group(

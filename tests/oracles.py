@@ -2,15 +2,17 @@
 
 Everything here works straight from definitions with no pruning or shared
 code paths: permutations come from itertools, labelings from full
-cartesian enumeration.  The four exceptions are former library code
+cartesian enumeration.  The five exceptions are former library code
 kept as references, so that results can be compared exactly and not only
 in value: reference_minimum, the generate-and-test labeling search, which
 enumerates one labeling per palette renaming in the library's canonical
 order; reference_automorphisms, the recursive enumerator that listed
 every automorphism in lexicographic order; reference_preserving_row,
-the linear stabilizer test that checks every row in list order; and
+the linear stabilizer test that checks every row in list order;
 reference_parse_graph6, the graph6 reader that stepped through every
-character, whose error messages the library's reader must reproduce.
+character, whose error messages the library's reader must reproduce; and
+reference_validate, the Graph constructor's former validator, which
+tested symmetry by scanning neighbour tuples.
 Deliberately slow and only usable on tiny graphs.
 """
 
@@ -172,6 +174,25 @@ def reference_parse_graph6(text: str | bytes) -> Graph:
                     v += 1
                 edges.append((k - start, v))
     return Graph.from_edges(n, edges)
+
+
+def reference_validate(n, adj) -> None:
+    """The former ``Graph.__post_init__``, unchanged but for taking n and adj
+    as arguments: raises the ValueError of the first failing check."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    if len(adj) != n:
+        raise ValueError("adjacency table length differs from vertex count")
+    for v, nbrs in enumerate(adj):
+        if list(nbrs) != sorted(set(nbrs)):
+            raise ValueError(f"neighbour list of vertex {v} not sorted duplicate-free")
+        for w in nbrs:
+            if w == v:
+                raise ValueError(f"self-loop at vertex {v}")
+            if not 0 <= w < n:
+                raise ValueError(f"neighbour {w} of vertex {v} out of range")
+            if v not in adj[w]:
+                raise ValueError(f"adjacency not symmetric for pair {v}, {w}")
 
 
 def reference_automorphisms(graph: Graph):

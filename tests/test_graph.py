@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 from graphsym import (
@@ -6,8 +9,12 @@ from graphsym import (
     complete,
     cycle,
     is_connected,
+    parse_graph6,
     path,
+    serialize_graph6,
 )
+from oracles import reference_validate
+from test_acceptance import criterion
 
 
 def corpus():
@@ -93,3 +100,95 @@ def test_graph_equality_and_hash():
     assert path(3) == path(3)
     assert path(3) != cycle(3)
     assert len({path(3), path(3), cycle(3)}) == 2
+
+
+def _validation_outcome(validate, n, adj):
+    """None if the table is accepted, else the ValueError message."""
+    try:
+        validate(n, adj)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _malformed_tables(count, seed):
+    """Adjacency tables of random graphs with one to three random faults:
+    a neighbour dropped, added, duplicated, moved or out of range, a
+    self-loop, a row added or dropped, or a negative vertex count."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, 8)
+        rows = [[] for _ in range(n)]
+        for v in range(n):
+            for u in range(v):
+                if rng.random() < 0.5:
+                    rows[u].append(v)
+                    rows[v].append(u)
+        for v in range(n):
+            rows[v].sort()
+        for _ in range(rng.randint(1, 3)):
+            fault = rng.randrange(8)
+            if fault == 0:
+                n = -rng.randint(1, 3)
+            elif fault == 1:
+                if rng.random() < 0.5 and rows:
+                    rows.pop(rng.randrange(len(rows)))
+                else:
+                    rows.insert(rng.randint(0, len(rows)), [])
+            elif rows:
+                row = rows[rng.randrange(len(rows))]
+                if fault == 2 and row:
+                    row.pop(rng.randrange(len(row)))
+                elif fault == 3:
+                    row.insert(rng.randint(0, len(row)), rng.randint(-2, max(n, 0) + 2))
+                elif fault == 4 and row:
+                    row.insert(rng.randint(0, len(row)), rng.choice(row))
+                elif fault == 5 and len(row) > 1:
+                    i, j = rng.sample(range(len(row)), 2)
+                    row[i], row[j] = row[j], row[i]
+                elif fault == 6:
+                    row.append(rows.index(row))
+                    row.sort()
+                else:
+                    row.append(rng.randint(0, max(n, 1) - 1))
+                    row.sort()
+        yield n, tuple(tuple(row) for row in rows)
+
+
+# tables whose first fault depends on the order of the checks
+ORDERED_FAULTS = [
+    (3, ((2,), (), (1,))),  # asymmetric pair reported from the earlier vertex
+    (3, ((1, 2), (0,), (0, 0))),  # a malformed row is read for symmetry before its own check
+    (3, ((1,), (0, 5), ())),  # out of range
+    (2, ((0, 1), (0,))),  # self-loop before the asymmetric pair
+    (3, ((2, 1), (0,), (0,))),  # unsorted
+]
+
+
+def test_validation_matches_the_reference_on_malformed_tables():
+    # the pointer-based symmetry test reports the same first fault, in the
+    # same words, as the former tuple scan
+    faults = set()
+    for n, adj in ORDERED_FAULTS + list(_malformed_tables(3000, seed=17)):
+        expected = _validation_outcome(reference_validate, n, adj)
+        assert _validation_outcome(Graph, n, adj) == expected, (n, adj)
+        faults.add(expected and re.sub(r"-?\d+", "N", expected))
+    # every kind of fault occurs, and some tables come out valid
+    assert faults == {
+        None,
+        "vertex count must be non-negative",
+        "adjacency table length differs from vertex count",
+        "neighbour list of vertex N not sorted duplicate-free",
+        "self-loop at vertex N",
+        "neighbour N of vertex N out of range",
+        "adjacency not symmetric for pair N, N",
+    }
+
+
+def test_validation_is_linear_on_a_dense_graph():
+    # K400 has 79,800 edges; testing symmetry by scanning neighbour tuples
+    # took about 0.5 s of the read
+    text = serialize_graph6(complete(400))
+    with criterion(20, 0.2, "graph6 of K400 read and validated"):
+        g = parse_graph6(text)
+    assert g == complete(400)

@@ -19,14 +19,13 @@ from graphsym import (
     group_equal,
     has_nontrivial_automorphism,
     identity,
-    inverse,
     is_automorphism,
     is_isomorphic,
-    iter_automorphisms,
     path,
     run_all,
     strong_product,
 )
+from graphsym.symmetry import _coset_representatives, _Matcher
 from oracles import brute_automorphisms, reference_automorphisms
 from test_acceptance import criterion
 
@@ -39,12 +38,23 @@ CATERPILLAR6 = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
 SPIDER7 = Graph.from_edges(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
 
 
+def inverse(p):
+    inv = [0] * len(p)
+    for v, w in enumerate(p):
+        inv[w] = v
+    return tuple(inv)
+
+
 def test_permutation_helpers():
     p = (1, 2, 0)
     q = (0, 2, 1)
     assert compose(p, q) == (1, 0, 2)
     assert compose(p, inverse(p)) == identity(3)
     assert inverse(inverse(p)) == p
+    # one index or none is where itemgetter would not return a tuple
+    assert compose((), ()) == ()
+    assert compose((0,), (0,)) == (0,)
+    assert compose((1, 0), (1, 0)) == (0, 1)
 
 
 def test_is_automorphism_examples():
@@ -182,7 +192,8 @@ def _random_graphs(count=200, seed=3):
 def _assert_matches_reference(g):
     expected = tuple(reference_automorphisms(g))
     assert automorphism_group(g).elements == expected, g
-    assert tuple(iter_automorphisms(g)) == expected, g
+    # the kernel's own full walk from the empty map
+    assert tuple(_Matcher(g, g).completions()) == expected, g
     assert has_nontrivial_automorphism(g) == (len(expected) > 1), g
 
 
@@ -273,3 +284,51 @@ def test_find_isomorphism_is_the_first_in_lexicographic_order():
             if all((min(p[u], p[v]), max(p[u], p[v])) in h_edges for u, v in g.edges)
         )
         assert find_isomorphism(g, h) == first
+
+
+def _reference_chain(g):
+    """(v, w) for v = n-1 down to 0 and, in increasing order, each w != v
+    to which some automorphism fixing 0..v-1 maps v, from the reference
+    enumerator."""
+    elements = list(reference_automorphisms(g))
+    return [
+        (v, w) for v in reversed(range(g.n)) for w in range(g.n)
+        if w != v and any(a[v] == w and a[:v] == identity(g.n)[:v] for a in elements)
+    ]
+
+
+def test_coset_representatives_follow_the_stabilizer_chain():
+    # whether a representative was searched for or read off the transversal,
+    # it is an automorphism fixing 0..v-1 and mapping v to w, and the (v, w)
+    # pairs come in the order of the full search
+    graphs = [strong_product(cycle(4), cycle(3)), cartesian_product(cycle(4), cycle(4)),
+              direct_product(complete(2), path(5)), CATERPILLAR6, SPIDER7]
+    graphs += list(_random_graphs(80, seed=23))
+    for g in graphs:
+        pairs = []
+        for v, p in _coset_representatives(g):
+            assert is_automorphism(g, p) and p[:v] == identity(g.n)[:v], g
+            pairs.append((v, p[v]))
+        assert pairs == _reference_chain(g), g
+
+
+def test_successful_searches_are_at_most_log2_order(monkeypatch):
+    # each successful search adds a generator outside the group already
+    # known, which at least doubles it; one search for every (v, w) pair
+    # would make 19 on C4 x C4
+    found = []
+    first = _Matcher.first
+
+    def counting(self):
+        p = first(self)
+        if p is not None:
+            found.append(p)
+        return p
+
+    monkeypatch.setattr(_Matcher, "first", counting)
+    for g in (strong_product(cycle(4), cycle(4)), cartesian_product(cycle(4), cycle(4)),
+              strong_product(path(4), cycle(3)), strong_product(path(10), complete(2)),
+              direct_product(complete(2), path(8))):
+        found.clear()
+        order = automorphism_group(g).order
+        assert 1 <= len(found) <= math.floor(math.log2(order)), (g, order, len(found))
