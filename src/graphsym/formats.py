@@ -11,7 +11,12 @@ are ignored.
 
 The edge-list format is line oriented: the first non-comment line is the
 vertex count, every following line is ``u v`` with 0-based indices, and
-``#`` starts a comment.
+``#`` starts a comment.  Text in the writer's own shape (a count line and
+``u v`` lines of at most six ASCII digits each, separated by single spaces
+and ``\n``) is read in one pass over the whole string, with the range,
+self-loop and duplicate checks done on whole lists.  Any other text, and
+any such text that fails a check, is read line by line, and only that
+loop reports errors, so the messages do not depend on the path taken.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ _GRAPH6_TEXT = re.compile(r"[?-~]+")
 # counted from the most significant one
 _SET_GROUP = re.compile(r"[^?]")
 _SET_BITS = tuple(tuple(b for b in range(6) if group & (32 >> b)) for group in range(64))
+# an edge list in the shape serialize_edgelist writes, final newline optional
+_WRITER_EDGELIST = re.compile(r"[0-9]{1,6}(?:\n[0-9]{1,6} [0-9]{1,6})*\n?")
 
 
 class FormatError(ValueError):
@@ -118,7 +125,7 @@ def parse_graph6(text: str | bytes) -> Graph:
             u = k - start
             adj[u].append(v)
             adj[v].append(u)
-    return Graph(n, tuple(map(tuple, adj)))
+    return Graph._from_rows(n, tuple(map(tuple, adj)))
 
 
 def serialize_edgelist(graph: Graph) -> str:
@@ -137,9 +144,40 @@ def _edge_line_error(message: str, parts: list[str], n: int) -> FormatError:
     return FormatError(message)
 
 
-def parse_edgelist(text: str | bytes) -> Graph:
-    if isinstance(text, bytes):
-        text = text.decode("ascii", errors="replace")
+def _edgelist_graph(n: int, us, vs) -> Graph:
+    """The graph on n vertices with edges (us[i], vs[i]), which the caller
+    has checked: in range, no self-loop, no pair twice.  The only place an
+    edge-list reader allocates per-vertex storage."""
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(us, vs):
+        rows[u].append(v)
+        rows[v].append(u)
+    for row in rows:
+        row.sort()
+    return Graph._from_rows(n, tuple(map(tuple, rows)))
+
+
+def _parse_writer_edgelist(text: str) -> Graph | None:
+    """Read text in serialize_edgelist's shape with whole-list checks, or
+    return None when the text has another shape or fails a check."""
+    if not _WRITER_EDGELIST.fullmatch(text):
+        return None
+    numbers = list(map(int, text.split()))
+    n = numbers[0]
+    us, vs = numbers[1::2], numbers[2::2]
+    if n > _MAX_COUNT or (us and max(max(us), max(vs)) >= n):
+        return None
+    # a pair given twice repeats a (u, v) or meets its own (v, u), and a
+    # self-loop (u, u) meets itself
+    pairs = set(zip(us, vs))
+    if len(pairs) != len(us) or not pairs.isdisjoint(zip(vs, us)):
+        return None
+    return _edgelist_graph(n, us, vs)
+
+
+def _parse_edgelist_lines(text: str) -> Graph:
+    """Read any edge-list text line by line, raising the FormatError of its
+    first fault."""
     rows = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -156,7 +194,7 @@ def parse_edgelist(text: str | bytes) -> Graph:
     if not 0 <= n <= _MAX_COUNT:
         raise FormatError(f"vertex count {n} outside 0..{_MAX_COUNT}")
     seen = set()
-    edges = []
+    us, vs = [], []
     for line in rows[1:]:
         parts = line.split()
         if len(parts) != 2:
@@ -173,8 +211,16 @@ def parse_edgelist(text: str | bytes) -> Graph:
         if key in seen:
             raise FormatError(f"duplicate edge {u} {v}")
         seen.add(key)
-        edges.append(key)
-    return Graph.from_edges(n, edges)
+        us.append(u)
+        vs.append(v)
+    return _edgelist_graph(n, us, vs)
+
+
+def parse_edgelist(text: str | bytes) -> Graph:
+    if isinstance(text, bytes):
+        text = text.decode("ascii", errors="replace")
+    graph = _parse_writer_edgelist(text)
+    return graph if graph is not None else _parse_edgelist_lines(text)
 
 
 def serialize(graph: Graph, fmt: str) -> str:

@@ -12,9 +12,16 @@ class Graph:
     """Finite simple undirected graph on vertices 0..n-1.
 
     ``adj[v]`` is the sorted tuple of neighbours of ``v``.  Instances are
-    immutable (safe to share and to use as dict keys) and are validated on
-    construction: no self-loops, symmetric adjacency, sorted duplicate-free
-    neighbour lists.
+    immutable (safe to share and to use as dict keys).  The public
+    constructor ``Graph(n, adj)`` validates the table in full: no
+    self-loops, symmetric adjacency, sorted duplicate-free neighbour lists.
+    The package's own builders hand over rows that are valid by
+    construction and skip that check through ``Graph._from_rows``:
+    ``Graph.from_edges`` (its range and self-loop checks and per-vertex sets
+    make the rows valid), the strong, Cartesian and direct products (rows
+    come from closed neighbourhoods in row-major order), ``parse_graph6``
+    (set bits arrive in column order) and ``parse_edgelist`` (after its own
+    range, self-loop and duplicate checks).
     """
 
     n: int
@@ -45,6 +52,15 @@ class Graph:
                 elif v not in row:
                     raise ValueError(f"adjacency not symmetric for pair {v}, {w}")
 
+    @classmethod
+    def _from_rows(cls, n: int, adj: tuple[tuple[int, ...], ...]) -> "Graph":
+        """A graph on n >= 0 vertices whose rows the caller guarantees are
+        sorted, duplicate-free, loop-free, in range and symmetric; unchecked."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "n", n)
+        object.__setattr__(graph, "adj", adj)
+        return graph
+
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph on n vertices from (u, v) pairs; duplicates collapse."""
@@ -56,7 +72,11 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             nbrs[u].add(v)
             nbrs[v].add(u)
-        return Graph(n, tuple(tuple(sorted(s)) for s in nbrs))
+        # after the edges, so that the first error is the constructor's: with
+        # n < 0 any edge is out of range, and only an empty edge set gets here
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
+        return Graph._from_rows(n, tuple(tuple(sorted(s)) for s in nbrs))
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:

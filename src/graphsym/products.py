@@ -3,49 +3,47 @@
 Product vertices are numbered row-major over the factor orders: a pair
 (g, h) of a product of G and H becomes the single index g*|V(H)| + h, and
 the left-associated k-fold power numbers k-tuples the same way.
+
+Rows come from closed neighbourhoods: row (x, y) of the strong product is
+N[x] × N[y] without (x, y), of the direct product N(x) × N(y), and of the
+Cartesian product N(x) × {y} with {x} × N(y).  Each a in N[x] owns a block
+of |V(H)| indices, so every row is sorted as built and goes to the graph
+with no edge list and no re-validation.
 """
 
 from __future__ import annotations
 
-from .graph import Graph
+from .graph import Graph, closed_neighborhood
 
 
-def _order(g: Graph, h: Graph) -> int:
+def _product(g: Graph, h: Graph, g_rows, same, other) -> Graph:
+    """The graph whose row (x, y) is a*|V(H)| + b for a in g_rows[x], in
+    increasing order, and b in same[y] when a == x, else in other[y]."""
     if g.n == 0 or h.n == 0:
         raise ValueError("factors must be nonempty")
-    return g.n * h.n
-
-
-def _cartesian_edges(g: Graph, h: Graph) -> list[tuple[int, int]]:
     nh = h.n
-    edges = [(u * nh + y, v * nh + y) for (u, v) in g.edges for y in range(nh)]
-    edges += [(x * nh + y, x * nh + z) for x in range(g.n) for (y, z) in h.edges]
-    return edges
+    rows = tuple(tuple([a * nh + b for a in nx for b in (same[y] if a == x else other[y])])
+                 for x, nx in enumerate(g_rows) for y in range(nh))
+    return Graph._from_rows(g.n * nh, rows)
 
 
-def _direct_edges(g: Graph, h: Graph) -> list[tuple[int, int]]:
-    nh = h.n
-    edges = []
-    for (u, v) in g.edges:
-        for (y, z) in h.edges:
-            edges.append((u * nh + y, v * nh + z))
-            edges.append((u * nh + z, v * nh + y))
-    return edges
+def _closed(graph: Graph) -> list[tuple[int, ...]]:
+    return [closed_neighborhood(graph, v) for v in range(graph.n)]
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Product whose edges change exactly one coordinate along a factor edge."""
-    return Graph.from_edges(_order(g, h), _cartesian_edges(g, h))
+    return _product(g, h, _closed(g), h.adj, [(y,) for y in range(h.n)])
 
 
 def direct_product(g: Graph, h: Graph) -> Graph:
     """Product whose edges change both coordinates along factor edges."""
-    return Graph.from_edges(_order(g, h), _direct_edges(g, h))
+    return _product(g, h, g.adj, h.adj, h.adj)
 
 
 def strong_product(g: Graph, h: Graph) -> Graph:
     """Union of the Cartesian and direct edge sets on the same vertex order."""
-    return Graph.from_edges(_order(g, h), _cartesian_edges(g, h) + _direct_edges(g, h))
+    return _product(g, h, _closed(g), h.adj, _closed(h))
 
 
 def strong_power(g: Graph, k: int) -> Graph:

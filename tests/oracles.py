@@ -2,17 +2,22 @@
 
 Everything here works straight from definitions with no pruning or shared
 code paths: permutations come from itertools, labelings from full
-cartesian enumeration.  The five exceptions are former library code
-kept as references, so that results can be compared exactly and not only
-in value: reference_minimum, the generate-and-test labeling search, which
+cartesian enumeration.  The exceptions are former library code kept as
+references, so that results can be compared exactly and not only in
+value: reference_minimum, the generate-and-test labeling search, which
 enumerates one labeling per palette renaming in the library's canonical
 order; reference_automorphisms, the recursive enumerator that listed
 every automorphism in lexicographic order; reference_preserving_row,
 the linear stabilizer test that checks every row in list order;
 reference_parse_graph6, the graph6 reader that stepped through every
-character, whose error messages the library's reader must reproduce; and
+character, whose error messages the library's reader must reproduce;
 reference_validate, the Graph constructor's former validator, which
-tested symmetry by scanning neighbour tuples.
+tested symmetry by scanning neighbour tuples; reference_from_edges, the
+former Graph.from_edges, which handed its rows to the validating
+constructor; reference_product, the former products built from edge
+lists; and reference_parse_edgelist, the former line-by-line edge-list
+reader.  The former readers and products build their graphs through
+reference_from_edges, so every graph they return passed the validator.
 Deliberately slow and only usable on tiny graphs.
 """
 
@@ -22,7 +27,7 @@ import itertools
 import random
 
 from graphsym import FormatError, Graph
-from graphsym.formats import GRAPH6_HEADER, _decode_count
+from graphsym.formats import _LONG_NUMBER, _MAX_COUNT, GRAPH6_HEADER, _decode_count
 
 
 def brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
@@ -136,8 +141,9 @@ def reference_preserving_row(labels, rows):
 
 
 def reference_parse_graph6(text: str | bytes) -> Graph:
-    """The library's former graph6 reader, unchanged: one loop over every
-    character for each check and one over every six-bit group."""
+    """The library's former graph6 reader, unchanged but for building through
+    reference_from_edges: one loop over every character for each check and
+    one over every six-bit group."""
     if isinstance(text, bytes):
         text = text.decode("ascii", errors="replace")
     s = text.strip()
@@ -173,7 +179,101 @@ def reference_parse_graph6(text: str | bytes) -> Graph:
                     start += v
                     v += 1
                 edges.append((k - start, v))
-    return Graph.from_edges(n, edges)
+    return reference_from_edges(n, edges)
+
+
+def reference_from_edges(n, edges) -> Graph:
+    """The library's former Graph.from_edges, unchanged but for its name: the
+    rows go through the validating constructor."""
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return Graph(n, tuple(tuple(sorted(s)) for s in nbrs))
+
+
+def _reference_cartesian_edges(g: Graph, h: Graph) -> list[tuple[int, int]]:
+    nh = h.n
+    edges = [(u * nh + y, v * nh + y) for (u, v) in g.edges for y in range(nh)]
+    edges += [(x * nh + y, x * nh + z) for x in range(g.n) for (y, z) in h.edges]
+    return edges
+
+
+def _reference_direct_edges(g: Graph, h: Graph) -> list[tuple[int, int]]:
+    nh = h.n
+    edges = []
+    for (u, v) in g.edges:
+        for (y, z) in h.edges:
+            edges.append((u * nh + y, v * nh + z))
+            edges.append((u * nh + z, v * nh + y))
+    return edges
+
+
+def reference_product(op: str, g: Graph, h: Graph) -> Graph:
+    """The library's former "cartesian", "direct" or "strong" product, built
+    from edge lists, unchanged but for taking op as an argument."""
+    if g.n == 0 or h.n == 0:
+        raise ValueError("factors must be nonempty")
+    edges = []
+    if op in ("cartesian", "strong"):
+        edges += _reference_cartesian_edges(g, h)
+    if op in ("direct", "strong"):
+        edges += _reference_direct_edges(g, h)
+    return reference_from_edges(g.n * h.n, edges)
+
+
+def _reference_edge_line_error(message: str, parts: list[str], n: int) -> FormatError:
+    for part in parts:
+        if _LONG_NUMBER.fullmatch(part):
+            return FormatError(
+                f"vertex index of {len(part)} characters out of range for {n} vertices")
+    return FormatError(message)
+
+
+def reference_parse_edgelist(text: str | bytes) -> Graph:
+    """The library's former edge-list reader, unchanged but for building
+    through reference_from_edges: every line is split and checked in turn."""
+    if isinstance(text, bytes):
+        text = text.decode("ascii", errors="replace")
+    rows = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            rows.append(line)
+    if not rows:
+        raise FormatError("empty edge list")
+    if _LONG_NUMBER.fullmatch(rows[0]):
+        raise FormatError(f"vertex count of {len(rows[0])} characters outside 0..{_MAX_COUNT}")
+    try:
+        n = int(rows[0])
+    except ValueError:
+        raise FormatError(f"first line must be the vertex count, got {rows[0]!r}") from None
+    if not 0 <= n <= _MAX_COUNT:
+        raise FormatError(f"vertex count {n} outside 0..{_MAX_COUNT}")
+    seen = set()
+    edges = []
+    for line in rows[1:]:
+        parts = line.split()
+        if len(parts) != 2:
+            raise FormatError(f"expected 'u v', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise _reference_edge_line_error(f"non-integer vertex in {line!r}", parts, n) from None
+        if u == v:
+            raise _reference_edge_line_error(f"self-loop {u} {v}", parts, n)
+        if not (0 <= u < n and 0 <= v < n):
+            raise _reference_edge_line_error(f"vertex index out of range in {line!r}", parts, n)
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise FormatError(f"duplicate edge {u} {v}")
+        seen.add(key)
+        edges.append(key)
+    return reference_from_edges(n, edges)
 
 
 def reference_validate(n, adj) -> None:

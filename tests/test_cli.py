@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import graphsym.cli
+import graphsym.formats
 from graphsym import (
-    DEFAULT_BUDGETS, Budgets, Graph, cycle, parse_graph6, path, serialize_edgelist,
+    DEFAULT_BUDGETS, Budgets, cycle, parse_graph6, path, serialize_edgelist,
     serialize_graph6, strong_product,
 )
 from graphsym.cli import dispatch
@@ -268,10 +269,10 @@ def test_searches_on_a_long_path(capsys, p1200, argv, first_line):
 
 def test_oversized_edge_list_count_is_a_parse_error(capsys, monkeypatch, tmp_path):
     # the count is refused before any per-vertex storage is allocated
-    def refuse(n, edges):
+    def refuse(n, us, vs):
         raise AssertionError(f"asked to allocate {n} vertices")
 
-    monkeypatch.setattr(Graph, "from_edges", staticmethod(refuse))
+    monkeypatch.setattr(graphsym.formats, "_edgelist_graph", refuse)
     f = tmp_path / "huge.el"
     # 5000 digits are more than int() parses: still an edge-list count
     for count in ("1234567890123", "9" * 5000):

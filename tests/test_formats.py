@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphsym.formats
 from graphsym import (
     FormatError,
     Graph,
@@ -21,7 +22,7 @@ from graphsym import (
     strong_product,
 )
 from graphsym.formats import GRAPH6_HEADER, detect_format
-from oracles import reference_parse_graph6
+from oracles import reference_parse_edgelist, reference_parse_graph6
 from test_acceptance import criterion
 
 
@@ -236,3 +237,76 @@ def test_graph6_padding_bits_are_ignored():
     assert parse_graph6("D?~") == parse_graph6("D?{")  # the star K_{1,4}
     assert parse_graph6("A~") == complete(2)
     assert parse_graph6("B~") == parse_graph6("Bw") == complete(3)
+
+
+edgelist_like = st.text(alphabet="0123456789 \n\r#+-")
+
+
+@st.composite
+def writer_shaped_edgelists(draw):
+    """Text in serialize_edgelist's shape, valid or not: a count and index
+    pairs, some repeated, reversed, looped or out of range, some of them
+    zero-padded, with or without the final newline."""
+    n = draw(st.one_of(st.integers(min_value=0, max_value=9), st.sampled_from([999999, 258048])))
+    index = st.integers(min_value=0, max_value=min(n, 10))
+    pairs = draw(st.lists(st.tuples(index, index), max_size=10))
+    pad = draw(st.sampled_from(["", "0", "000000"]))
+    lines = [str(n)] + [f"{pad}{u} {v}" for u, v in pairs]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.binary(), st.text(), edgelist_like, edgelist_like.map(str.encode),
+                 writer_shaped_edgelists()))
+def test_edgelist_reader_matches_the_reference_on_any_input(data):
+    assert parse_outcome(parse_edgelist, data) == parse_outcome(reference_parse_edgelist, data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=40), st.floats(min_value=0, max_value=1),
+       st.integers(min_value=0, max_value=2**32))
+def test_edgelist_reader_matches_the_reference_on_random_graphs(n, density, seed):
+    rng = random.Random(seed)
+    g = Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < density])
+    text = serialize_edgelist(g)
+    assert parse_edgelist(text) == reference_parse_edgelist(text) == g
+    # and reads the same after its lines are shuffled and some pairs reversed
+    lines = text.splitlines()
+    edges = [line.split() for line in lines[1:]]
+    rng.shuffle(edges)
+    shuffled = "\n".join([lines[0]] + [f"{v} {u}" if rng.random() < 0.5 else f"{u} {v}"
+                                        for u, v in edges])
+    assert parse_edgelist(shuffled) == g
+
+
+@pytest.mark.parametrize("text, whole, outcome", [
+    ("3\n0 1\n1 2", True, "graph"),  # no trailing newline
+    ("3\r\n0 1\r\n1 2\r\n", False, "graph"),  # CRLF line endings
+    ("3\n0000000 0000002\n", False, "graph"),  # zero-padded to 7 digits
+    ("3\n0 00000000001\n", False, "graph"),
+    ("3\n000001 000002\n", True, "graph"),  # zero-padded to 6 digits
+    ("4\n2 3\n1 0\n3 0\n", True, "graph"),  # unsorted, with reversed pairs
+    ("3\n0 1\n1 0\n", False, "duplicate edge 1 0"),  # u v, then v u
+    ("3\n0 1\n0 1\n", False, "duplicate edge 0 1"),
+    ("3\n1 1\n", False, "self-loop 1 1"),
+    ("3\n0 3\n", False, "vertex index out of range in '0 3'"),  # an index equal to n
+    ("999999\n", False, "vertex count 999999 outside 0..258047"),
+    ("999999\n0 1\n", False, "vertex count 999999 outside 0..258047"),
+    ("0\n", True, "graph"),  # count 0
+    ("0", True, "graph"),
+    ("0\n0 1\n", False, "vertex index out of range in '0 1'"),
+    ("258048\n", False, "vertex count 258048 outside 0..258047"),
+])
+def test_edgelist_reader_named_cases(text, whole, outcome, monkeypatch):
+    # whole: the whole-text path reads the text, and the line loop never runs
+    line_loop = graphsym.formats._parse_edgelist_lines
+    lines_read = []
+    monkeypatch.setattr(graphsym.formats, "_parse_edgelist_lines",
+                        lambda text: lines_read.append(text) or line_loop(text))
+    got = parse_outcome(parse_edgelist, text)
+    assert lines_read == ([] if whole else [text])
+    assert got == parse_outcome(reference_parse_edgelist, text)
+    if outcome == "graph":
+        assert isinstance(got, Graph)
+    else:
+        assert got == f"FormatError: {outcome}"

@@ -2,18 +2,25 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsym import (
     Graph,
+    cartesian_product,
     closed_neighborhood,
     complete,
     cycle,
+    direct_product,
     is_connected,
+    parse_auto,
     parse_graph6,
     path,
+    serialize_edgelist,
     serialize_graph6,
+    strong_product,
 )
-from oracles import reference_validate
+from oracles import reference_from_edges, reference_validate
 from test_acceptance import criterion
 
 
@@ -83,6 +90,63 @@ def test_constructor_validation():
 def test_from_edges_collapses_duplicates():
     g = Graph.from_edges(3, [(0, 1), (1, 0), (1, 2)])
     assert g.edges == ((0, 1), (1, 2))
+
+
+def _from_edges_outcome(build, n, edges):
+    """The (n, adj) of the graph built, or the ValueError message."""
+    try:
+        g = build(n, edges)
+    except ValueError as exc:
+        return str(exc)
+    return g.n, g.adj
+
+
+@pytest.mark.parametrize("n, edges, message", [
+    (-1, [], "vertex count must be non-negative"),
+    (-2, [], "vertex count must be non-negative"),
+    (-1, [(0, 1)], "edge (0, 1) out of range for -1 vertices"),
+    (3, [(0, 1), (1, 3)], "edge (1, 3) out of range for 3 vertices"),
+    (3, [(-1, 2)], "edge (-1, 2) out of range for 3 vertices"),
+    (3, [(0, 1), (2, 2)], "self-loop at vertex 2"),
+    (2, [(5, 5)], "edge (5, 5) out of range for 2 vertices"),
+])
+def test_from_edges_refuses_what_it_refused_before(n, edges, message):
+    # from_edges skips the constructor's check, so it must raise the
+    # constructor's error for a negative count itself
+    assert _from_edges_outcome(Graph.from_edges, n, edges) == message
+    assert _from_edges_outcome(reference_from_edges, n, edges) == message
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=-3, max_value=6),
+       st.lists(st.tuples(st.integers(min_value=-2, max_value=7),
+                          st.integers(min_value=-2, max_value=7)), max_size=8))
+def test_from_edges_matches_the_reference(n, edges):
+    outcome = _from_edges_outcome(Graph.from_edges, n, edges)
+    assert outcome == _from_edges_outcome(reference_from_edges, n, edges)
+    if not isinstance(outcome, str):
+        reference_validate(*outcome)
+
+
+def test_package_builders_skip_the_validation(monkeypatch):
+    # products and both readers hand over rows that are valid by
+    # construction; only a direct Graph(n, adj) call validates
+    calls = []
+    validate = Graph.__post_init__
+
+    def counted(self):
+        calls.append(self.n)
+        validate(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counted)
+    c60 = cycle(60)
+    for product in (strong_product, cartesian_product, direct_product):
+        built = product(c60, c60)
+        for text in (serialize_graph6(built), serialize_edgelist(built)):
+            assert parse_auto(text) == built
+    assert calls == []
+    Graph(3, ((1,), (0, 2), (1,)))
+    assert calls == [3]
 
 
 def test_invariants_hold_on_corpus():

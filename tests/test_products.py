@@ -16,6 +16,7 @@ from graphsym import (
     strong_power,
     strong_product,
 )
+from oracles import reference_product, reference_validate
 
 FACTORS = [path(2), path(3), path(4), cycle(3), cycle(4), complete(2), complete(3)]
 
@@ -132,3 +133,35 @@ def test_edge_count_formulas(g, h):
     assert cartesian_product(g, h).edge_count == mg * nh + ng * mh
     assert direct_product(g, h).edge_count == 2 * mg * mh
     assert strong_product(g, h).edge_count == mg * nh + ng * mh + 2 * mg * mh
+
+
+# factors the random strategy draws rarely: K1, edgeless, and disconnected
+# with an isolated vertex
+SPECIAL_FACTORS = [complete(1), Graph.from_edges(3, []),
+                   Graph.from_edges(5, [(0, 1), (2, 3)]), Graph.from_edges(4, [(1, 3)])]
+
+
+def assert_equals_reference(built, expected):
+    assert (built.n, built.adj) == (expected.n, expected.adj)
+    reference_validate(built.n, built.adj)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(small_graphs(), st.sampled_from(SPECIAL_FACTORS)),
+       st.one_of(small_graphs(), st.sampled_from(SPECIAL_FACTORS)))
+def test_products_match_the_former_edge_list_construction(g, h):
+    # the rows built from closed neighbourhoods are the tables the former
+    # edge lists gave through the validating constructor
+    for op, product in (("cartesian", cartesian_product), ("direct", direct_product),
+                        ("strong", strong_product)):
+        assert_equals_reference(product(g, h), reference_product(op, g, h))
+    cube = reference_product("strong", reference_product("strong", g, g), g)
+    assert_equals_reference(strong_power(g, 3), cube)
+
+
+def test_an_empty_factor_is_refused():
+    empty = Graph(0, ())
+    for product in (cartesian_product, direct_product, strong_product):
+        for g, h in ((empty, path(2)), (path(2), empty), (empty, empty)):
+            with pytest.raises(ValueError, match="factors must be nonempty"):
+                product(g, h)
