@@ -10,11 +10,9 @@ from .graph import (
 )
 from .formats import (
     FormatError,
-    parse,
     parse_auto,
     parse_edgelist,
     parse_graph6,
-    serialize,
     serialize_edgelist,
     serialize_graph6,
 )

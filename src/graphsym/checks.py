@@ -230,7 +230,6 @@ def layered_labeling(
     h: Graph,
     phi: VertexLabeling,
     *,
-    budgets: Budgets = DEFAULT_BUDGETS,
     group: Optional[AutomorphismGroup] = None,
 ) -> VertexLabeling:
     """Label the strong product of g and h by shifting a distinguishing
@@ -238,11 +237,13 @@ def layered_labeling(
 
     Vertex (x, y) receives phi(x) + y * r, so copy y uses labels
     y*r+1 .. (y+1)*r and no two copies share a label; the result uses
-    r * |V(h)| labels.  phi must be distinguishing for g.
+    r * |V(h)| labels.  phi must be distinguishing for g; that is tested
+    against group, or against Aut(g) computed under DEFAULT_BUDGETS when
+    group is None.
     """
     if len(phi.labels) != g.n:
         raise ValueError("labeling length does not match the first factor")
-    if not is_distinguishing_vertex(g, _group_of(g, budgets, group), phi):
+    if not is_distinguishing_vertex(g, _group_of(g, DEFAULT_BUDGETS, group), phi):
         raise ValueError("base labeling is not distinguishing")
     labels = [0] * (g.n * h.n)
     for x in range(g.n):
@@ -478,7 +479,6 @@ def lift_edge_labeling(
     h: Graph,
     labeling: EdgeLabeling,
     *,
-    budgets: Budgets = DEFAULT_BUDGETS,
     group_g: Optional[AutomorphismGroup] = None,
     group_h: Optional[AutomorphismGroup] = None,
 ) -> EdgeLabeling:
@@ -486,12 +486,14 @@ def lift_edge_labeling(
 
     Valid when every automorphism of g is an automorphism of h: such an
     automorphism maps h-edges to h-edges, so keeping h's labels and giving
-    every remaining edge the repeated label 1 stays distinguishing.
+    every remaining edge the repeated label 1 stays distinguishing.  Both
+    conditions are tested against group_g and group_h; a group left as None
+    is computed under DEFAULT_BUDGETS.
     """
     if not is_spanning_subgraph(h, g):
         raise ValueError("not a spanning subgraph")
-    group_g = _group_of(g, budgets, group_g)
-    group_h = _group_of(h, budgets, group_h)
+    group_g = _group_of(g, DEFAULT_BUDGETS, group_g)
+    group_h = _group_of(h, DEFAULT_BUDGETS, group_h)
     if not set(group_g.elements) <= set(group_h.elements):
         raise ValueError("host automorphisms are not all subgraph automorphisms")
     if not is_distinguishing_edge(h, group_h, labeling):
@@ -526,10 +528,7 @@ def check_lift(
         base = run.index(box)
         if base.mode == UNDEFINED:
             return report(NOT_APPLICABLE, {}, "cartesian index undefined")
-        lifted = lift_edge_labeling(
-            strong, box, base.witness, budgets=run.budgets,
-            group_g=aut_strong, group_h=aut_box,
-        )
+        lifted = lift_edge_labeling(strong, box, base.witness, group_g=aut_strong, group_h=aut_box)
         ok = is_distinguishing_edge(strong, aut_strong, lifted)
         quantities = {
             "D'(cartesian)": _result_summary(base),
@@ -635,8 +634,6 @@ def check_traceable_index(
             product = run.strong(product, f)
         traceable = hamiltonian_path_exists(product, max_vertices=b.hamiltonian_vertices)
         result = run.index(product)
-        if result.mode == UNDEFINED:
-            return report(NOT_APPLICABLE, {}, "index undefined on this instance")
         quantities = {
             "product order": order,
             "traceable": traceable,

@@ -31,7 +31,7 @@ from .distinguishing import (
     distinguishing_index,
     distinguishing_number,
 )
-from .formats import FormatError, parse_auto, parse_graph6, serialize_graph6
+from .formats import FormatError, _encode_count, parse_auto, parse_graph6, serialize_graph6
 from .graph import Graph, complete, cycle, path
 from .products import cartesian_product, direct_product, strong_product
 from .structure import hamiltonian_path_exists, s_partition, is_s_thin
@@ -110,6 +110,9 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> Non
 def _cmd_product(args: argparse.Namespace) -> int:
     a = _load_graph(args.a)
     b = _load_graph(args.b)
+    # the graph6 writer's own refusal, raised before a product too large for
+    # it is built
+    _encode_count(a.n * b.n)
     op = {"cartesian": cartesian_product, "direct": direct_product, "strong": strong_product}
     result = op[args.op](a, b)
     g6 = serialize_graph6(result)

@@ -223,22 +223,6 @@ def parse_edgelist(text: str | bytes) -> Graph:
     return graph if graph is not None else _parse_edgelist_lines(text)
 
 
-def serialize(graph: Graph, fmt: str) -> str:
-    if fmt == "graph6":
-        return serialize_graph6(graph)
-    if fmt == "edgelist":
-        return serialize_edgelist(graph)
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-def parse(text: str | bytes, fmt: str) -> Graph:
-    if fmt == "graph6":
-        return parse_graph6(text)
-    if fmt == "edgelist":
-        return parse_edgelist(text)
-    raise ValueError(f"unknown format {fmt!r}")
-
-
 def detect_format(text: str | bytes) -> str:
     """Guess the format: an integer first line means edge list, else graph6."""
     if isinstance(text, bytes):
@@ -258,4 +242,6 @@ def detect_format(text: str | bytes) -> str:
 
 
 def parse_auto(text: str | bytes) -> Graph:
-    return parse(text, detect_format(text))
+    if detect_format(text) == "edgelist":
+        return parse_edgelist(text)
+    return parse_graph6(text)

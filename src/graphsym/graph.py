@@ -15,13 +15,15 @@ class Graph:
     immutable (safe to share and to use as dict keys).  The public
     constructor ``Graph(n, adj)`` validates the table in full: no
     self-loops, symmetric adjacency, sorted duplicate-free neighbour lists.
-    The package's own builders hand over rows that are valid by
-    construction and skip that check through ``Graph._from_rows``:
-    ``Graph.from_edges`` (its range and self-loop checks and per-vertex sets
-    make the rows valid), the strong, Cartesian and direct products (rows
-    come from closed neighbourhoods in row-major order), ``parse_graph6``
-    (set bits arrive in column order) and ``parse_edgelist`` (after its own
-    range, self-loop and duplicate checks).
+    Symmetry is tested against ``neighbor_sets``, which the check fills and
+    caches, so validation costs time linear in the table.  The package's
+    own builders hand over rows that are valid by construction and skip
+    that check through ``Graph._from_rows``: ``Graph.from_edges`` (its
+    range and self-loop checks and per-vertex sets make the rows valid),
+    the strong, Cartesian and direct products (rows come from closed
+    neighbourhoods in row-major order), ``parse_graph6`` (set bits arrive
+    in column order) and ``parse_edgelist`` (after its own range,
+    self-loop and duplicate checks).
     """
 
     n: int
@@ -32,11 +34,7 @@ class Graph:
             raise ValueError("vertex count must be non-negative")
         if len(self.adj) != self.n:
             raise ValueError("adjacency table length differs from vertex count")
-        # pos[w] counts the entries of adj[w] matched so far.  In a symmetric
-        # table of sorted rows, v's turn finds v at adj[w][pos[w]], so a valid
-        # table costs O(1) per edge; on a miss the row is scanned, so every
-        # pair gets the verdict of a plain membership test
-        pos = [0] * self.n
+        nbr = self.neighbor_sets
         for v, nbrs in enumerate(self.adj):
             if list(nbrs) != sorted(set(nbrs)):
                 raise ValueError(f"neighbour list of vertex {v} not sorted duplicate-free")
@@ -45,11 +43,7 @@ class Graph:
                     raise ValueError(f"self-loop at vertex {v}")
                 if not 0 <= w < self.n:
                     raise ValueError(f"neighbour {w} of vertex {v} out of range")
-                row = self.adj[w]
-                i = pos[w]
-                if i < len(row) and row[i] == v:
-                    pos[w] = i + 1
-                elif v not in row:
+                if v not in nbr[w]:
                     raise ValueError(f"adjacency not symmetric for pair {v}, {w}")
 
     @classmethod

@@ -188,7 +188,6 @@ def test_criterion_9_oracle_equivalence():
 UNDEFINED_INDEX_NOTES = (
     "cartesian index undefined",
     "an index is undefined on this instance",
-    "index undefined on this instance",
 )
 
 

@@ -192,17 +192,31 @@ def test_autgroup_on_a_long_path(capsys, p1200):
     assert (code, out, err) == (0, "order 2\n", "")
 
 
-def test_module_entry_point_runs_the_cli():
-    # `python -m graphsym.cli` must reach main(), not import and exit silently
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports graphsym from this checkout."""
     src = str(Path(graphsym.cli.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=pythonpath)
-    done = subprocess.run(
-        [sys.executable, "-m", "graphsym.cli", "--help"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
+def test_module_entry_point_runs_the_cli():
+    # `python -m graphsym.cli` must reach main(), not import and exit silently
+    done = _python("-m", "graphsym.cli", "--help")
     assert done.returncode == 0
     assert done.stdout.startswith("usage:")
+
+
+def test_the_cli_imports_only_the_standard_library():
+    # graphsym is stdlib-only; modules that site hooks load at interpreter
+    # start, before the import, are not the package's
+    done = _python("-c", "import sys; before = set(sys.modules); import graphsym.cli; "
+                   "print(*{m.partition('.')[0] for m in set(sys.modules) - before})")
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.split()
+    assert "graphsym" in loaded
+    assert [m for m in loaded if m != "graphsym" and m not in sys.stdlib_module_names] == []
 
 
 def test_distidx_text_witness_matches_json(capsys, g6):
@@ -280,6 +294,23 @@ def test_oversized_edge_list_count_is_a_parse_error(capsys, monkeypatch, tmp_pat
         code, out, err = run(capsys, ["distnum", str(f)])
         assert (code, out) == (2, "") and err.startswith("error: ")
         assert "outside 0..258047" in err and count not in err
+
+
+@pytest.mark.parametrize("op", ["strong", "cartesian", "direct"])
+def test_product_too_large_for_graph6_is_refused_before_it_is_built(
+        capsys, monkeypatch, tmp_path, op):
+    # P400 and P650 give 260,000 vertices, over the graph6 writer's 258,047
+    def refuse(g, h):
+        raise AssertionError(f"asked to build a product of {g.n * h.n} vertices")
+
+    for name in ("strong_product", "cartesian_product", "direct_product"):
+        monkeypatch.setattr(graphsym.cli, name, refuse)
+    a, b = tmp_path / "p400.el", tmp_path / "p650.el"
+    a.write_text(serialize_edgelist(path(400)))
+    b.write_text(serialize_edgelist(path(650)))
+    code, out, err = run(capsys, ["product", "--op", op, str(a), str(b)])
+    assert (code, out) == (2, "")
+    assert err == "error: vertex count 260000 too large for this graph6 writer\n"
 
 
 def test_overlong_edge_list_vertex_index_is_a_parse_error(capsys, tmp_path):
