@@ -175,18 +175,16 @@ class _Run:
         return hit
 
 
-def _pair_label(g: Graph, h: Graph, label: Optional[str]) -> str:
-    return label if label is not None else f"{graph_name(g)} x {graph_name(h)}"
-
-
-def _connected(g: Graph, h: Graph) -> dict[str, bool]:
+def _connected(run: _Run, g: Graph, h: Graph) -> dict[str, bool]:
+    """Connected factors.  Like every hypothesis stage it takes (run, g, h);
+    this one and _thin_prime read only the graphs."""
     return {"G connected": is_connected(g), "H connected": is_connected(h)}
 
 
-def _thin_prime(g: Graph, h: Graph) -> dict[str, bool]:
+def _thin_prime(run: _Run, g: Graph, h: Graph) -> dict[str, bool]:
     """Connected, S-thin and declared-prime factors: the S-thin checks' hypotheses."""
     return {
-        **_connected(g, h),
+        **_connected(run, g, h),
         "G S-thin": is_s_thin(g),
         "H S-thin": is_s_thin(h),
         "G declared prime": declared_strong_prime(g),
@@ -201,12 +199,18 @@ def _aut_note(order: int, budgets: Budgets, what: str = "product") -> Optional[s
     return f"budget: {what} has {order} vertices, automorphism bound is {budgets.aut_vertices}"
 
 
+def _product_aut_note(budgets: Budgets, g: Graph, h: Graph) -> Optional[str]:
+    return _aut_note(g.n * h.n, budgets)
+
+
 def _decide(check: str, instance: str, hyps: dict[str, bool], over_budget: Optional[str],
-            body: Callable):
+            body: Callable, late: Callable[[], dict[str, bool]] = dict):
     """body(report), unless a hypothesis fails, over_budget holds a size
-    note, or body runs out of a search budget: those are not-applicable.
+    note, or a search runs out of budget: those are not-applicable.
+    late() gives the hypotheses that need a search; they extend hyps after
+    the size note, under the same budget guard as body.
     report(status, quantities, *notes, witness=None) is a BoundReport of
-    this check, instance and (possibly extended) hypotheses."""
+    this check, instance and hypotheses."""
 
     def report(status: str, quantities: dict, *notes: str, witness=None) -> BoundReport:
         return BoundReport(check, instance, hyps, quantities, status, witness, notes)
@@ -216,9 +220,39 @@ def _decide(check: str, instance: str, hyps: dict[str, bool], over_budget: Optio
     if over_budget is not None:
         return report(NOT_APPLICABLE, {}, over_budget)
     try:
+        hyps.update(late())
+        if not all(hyps.values()):
+            return report(NOT_APPLICABLE, {}, _HYPOTHESIS_FAILED)
         return body(report)
     except BudgetExceeded as exc:
         return report(NOT_APPLICABLE, {}, f"budget: {exc}")
+
+
+def _pairwise(check: str, hypotheses: Callable, size_gate: Callable,
+              late: Callable = lambda run, g, h: {}):
+    """Declare a check on a factor pair: the decorated body(run, g, h, report)
+    becomes the public check(g, h, budgets, label), with the body's name and
+    docstring.
+
+    hypotheses(run, g, h), size_gate(budgets, g, h) and late(run, g, h) are
+    the stages _decide runs before the body, in that order.  budgets is a
+    Budgets, or the _Run that run_all shares between its checks.
+    """
+
+    def declare(body: Callable) -> Callable[..., BoundReport]:
+        def public(g: Graph, h: Graph, budgets: Budgets = DEFAULT_BUDGETS,
+                   label: Optional[str] = None) -> BoundReport:
+            run = _Run.of(budgets)
+            instance = label if label is not None else f"{graph_name(g)} x {graph_name(h)}"
+            return _decide(check, instance, hypotheses(run, g, h),
+                           size_gate(run.budgets, g, h),
+                           lambda report: body(run, g, h, report), lambda: late(run, g, h))
+
+        public.__name__ = public.__qualname__ = body.__name__
+        public.__doc__ = body.__doc__
+        return public
+
+    return declare
 
 
 def _result_summary(res: DistinguishingResult) -> str:
@@ -252,104 +286,87 @@ def layered_labeling(
     return VertexLabeling(tuple(labels), phi.r * h.n)
 
 
-def check_layered_labeling(
-    g: Graph, h: Graph, budgets: Budgets = DEFAULT_BUDGETS, label: Optional[str] = None
-) -> BoundReport:
+def _layered_size_gate(budgets: Budgets, g: Graph, h: Graph) -> Optional[str]:
+    if g.n * h.n > budgets.aut_vertices:
+        return f"budget: verification needs the product group, product has {g.n * h.n} vertices"
+    return _INEXACT_FACTOR if max(g.n, h.n) > budgets.exact_vertices else None
+
+
+@_pairwise(LAYERED_LABELING, _connected, _layered_size_gate)
+def check_layered_labeling(run: _Run, g: Graph, h: Graph, report) -> BoundReport:
     """Run the palette-shift construction in both orientations and verify
     each output is distinguishing with the advertised label count."""
-    run = _Run.of(budgets)
-    instance, hyps = _pair_label(g, h, label), _connected(g, h)
-    if g.n * h.n > run.budgets.aut_vertices:
-        over = f"budget: verification needs the product group, product has {g.n * h.n} vertices"
-    else:
-        over = _INEXACT_FACTOR if max(g.n, h.n) > run.budgets.exact_vertices else None
-
-    def body(report) -> BoundReport:
-        d_g = run.number(g)
-        d_h = run.number(h)
-        prod_gh = run.strong(g, h)
-        prod_hg = run.strong(h, g)
-        lab_gh = layered_labeling(g, h, d_g.witness, group=run.aut(g))
-        lab_hg = layered_labeling(h, g, d_h.witness, group=run.aut(h))
-        ok_gh = is_distinguishing_vertex(prod_gh, run.aut(prod_gh), lab_gh)
-        ok_hg = is_distinguishing_vertex(prod_hg, run.aut(prod_hg), lab_hg)
-        counts_ok = lab_gh.r == d_g.value * h.n and lab_hg.r == d_h.value * g.n
-        quantities = {
-            "labels used, G copies": lab_gh.r,
-            "labels used, H copies": lab_hg.r,
-            "distinguishing, G copies": ok_gh,
-            "distinguishing, H copies": ok_hg,
-        }
-        status = PASS if (ok_gh and ok_hg and counts_ok) else FAIL
-        return report(status, quantities, witness=lab_gh)
-
-    return _decide(LAYERED_LABELING, instance, hyps, over, body)
+    d_g = run.number(g)
+    d_h = run.number(h)
+    prod_gh = run.strong(g, h)
+    prod_hg = run.strong(h, g)
+    lab_gh = layered_labeling(g, h, d_g.witness, group=run.aut(g))
+    lab_hg = layered_labeling(h, g, d_h.witness, group=run.aut(h))
+    ok_gh = is_distinguishing_vertex(prod_gh, run.aut(prod_gh), lab_gh)
+    ok_hg = is_distinguishing_vertex(prod_hg, run.aut(prod_hg), lab_hg)
+    counts_ok = lab_gh.r == d_g.value * h.n and lab_hg.r == d_h.value * g.n
+    quantities = {
+        "labels used, G copies": lab_gh.r,
+        "labels used, H copies": lab_hg.r,
+        "distinguishing, G copies": ok_gh,
+        "distinguishing, H copies": ok_hg,
+    }
+    status = PASS if (ok_gh and ok_hg and counts_ok) else FAIL
+    return report(status, quantities, witness=lab_gh)
 
 
-def check_number_sandwich(
-    g: Graph, h: Graph, budgets: Budgets = DEFAULT_BUDGETS, label: Optional[str] = None
-) -> BoundReport:
+def _sandwich_size_gate(budgets: Budgets, g: Graph, h: Graph) -> Optional[str]:
+    if g.n * h.n <= budgets.exact_vertices:
+        return None
+    return (f"budget: exact distinguishing number limited to {budgets.exact_vertices} vertices, "
+            f"product has {g.n * h.n}")
+
+
+@_pairwise(NUMBER_SANDWICH, _connected, _sandwich_size_gate)
+def check_number_sandwich(run: _Run, g: Graph, h: Graph, report) -> BoundReport:
     """Exactly compute D of both products and check the two-sided bound:
     the Cartesian value is at most the strong value, which is at most
     min(D(G)|V(H)|, |V(G)|D(H))."""
-    run = _Run.of(budgets)
-    instance, hyps = _pair_label(g, h, label), _connected(g, h)
-    limit = run.budgets.exact_vertices
-    over = None
-    if g.n * h.n > limit:
-        over = (f"budget: exact distinguishing number limited to {limit} vertices, "
-                f"product has {g.n * h.n}")
-
-    def body(report) -> BoundReport:
-        strong = run.strong(g, h)
-        box = run.box(g, h)
-        d_box = run.number(box)
-        d_strong = run.number(strong)
-        d_g = run.number(g)
-        d_h = run.number(h)
-        right = min(d_g.value * h.n, g.n * d_h.value)
-        quantities = {
-            "D(cartesian)": d_box.value,
-            "D(strong)": d_strong.value,
-            "min(D(G)|V(H)|, |V(G)|D(H))": right,
-        }
-        ok = d_box.value <= d_strong.value <= right
-        return report(PASS if ok else FAIL, quantities)
-
-    return _decide(NUMBER_SANDWICH, instance, hyps, over, body)
+    strong = run.strong(g, h)
+    box = run.box(g, h)
+    d_box = run.number(box)
+    d_strong = run.number(strong)
+    d_g = run.number(g)
+    d_h = run.number(h)
+    right = min(d_g.value * h.n, g.n * d_h.value)
+    quantities = {
+        "D(cartesian)": d_box.value,
+        "D(strong)": d_strong.value,
+        "min(D(G)|V(H)|, |V(G)|D(H))": right,
+    }
+    ok = d_box.value <= d_strong.value <= right
+    return report(PASS if ok else FAIL, quantities)
 
 
-def check_number_equality(
-    g: Graph, h: Graph, budgets: Budgets = DEFAULT_BUDGETS, label: Optional[str] = None
-) -> BoundReport:
+@_pairwise(NUMBER_EQUALITY, _thin_prime, _product_aut_note)
+def check_number_equality(run: _Run, g: Graph, h: Graph, report) -> BoundReport:
     """For connected S-thin declared-prime factors: the strong and Cartesian
     products must have equal automorphism groups (element sets) and equal
     distinguishing numbers."""
-    run = _Run.of(budgets)
-    instance, hyps = _pair_label(g, h, label), _thin_prime(g, h)
-
-    def body(report) -> BoundReport:
-        strong = run.strong(g, h)
-        box = run.box(g, h)
-        aut_strong = run.aut(strong)
-        aut_box = run.aut(box)
-        d_strong = run.number(strong)
-        d_box = run.number(box)
-        groups_equal = group_equal(aut_strong, aut_box)
-        quantities = {
-            "Aut(strong) order": aut_strong.order,
-            "Aut(cartesian) order": aut_box.order,
-            "groups equal": groups_equal,
-            "D(strong)": _result_summary(d_strong),
-            "D(cartesian)": _result_summary(d_box),
-        }
-        if not (d_strong.is_tight and d_box.is_tight):
-            return report(NOT_APPLICABLE, quantities,
-                          "budget: certified values not tight enough to compare")
-        ok = groups_equal and d_strong.value == d_box.value
-        return report(PASS if ok else FAIL, quantities)
-
-    return _decide(NUMBER_EQUALITY, instance, hyps, _aut_note(g.n * h.n, run.budgets), body)
+    strong = run.strong(g, h)
+    box = run.box(g, h)
+    aut_strong = run.aut(strong)
+    aut_box = run.aut(box)
+    d_strong = run.number(strong)
+    d_box = run.number(box)
+    groups_equal = group_equal(aut_strong, aut_box)
+    quantities = {
+        "Aut(strong) order": aut_strong.order,
+        "Aut(cartesian) order": aut_box.order,
+        "groups equal": groups_equal,
+        "D(strong)": _result_summary(d_strong),
+        "D(cartesian)": _result_summary(d_box),
+    }
+    if not (d_strong.is_tight and d_box.is_tight):
+        return report(NOT_APPLICABLE, quantities,
+                      "budget: certified values not tight enough to compare")
+    ok = groups_equal and d_strong.value == d_box.value
+    return report(PASS if ok else FAIL, quantities)
 
 
 def check_power_number(
@@ -377,9 +394,20 @@ def check_power_number(
     return _decide(POWER_NUMBER, instance, hyps, _aut_note(order, run.budgets, "power"), body)
 
 
-def sequence_labeling(
-    g: Graph, h: Graph, budgets: Budgets = DEFAULT_BUDGETS, label: Optional[str] = None
-) -> BoundReport:
+def _sequence_hypotheses(run: _Run, g: Graph, h: Graph) -> dict[str, bool]:
+    hyps = _thin_prime(run, g, h)
+    if all(hyps.values()):
+        hyps["G and H non-isomorphic"] = not is_isomorphic(g, h)
+    return hyps
+
+
+def _sequence_size_gate(budgets: Budgets, g: Graph, h: Graph) -> Optional[str]:
+    return _aut_note(g.n * h.n, budgets) or (
+        _INEXACT_FACTOR if g.n > budgets.exact_vertices else None)
+
+
+@_pairwise(SEQUENCE_LABELING, _sequence_hypotheses, _sequence_size_gate)
+def sequence_labeling(run: _Run, g: Graph, h: Graph, report) -> BoundReport:
     """Label the copies of g inside the strong product with distinct label
     sequences and verify the advertised label count; a decided report
     carries the labeling as its witness.
@@ -397,81 +425,70 @@ def sequence_labeling(
     the first coordinate of the last copy's sequence; (iii) D(g) = 1 gives
     every copy a distinct sequence over min{l : l^n >= m} labels.
     """
-    run = _Run.of(budgets)
-    instance = _pair_label(g, h, label)
     n, m = g.n, h.n
-    hyps = _thin_prime(g, h)
-    if all(hyps.values()):
-        hyps["G and H non-isomorphic"] = not is_isomorphic(g, h)
-    over = _aut_note(n * m, run.budgets) or (
-        _INEXACT_FACTOR if n > run.budgets.exact_vertices else None)
+    d_g = run.number(g)
+    base = d_g.value
+    d = min_alphabet(n, m - 1)
+    log_reading = min_exponent(n, m - 1)
+    notes: list[str] = []
+    if log_reading is not None and log_reading != d:
+        notes.append(
+            f"integer-search alphabet {d} differs from the ceiling-log reading {log_reading}; "
+            "the construction uses the integer search"
+        )
 
-    def body(report) -> BoundReport:
-        d_g = run.number(g)
-        base = d_g.value
-        d = min_alphabet(n, m - 1)
-        log_reading = min_exponent(n, m - 1)
-        notes: list[str] = []
-        if log_reading is not None and log_reading != d:
-            notes.append(
-                f"integer-search alphabet {d} differs from the ceiling-log reading {log_reading}; "
-                "the construction uses the integer search"
-            )
+    new_label = False
+    if base == 1:
+        case = "iii"
+        alphabet = min_alphabet(n, m)
+        bound = alphabet
+        family = itertools.product(range(1, alphabet + 1), repeat=n)
+        sequences = list(itertools.islice(family, m))
+    else:
+        case = "ii" if base == d else "i"
+        alphabet = max(base, d) if case == "i" else base
+        bound = base + 1 if case == "ii" else alphabet
+        phi_seq = tuple(d_g.witness.labels)
+        family = itertools.product(range(1, alphabet + 1), repeat=n)
+        pool = (s for s in family if s != phi_seq)
+        chosen = list(itertools.islice(pool, m - 1))
+        if len(chosen) < m - 1:
+            # Alphabet exhausted after excluding the first copy's sequence
+            # (only possible when alphabet**n == m-1): spend the extra label
+            # on the first coordinate of the final copy.
+            chosen.append((alphabet + 1,) + phi_seq[1:])
+            new_label = True
+        sequences = [phi_seq] + chosen
 
-        new_label = False
-        if base == 1:
-            case = "iii"
-            alphabet = min_alphabet(n, m)
-            bound = alphabet
-            family = itertools.product(range(1, alphabet + 1), repeat=n)
-            sequences = list(itertools.islice(family, m))
-        else:
-            case = "ii" if base == d else "i"
-            alphabet = max(base, d) if case == "i" else base
-            bound = base + 1 if case == "ii" else alphabet
-            phi_seq = tuple(d_g.witness.labels)
-            family = itertools.product(range(1, alphabet + 1), repeat=n)
-            pool = (s for s in family if s != phi_seq)
-            chosen = list(itertools.islice(pool, m - 1))
-            if len(chosen) < m - 1:
-                # Alphabet exhausted after excluding the first copy's sequence
-                # (only possible when alphabet**n == m-1): spend the extra label
-                # on the first coordinate of the final copy.
-                chosen.append((alphabet + 1,) + phi_seq[1:])
-                new_label = True
-            sequences = [phi_seq] + chosen
+    labels = [0] * (n * m)
+    for i, seq in enumerate(sequences):
+        for x in range(n):
+            labels[x * m + i] = seq[x]
+    used = max(labels)
+    labeling = VertexLabeling(tuple(labels), used)
 
-        labels = [0] * (n * m)
-        for i, seq in enumerate(sequences):
-            for x in range(n):
-                labels[x * m + i] = seq[x]
-        used = max(labels)
-        labeling = VertexLabeling(tuple(labels), used)
-
-        product = run.strong(g, h)
-        group = run.aut(product)
-        distinct = len(set(sequences)) == m
-        distinguishing = is_distinguishing_vertex(product, group, labeling)
-        within = used <= bound
-        if new_label and case == "i":
-            notes.append("construction needed an extra label beyond the stated bound")
-        quantities = {
-            "case": case,
-            "D(G)": base,
-            "factor order n": n,
-            "copy count m": m,
-            "alphabet floor d": d,
-            "ceiling-log reading": log_reading,
-            "stated bound": bound,
-            "labels used": used,
-            "extra label introduced": new_label,
-            "sequences pairwise distinct": distinct,
-            "labeling distinguishing": distinguishing,
-        }
-        status = PASS if (distinct and distinguishing and within) else FAIL
-        return report(status, quantities, *notes, witness=labeling)
-
-    return _decide(SEQUENCE_LABELING, instance, hyps, over, body)
+    product = run.strong(g, h)
+    group = run.aut(product)
+    distinct = len(set(sequences)) == m
+    distinguishing = is_distinguishing_vertex(product, group, labeling)
+    within = used <= bound
+    if new_label and case == "i":
+        notes.append("construction needed an extra label beyond the stated bound")
+    quantities = {
+        "case": case,
+        "D(G)": base,
+        "factor order n": n,
+        "copy count m": m,
+        "alphabet floor d": d,
+        "ceiling-log reading": log_reading,
+        "stated bound": bound,
+        "labels used": used,
+        "extra label introduced": new_label,
+        "sequences pairwise distinct": distinct,
+        "labeling distinguishing": distinguishing,
+    }
+    status = PASS if (distinct and distinguishing and within) else FAIL
+    return report(status, quantities, *notes, witness=labeling)
 
 
 def lift_edge_labeling(
@@ -505,99 +522,84 @@ def lift_edge_labeling(
     return EdgeLabeling(lifted, max(labeling.r, 1))
 
 
-def check_lift(
-    g: Graph, h: Graph, budgets: Budgets = DEFAULT_BUDGETS, label: Optional[str] = None
-) -> BoundReport:
+def _lift_hypotheses(run: _Run, g: Graph, h: Graph) -> dict[str, bool]:
+    """The lift's hypotheses on the products, tested once the size gate passed."""
+    strong = run.strong(g, h)
+    box = run.box(g, h)
+    return {
+        "cartesian spans strong": is_spanning_subgraph(box, strong),
+        "Aut(strong) subgroup of Aut(cartesian)": (
+            set(run.aut(strong).elements) <= set(run.aut(box).elements)
+        ),
+    }
+
+
+@_pairwise(INDEX_LIFT, _connected, _product_aut_note, late=_lift_hypotheses)
+def check_lift(run: _Run, g: Graph, h: Graph, report) -> BoundReport:
     """Lift a distinguishing edge labeling from the Cartesian product onto
     the strong product and verify it stays distinguishing, witnessing that
     the strong index is at most the Cartesian index."""
-    run = _Run.of(budgets)
-    instance, hyps = _pair_label(g, h, label), _connected(g, h)
-
-    def body(report) -> BoundReport:
-        strong = run.strong(g, h)
-        box = run.box(g, h)
-        aut_strong = run.aut(strong)
-        aut_box = run.aut(box)
-        hyps["cartesian spans strong"] = is_spanning_subgraph(box, strong)
-        hyps["Aut(strong) subgroup of Aut(cartesian)"] = (
-            set(aut_strong.elements) <= set(aut_box.elements)
-        )
-        if not all(hyps.values()):
-            return report(NOT_APPLICABLE, {}, _HYPOTHESIS_FAILED)
-        base = run.index(box)
-        if base.mode == UNDEFINED:
-            return report(NOT_APPLICABLE, {}, "cartesian index undefined")
-        lifted = lift_edge_labeling(strong, box, base.witness, group_g=aut_strong, group_h=aut_box)
-        ok = is_distinguishing_edge(strong, aut_strong, lifted)
-        quantities = {
-            "D'(cartesian)": _result_summary(base),
-            "lifted labels": lifted.r,
-            "lift distinguishing": ok,
-        }
-        return report(PASS if ok else FAIL, quantities, witness=lifted)
-
-    return _decide(INDEX_LIFT, instance, hyps, _aut_note(g.n * h.n, run.budgets), body)
+    strong = run.strong(g, h)
+    box = run.box(g, h)
+    base = run.index(box)
+    if base.mode == UNDEFINED:
+        return report(NOT_APPLICABLE, {}, "cartesian index undefined")
+    aut_strong = run.aut(strong)
+    lifted = lift_edge_labeling(strong, box, base.witness, group_g=aut_strong,
+                                group_h=run.aut(box))
+    ok = is_distinguishing_edge(strong, aut_strong, lifted)
+    quantities = {
+        "D'(cartesian)": _result_summary(base),
+        "lifted labels": lifted.r,
+        "lift distinguishing": ok,
+    }
+    return report(PASS if ok else FAIL, quantities, witness=lifted)
 
 
-def _index_comparison(
-    check: str,
-    g: Graph,
-    h: Graph,
-    slack: int,
-    hyps: dict[str, bool],
-    budgets: Union[Budgets, _Run],
-    instance: str,
-) -> BoundReport:
-    """Shared engine: compare D'(strong) <= D'(cartesian) + slack using the
-    certified brackets of both computations."""
-    run = _Run.of(budgets)
-
-    def body(report) -> BoundReport:
-        r_strong = run.index(run.strong(g, h))
-        r_box = run.index(run.box(g, h))
-        if r_strong.mode == UNDEFINED or r_box.mode == UNDEFINED:
-            return report(NOT_APPLICABLE, {}, "an index is undefined on this instance")
-        lo_s, hi_s = r_strong.bounds
-        lo_b, hi_b = r_box.bounds
-        quantities = {
-            "D'(strong)": _result_summary(r_strong),
-            "D'(cartesian)": _result_summary(r_box),
-            "slack": slack,
-        }
-        if hi_s <= lo_b + slack:
-            status = PASS
-        elif lo_s > hi_b + slack:
-            status = FAIL
-        else:
-            return report(NOT_APPLICABLE, quantities,
-                          "budget: brackets too loose to decide the inequality")
-        return report(status, quantities, witness=r_strong.witness)
-
-    return _decide(check, instance, hyps, _aut_note(g.n * h.n, run.budgets), body)
+def _index_comparison(run: _Run, g: Graph, h: Graph, report, slack: int) -> BoundReport:
+    """Compare D'(strong) <= D'(cartesian) + slack using the certified
+    brackets of both computations."""
+    r_strong = run.index(run.strong(g, h))
+    r_box = run.index(run.box(g, h))
+    if r_strong.mode == UNDEFINED or r_box.mode == UNDEFINED:
+        return report(NOT_APPLICABLE, {}, "an index is undefined on this instance")
+    lo_s, hi_s = r_strong.bounds
+    lo_b, hi_b = r_box.bounds
+    quantities = {
+        "D'(strong)": _result_summary(r_strong),
+        "D'(cartesian)": _result_summary(r_box),
+        "slack": slack,
+    }
+    if hi_s <= lo_b + slack:
+        status = PASS
+    elif lo_s > hi_b + slack:
+        status = FAIL
+    else:
+        return report(NOT_APPLICABLE, quantities,
+                      "budget: brackets too loose to decide the inequality")
+    return report(status, quantities, witness=r_strong.witness)
 
 
-def check_index_monotone(
-    g: Graph, h: Graph, budgets: Budgets = DEFAULT_BUDGETS, label: Optional[str] = None
-) -> BoundReport:
+def _spanning_hypotheses(run: _Run, g: Graph, h: Graph) -> dict[str, bool]:
+    hyps = _connected(run, g, h)
+    if all(hyps.values()):
+        hyps["cartesian spans strong"] = is_spanning_subgraph(run.box(g, h), run.strong(g, h))
+    return hyps
+
+
+@_pairwise(INDEX_MONOTONE, _spanning_hypotheses, _product_aut_note)
+def check_index_monotone(run: _Run, g: Graph, h: Graph, report) -> BoundReport:
     """D'(strong) <= D'(cartesian) + 1 for connected factors: the Cartesian
     product spans the strong product, and a spanning subgraph costs at most
     one extra edge label."""
-    run = _Run.of(budgets)
-    hyps = _connected(g, h)
-    if all(hyps.values()):
-        hyps["cartesian spans strong"] = is_spanning_subgraph(run.box(g, h), run.strong(g, h))
-    return _index_comparison(INDEX_MONOTONE, g, h, 1, hyps, run, _pair_label(g, h, label))
+    return _index_comparison(run, g, h, report, 1)
 
 
-def check_index_sthin(
-    g: Graph, h: Graph, budgets: Budgets = DEFAULT_BUDGETS, label: Optional[str] = None
-) -> BoundReport:
+@_pairwise(INDEX_STHIN, _thin_prime, _product_aut_note)
+def check_index_sthin(run: _Run, g: Graph, h: Graph, report) -> BoundReport:
     """D'(strong) <= D'(cartesian) for connected S-thin declared-prime
     factors, where the two products share their automorphism group."""
-    return _index_comparison(
-        INDEX_STHIN, g, h, 0, _thin_prime(g, h), budgets, _pair_label(g, h, label)
-    )
+    return _index_comparison(run, g, h, report, 0)
 
 
 def check_traceable_index(

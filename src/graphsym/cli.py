@@ -31,7 +31,10 @@ from .distinguishing import (
     distinguishing_index,
     distinguishing_number,
 )
-from .formats import FormatError, _encode_count, parse_auto, parse_graph6, serialize_graph6
+from .formats import (
+    _LONG_NUMBER, _MAX_COUNT, FormatError, _encode_count, parse_auto, parse_graph6,
+    serialize_graph6,
+)
 from .graph import Graph, complete, cycle, path
 from .products import cartesian_product, direct_product, strong_product
 from .structure import hamiltonian_path_exists, s_partition, is_s_thin
@@ -178,7 +181,13 @@ def _family_graph(token: str) -> Graph:
     m = _FAMILY_RE.match(token)
     if not m:
         raise FormatError(f"unknown family shorthand {token!r}")
-    kind, num = m.group(1), int(m.group(2))
+    kind, digits = m.groups()
+    # the readers' vertex count limit, tested before anything is built; as
+    # in the edge-list reader, by length first, since int() refuses a string
+    # of over 4,300 digits
+    if _LONG_NUMBER.fullmatch(digits) or int(digits) > _MAX_COUNT:
+        raise FormatError(f"family shorthand vertex count outside 0..{_MAX_COUNT}")
+    num = int(digits)
     if kind == "P":
         return path(num)
     if kind == "C":
@@ -216,26 +225,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         reports = run_all(default_corpus(), budgets)
     passed = all_applicable_pass(reports)
-    counts = {
-        "pass": sum(r.status == "pass" for r in reports),
-        "fail": sum(r.status == "fail" for r in reports),
-        "not-applicable": sum(r.status == "not-applicable" for r in reports),
-    }
-    if args.json:
-        print(json.dumps(
-            {"passed": passed, "counts": counts,
-             "reports": [r.to_json_dict() for r in reports]},
-            indent=2,
-        ))
-    else:
-        for r in reports:
-            line = f"[{r.status.upper():>14}] {r.check}: {r.instance}"
-            if r.notes:
-                line += f"  ({'; '.join(r.notes)})"
-            print(line)
-        print(f"checks: {counts['pass']} pass, {counts['fail']} fail, "
-              f"{counts['not-applicable']} not applicable")
-        print("result:", "PASS" if passed else "FAIL")
+    counts = {s: sum(r.status == s for r in reports) for s in ("pass", "fail", "not-applicable")}
+    lines = []
+    for r in reports:
+        notes = f"  ({'; '.join(r.notes)})" if r.notes else ""
+        lines.append(f"[{r.status.upper():>14}] {r.check}: {r.instance}{notes}")
+    lines.append(f"checks: {counts['pass']} pass, {counts['fail']} fail, "
+                 f"{counts['not-applicable']} not applicable")
+    lines.append(f"result: {'PASS' if passed else 'FAIL'}")
+    payload = {"passed": passed, "counts": counts,
+               "reports": [r.to_json_dict() for r in reports]}
+    _emit(args, payload, lines)
     return 0 if passed else 1
 
 

@@ -455,12 +455,11 @@ def distinguishing_index(
 
     Undefined (dedicated outcome, not an error) when some non-identity
     automorphism fixes every edge as a set, as K_2's swap does, or a swap
-    of two isolated vertices.  A caller that already holds Aut(graph)
-    passes it as group.
+    of two isolated vertices.  So an edgeless graph on two or more
+    vertices is undefined, while K_1, whose group is trivial, gets 1.  A
+    caller that already holds Aut(graph) passes it as group.
     """
     m = graph.edge_count
-    if m == 0:
-        raise ValueError("distinguishing index needs at least one edge")
     rows = _edge_rows(graph, _group_of(graph, budgets, group))
 
     def wrap(flat: tuple[int, ...], r: int) -> EdgeLabeling:

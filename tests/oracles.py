@@ -82,8 +82,6 @@ def naive_distinguishing_index(g: Graph):
     """Edge analogue; returns None when no edge labeling is ever
     distinguishing (an automorphism fixes every edge)."""
     m = g.edge_count
-    if m == 0:
-        raise ValueError("needs an edge")
     rows = edge_rows(g)
     if not rows:
         return 1

@@ -1,10 +1,14 @@
+import ast
+import inspect
 import itertools
 
 import pytest
 
+import graphsym
 import graphsym.checks
 import graphsym.distinguishing
 from graphsym import (
+    DEFAULT_BUDGETS,
     Budgets,
     EdgeLabeling,
     Graph,
@@ -280,6 +284,23 @@ def test_run_all_empty_and_gating():
                for r in reports)
 
 
+def test_run_all_on_k1():
+    # K1 x K1 has no edge: its index is 1, not an error, so both index
+    # checks that compute it decide the instance
+    reports = run_all([("K1", complete(1))])
+    assert [(r.check, r.status) for r in reports] == [
+        ("number-sandwich", "pass"),
+        ("layered-labeling", "pass"),
+        ("number-equality-sthin", "not-applicable"),
+        ("sequence-labeling-bound", "not-applicable"),
+        ("index-bound-plus-one", "pass"),
+        ("index-bound-sthin", "not-applicable"),
+        ("index-lift", "pass"),
+        ("traceable-index-two", "not-applicable"),
+        ("power-number-two", "not-applicable"),
+    ]
+
+
 def test_run_all_extra_pairs():
     reports = run_all([], extra_pairs=[(("P3", path(3)), ("P4", path(4)))])
     assert reports and all_applicable_pass(reports)
@@ -363,3 +384,35 @@ def test_direct_check_calls_retain_nothing(monkeypatch):
             assert check(path(3), path(4)).passed
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0, check.__name__
+
+
+PAIR_PARAMETERS = [("g", inspect.Parameter.empty), ("h", inspect.Parameter.empty),
+                   ("budgets", DEFAULT_BUDGETS), ("label", None)]
+
+
+@pytest.mark.parametrize("name, parameters", [
+    ("check_number_sandwich", PAIR_PARAMETERS),
+    ("check_layered_labeling", PAIR_PARAMETERS),
+    ("check_number_equality", PAIR_PARAMETERS),
+    ("sequence_labeling", PAIR_PARAMETERS),
+    ("check_index_monotone", PAIR_PARAMETERS),
+    ("check_index_sthin", PAIR_PARAMETERS),
+    ("check_lift", PAIR_PARAMETERS),
+    ("check_power_number", [("g", inspect.Parameter.empty), ("k", inspect.Parameter.empty),
+                            ("budgets", DEFAULT_BUDGETS), ("label", None)]),
+    ("check_traceable_index", [("factors", inspect.Parameter.empty),
+                               ("budgets", DEFAULT_BUDGETS), ("label", None)]),
+])
+def test_public_checks_keep_their_interface(name, parameters):
+    # what help() shows: the signature, the name and the docstring written
+    # on the def of that name in checks.py, for a pair check the declared body
+    check = getattr(graphsym, name)
+    signature = inspect.signature(check)
+    assert [(p.name, p.default) for p in signature.parameters.values()] == parameters
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in signature.parameters.values())
+    assert check.__name__ == check.__qualname__ == name
+    tree = ast.parse(inspect.getsource(graphsym.checks))
+    declared, = (node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == name)
+    assert ast.get_docstring(declared)
+    assert inspect.getdoc(check) == ast.get_docstring(declared)

@@ -107,6 +107,36 @@ def test_verify_corpus_file(capsys, tmp_path):
     assert out == out2  # byte-identical on identical invocations
 
 
+def test_verify_corpus_of_k1(capsys, tmp_path):
+    # K1 x K1 has no edge; its index is 1 and the run completes
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("K1\n")
+    code, out, err = run(capsys, ["verify", "--corpus", str(corpus), "--json"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert len(doc["reports"]) == 9
+    assert doc["counts"] == {"pass": 4, "fail": 0, "not-applicable": 5}
+
+
+@pytest.mark.parametrize("line", [
+    "P258048", "C258048", "K258048", "P3xK258048s",
+    pytest.param("P" + "9" * 5000, id="P-with-5000-digits"),
+])
+def test_oversized_family_shorthand_is_refused_before_it_is_built(
+        capsys, monkeypatch, tmp_path, line):
+    for name in ("path", "cycle", "complete"):
+        def guarded(n, build=getattr(graphsym.cli, name)):
+            assert n <= 258047, f"asked to build a graph of {n} vertices"
+            return build(n)
+
+        monkeypatch.setattr(graphsym.cli, name, guarded)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(line + "\n")
+    code, out, err = run(capsys, ["verify", "--corpus", str(corpus)])
+    assert (code, out) == (2, "")
+    assert err == "error: family shorthand vertex count outside 0..258047\n"
+
+
 def test_verify_corpus_accepts_graph6_lines(capsys, tmp_path):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text(serialize_graph6(path(4)) + "\nC5\n")

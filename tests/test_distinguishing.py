@@ -105,8 +105,7 @@ def test_distinguishing_index_known_values():
     assert distinguishing_index(strong_product(path(2), path(2))).value == 3
     undef = distinguishing_index(complete(2))
     assert undef.mode == "undefined" and undef.value is None
-    with pytest.raises(ValueError):
-        distinguishing_index(Graph.from_edges(3, []))
+    assert distinguishing_index(Graph.from_edges(3, [])).mode == "undefined"
 
 
 def test_index_is_undefined_when_a_swap_of_isolated_vertices_fixes_every_edge():
@@ -199,6 +198,17 @@ def test_oracle_agreement_small_graphs():
             assert got.mode == "undefined"
         else:
             assert got.value == expected
+
+
+def test_oracle_agreement_on_edgeless_graphs():
+    # K1 has the trivial group and index 1; on two or more isolated
+    # vertices a swap fixes every (absent) edge, so the index is undefined
+    for n in range(1, 5):
+        g = Graph.from_edges(n, [])
+        expected = naive_distinguishing_index(g)
+        got = distinguishing_index(g)
+        assert expected == (1 if n == 1 else None)
+        assert (got.value, got.mode) == ((1, "exact") if n == 1 else (None, "undefined"))
 
 
 def test_oracle_agreement_seven_vertices():
