@@ -175,16 +175,14 @@ class _Run:
         return hit
 
 
-def _connected(run: _Run, g: Graph, h: Graph) -> dict[str, bool]:
-    """Connected factors.  Like every hypothesis stage it takes (run, g, h);
-    this one and _thin_prime read only the graphs."""
+def _connected(g: Graph, h: Graph) -> dict[str, bool]:
     return {"G connected": is_connected(g), "H connected": is_connected(h)}
 
 
-def _thin_prime(run: _Run, g: Graph, h: Graph) -> dict[str, bool]:
+def _thin_prime(g: Graph, h: Graph) -> dict[str, bool]:
     """Connected, S-thin and declared-prime factors: the S-thin checks' hypotheses."""
     return {
-        **_connected(run, g, h),
+        **_connected(g, h),
         "G S-thin": is_s_thin(g),
         "H S-thin": is_s_thin(h),
         "G declared prime": declared_strong_prime(g),
@@ -207,8 +205,8 @@ def _decide(check: str, instance: str, hyps: dict[str, bool], over_budget: Optio
             body: Callable, late: Callable[[], dict[str, bool]] = dict):
     """body(report), unless a hypothesis fails, over_budget holds a size
     note, or a search runs out of budget: those are not-applicable.
-    late() gives the hypotheses that need a search; they extend hyps after
-    the size note, under the same budget guard as body.
+    late() gives the hypotheses that build a product or a group; they
+    extend hyps after the size note, under the same budget guard as body.
     report(status, quantities, *notes, witness=None) is a BoundReport of
     this check, instance and hypotheses."""
 
@@ -234,9 +232,11 @@ def _pairwise(check: str, hypotheses: Callable, size_gate: Callable,
     becomes the public check(g, h, budgets, label), with the body's name and
     docstring.
 
-    hypotheses(run, g, h), size_gate(budgets, g, h) and late(run, g, h) are
-    the stages _decide runs before the body, in that order.  budgets is a
-    Budgets, or the _Run that run_all shares between its checks.
+    hypotheses(g, h), size_gate(budgets, g, h) and late(run, g, h) are the
+    stages _decide runs before the body, in that order.  The first two read
+    only the factors; a hypothesis that builds a product or a group belongs
+    in late, so that nothing is built before the size gate passes.  budgets
+    is a Budgets, or the _Run that run_all shares between its checks.
     """
 
     def declare(body: Callable) -> Callable[..., BoundReport]:
@@ -244,7 +244,7 @@ def _pairwise(check: str, hypotheses: Callable, size_gate: Callable,
                    label: Optional[str] = None) -> BoundReport:
             run = _Run.of(budgets)
             instance = label if label is not None else f"{graph_name(g)} x {graph_name(h)}"
-            return _decide(check, instance, hypotheses(run, g, h),
+            return _decide(check, instance, hypotheses(g, h),
                            size_gate(run.budgets, g, h),
                            lambda report: body(run, g, h, report), lambda: late(run, g, h))
 
@@ -394,8 +394,8 @@ def check_power_number(
     return _decide(POWER_NUMBER, instance, hyps, _aut_note(order, run.budgets, "power"), body)
 
 
-def _sequence_hypotheses(run: _Run, g: Graph, h: Graph) -> dict[str, bool]:
-    hyps = _thin_prime(run, g, h)
+def _sequence_hypotheses(g: Graph, h: Graph) -> dict[str, bool]:
+    hyps = _thin_prime(g, h)
     if all(hyps.values()):
         hyps["G and H non-isomorphic"] = not is_isomorphic(g, h)
     return hyps
@@ -522,14 +522,18 @@ def lift_edge_labeling(
     return EdgeLabeling(lifted, max(labeling.r, 1))
 
 
+def _spans(run: _Run, g: Graph, h: Graph) -> dict[str, bool]:
+    """Whether the Cartesian product spans the strong product: the late
+    hypothesis of both index checks."""
+    return {"cartesian spans strong": is_spanning_subgraph(run.box(g, h), run.strong(g, h))}
+
+
 def _lift_hypotheses(run: _Run, g: Graph, h: Graph) -> dict[str, bool]:
     """The lift's hypotheses on the products, tested once the size gate passed."""
-    strong = run.strong(g, h)
-    box = run.box(g, h)
     return {
-        "cartesian spans strong": is_spanning_subgraph(box, strong),
+        **_spans(run, g, h),
         "Aut(strong) subgroup of Aut(cartesian)": (
-            set(run.aut(strong).elements) <= set(run.aut(box).elements)
+            set(run.aut(run.strong(g, h)).elements) <= set(run.aut(run.box(g, h)).elements)
         ),
     }
 
@@ -580,14 +584,7 @@ def _index_comparison(run: _Run, g: Graph, h: Graph, report, slack: int) -> Boun
     return report(status, quantities, witness=r_strong.witness)
 
 
-def _spanning_hypotheses(run: _Run, g: Graph, h: Graph) -> dict[str, bool]:
-    hyps = _connected(run, g, h)
-    if all(hyps.values()):
-        hyps["cartesian spans strong"] = is_spanning_subgraph(run.box(g, h), run.strong(g, h))
-    return hyps
-
-
-@_pairwise(INDEX_MONOTONE, _spanning_hypotheses, _product_aut_note)
+@_pairwise(INDEX_MONOTONE, _connected, _product_aut_note, late=_spans)
 def check_index_monotone(run: _Run, g: Graph, h: Graph, report) -> BoundReport:
     """D'(strong) <= D'(cartesian) + 1 for connected factors: the Cartesian
     product spans the strong product, and a spanning subgraph costs at most

@@ -121,9 +121,10 @@ def closed_neighborhood(graph: Graph, v: int) -> tuple[int, ...]:
 
 
 def is_connected(graph: Graph) -> bool:
-    """True iff a single traversal component covers every vertex."""
+    """True iff the graph has exactly one component: a single traversal
+    covers every vertex, and the null graph, which has none, is not connected."""
     if graph.n <= 1:
-        return True
+        return graph.n == 1
     seen = [False] * graph.n
     seen[0] = True
     stack = [0]

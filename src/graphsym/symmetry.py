@@ -178,7 +178,7 @@ def _transversal(v: int, gens: list[Permutation], n: int) -> dict[int, Permutati
     return trans
 
 
-def _coset_representatives(graph: Graph) -> Iterator[tuple[int, Permutation]]:
+def _coset_representatives(graph: Graph, max_vertices: int) -> Iterator[tuple[int, Permutation]]:
     """Yield (v, p) for v = n-1 down to 0 and, in increasing order, each
     w != v for which some automorphism fixes 0..v-1 and maps v to w; p is
     one such automorphism.
@@ -195,9 +195,14 @@ def _coset_representatives(graph: Graph) -> Iterator[tuple[int, Permutation]]:
     the known group, so it at least doubles it.  The deepest levels come
     first because their searches have the fewest free vertices: they are
     cheap, and the order they prove can end the walk before a shallow
-    search runs.
+    search runs.  A graph over max_vertices raises BudgetExceeded before
+    the first yield.
     """
     n = graph.n
+    if n > max_vertices:
+        raise BudgetExceeded(
+            f"graph has {n} vertices, above the automorphism bound {max_vertices}"
+        )
     m = _Matcher(graph, graph)
     for v in range(n):
         m.push(v)
@@ -234,14 +239,10 @@ def automorphism_group(
     representative counts found so far, a lower bound on the order, so an
     oversized group is rejected without listing its elements.
     """
-    if graph.n > max_vertices:
-        raise BudgetExceeded(
-            f"graph has {graph.n} vertices, above the automorphism bound {max_vertices}"
-        )
     ident = identity(graph.n)
     levels: dict[int, list[Permutation]] = {}
     order = 1
-    for v, p in _coset_representatives(graph):
+    for v, p in _coset_representatives(graph, max_vertices):
         reps = levels.setdefault(v, [ident])
         order = order // len(reps) * (len(reps) + 1)
         reps.append(p)
@@ -260,11 +261,7 @@ def automorphism_group(
 
 def has_nontrivial_automorphism(graph: Graph, *, max_vertices: int = 20) -> bool:
     """True iff some non-identity automorphism exists; stops at the first."""
-    if graph.n > max_vertices:
-        raise BudgetExceeded(
-            f"graph has {graph.n} vertices, above the automorphism bound {max_vertices}"
-        )
-    return next(_coset_representatives(graph), None) is not None
+    return next(_coset_representatives(graph, max_vertices), None) is not None
 
 
 def group_equal(a: AutomorphismGroup, b: AutomorphismGroup) -> bool:

@@ -231,7 +231,7 @@ def test_cli_verify_all_exits_zero(capsys):
 
 # sha256 of `graphsym verify --all --json`; a change that moves a report
 # updates it and names the report
-VERIFY_ALL_JSON_SHA256 = "cc183125b487bdeb210c2081db49a01e5ceec94265fd24a78542719f00ad02b5"
+VERIFY_ALL_JSON_SHA256 = "be434bf8f0a4b954d2899f9b2549ed4b7c2f8ca79a969fa3f5f5e6aef81ec296"
 
 
 def test_verify_all_json_is_pinned(capsys):

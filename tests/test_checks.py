@@ -26,6 +26,7 @@ from graphsym import (
     check_traceable_index,
     complete,
     cycle,
+    default_corpus,
     distinguishing_index,
     distinguishing_number,
     graph_name,
@@ -366,6 +367,35 @@ def test_run_all_builds_each_product_once(monkeypatch):
         built["strong"].clear()
         assert check_lift(path(3), path(4)).passed
         assert built["strong"] == [(path(3), path(4))]
+
+
+def test_run_all_builds_no_product_over_the_size_gates(monkeypatch):
+    # every check tests its factor hypotheses and its size gate before it
+    # builds a product, so no product over the automorphism bound is built
+    orders = []
+    for name, build in (("strong_product", strong_product),
+                        ("cartesian_product", cartesian_product)):
+        def recording(g, h, build=build):
+            orders.append(g.n * h.n)
+            return build(g, h)
+
+        monkeypatch.setattr(graphsym.checks, name, recording)
+    run_all(default_corpus())
+    assert orders and max(orders) <= DEFAULT_BUDGETS.aut_vertices
+
+
+def test_index_checks_share_their_product_hypotheses():
+    # over budget, both index checks carry only the factor hypotheses; in
+    # budget, the product hypotheses follow them
+    factors = ["G connected", "H connected"]
+    over = check_index_monotone(path(3), cycle(7))
+    assert over.status == "not-applicable" and "budget" in over.notes[0]
+    assert over.hypotheses == check_lift(path(3), cycle(7)).hypotheses
+    assert list(over.hypotheses) == factors
+    spans = factors + ["cartesian spans strong"]
+    assert list(check_index_monotone(path(3), path(4)).hypotheses) == spans
+    assert list(check_lift(path(3), path(4)).hypotheses) == spans + [
+        "Aut(strong) subgroup of Aut(cartesian)"]
 
 
 def test_direct_check_calls_retain_nothing(monkeypatch):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import graphsym.checks
 import graphsym.cli
 import graphsym.formats
 from graphsym import (
@@ -116,6 +117,39 @@ def test_verify_corpus_of_k1(capsys, tmp_path):
     doc = json.loads(out)
     assert len(doc["reports"]) == 9
     assert doc["counts"] == {"pass": 4, "fail": 0, "not-applicable": 5}
+
+
+@pytest.mark.parametrize("text, counts", [
+    pytest.param("?\n", {"pass": 0, "fail": 0, "not-applicable": 9}, id="null"),
+    pytest.param("P3\n?\n", {"pass": 8, "fail": 0, "not-applicable": 19}, id="P3-and-null"),
+])
+def test_verify_corpus_with_the_null_graph(capsys, tmp_path, text, counts):
+    # "?" is graph6 for the 0-vertex graph, which is not connected, so every
+    # check on it ends "hypothesis failed"
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(text)
+    code, out, err = run(capsys, ["verify", "--corpus", str(corpus), "--json"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["counts"] == counts
+    assert all(r["notes"] == ["hypothesis failed"]
+               for r in doc["reports"] if "K0" in r["instance"])
+
+
+def test_verify_corpus_of_p400_builds_no_product(capsys, monkeypatch, tmp_path):
+    # P400 x P400 has 160,000 vertices: every size gate refuses it, and no
+    # hypothesis stage builds it before the gate
+    def refuse(g, h):
+        raise AssertionError(f"asked to build a product of {g.n * h.n} vertices")
+
+    for name in ("strong_product", "cartesian_product"):
+        monkeypatch.setattr(graphsym.checks, name, refuse)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("P400\n")
+    code, out, err = run(capsys, ["verify", "--corpus", str(corpus), "--json"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["counts"] == {"pass": 0, "fail": 0, "not-applicable": 9}
 
 
 @pytest.mark.parametrize("line", [

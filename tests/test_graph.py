@@ -73,6 +73,7 @@ def test_is_connected():
     assert is_connected(path(5))
     assert not is_connected(Graph.from_edges(4, [(0, 1), (2, 3)]))
     assert is_connected(complete(1))
+    assert not is_connected(Graph(0, ()))  # the null graph has no component
 
 
 def test_constructor_validation():

@@ -306,7 +306,7 @@ def test_coset_representatives_follow_the_stabilizer_chain():
     graphs += list(_random_graphs(80, seed=23))
     for g in graphs:
         pairs = []
-        for v, p in _coset_representatives(g):
+        for v, p in _coset_representatives(g, g.n):
             assert is_automorphism(g, p) and p[:v] == identity(g.n)[:v], g
             pairs.append((v, p[v]))
         assert pairs == _reference_chain(g), g
