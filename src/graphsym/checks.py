@@ -394,11 +394,10 @@ def check_power_number(
     return _decide(POWER_NUMBER, instance, hyps, _aut_note(order, run.budgets, "power"), body)
 
 
-def _sequence_hypotheses(g: Graph, h: Graph) -> dict[str, bool]:
-    hyps = _thin_prime(g, h)
-    if all(hyps.values()):
-        hyps["G and H non-isomorphic"] = not is_isomorphic(g, h)
-    return hyps
+def _non_isomorphic(run: _Run, g: Graph, h: Graph) -> dict[str, bool]:
+    """The late hypothesis of the sequence check: the isomorphism search
+    has no budget, so it waits for the size gate."""
+    return {"G and H non-isomorphic": not is_isomorphic(g, h)}
 
 
 def _sequence_size_gate(budgets: Budgets, g: Graph, h: Graph) -> Optional[str]:
@@ -406,7 +405,7 @@ def _sequence_size_gate(budgets: Budgets, g: Graph, h: Graph) -> Optional[str]:
         _INEXACT_FACTOR if g.n > budgets.exact_vertices else None)
 
 
-@_pairwise(SEQUENCE_LABELING, _sequence_hypotheses, _sequence_size_gate)
+@_pairwise(SEQUENCE_LABELING, _thin_prime, _sequence_size_gate, late=_non_isomorphic)
 def sequence_labeling(run: _Run, g: Graph, h: Graph, report) -> BoundReport:
     """Label the copies of g inside the strong product with distinct label
     sequences and verify the advertised label count; a decided report

@@ -284,6 +284,42 @@ def _normalize_labels(labels: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return tuple(out), len(seen)
 
 
+def _row_masks(
+    size: int, rows: Sequence[tuple[int, ...]]
+) -> tuple[list[dict[int, int]], list[int]]:
+    """The row bitmasks of _exhaustive_minimum, in which bit t is row t.
+
+    ties[k][j], j < k: the rows mapping j to k or k to j (only nonzero
+    masks are kept); settled[k]: the rows whose largest moved position is
+    k, with a row that moves nothing counted at 0.
+
+    Built from columns: column i, the images of position i down the rows,
+    becomes a str of one character per row, last row first, and
+    translating it by a table with "1" at k and "0" elsewhere spells the
+    mask of the rows mapping i to k in binary.  A str, not bytes, so
+    that positions past 255 are characters too.
+    """
+    full = (1 << len(rows)) - 1
+    ties: list[dict[int, int]] = [{} for _ in range(size)]
+    moved = [full] * size
+    for i, col in enumerate(zip(*reversed(rows))):
+        text = "".join(map(chr, col))
+        for k in set(col):
+            mask = int(text.translate("0" * k + "1" + "0" * (size - 1 - k)), 2)
+            if k == i:
+                moved[i] = full ^ mask
+            else:
+                hi, lo = max(i, k), min(i, k)
+                ties[hi][lo] = ties[hi].get(lo, 0) | mask
+    # a row is settled at its last moved position; one moving nothing at 0
+    settled = [0] * size
+    later = 0
+    for k in range(size - 1, -1, -1):
+        settled[k] = (moved[k] if k else full) & ~later
+        later |= moved[k]
+    return ties, settled
+
+
 def _exhaustive_minimum(
     size: int, rows: Sequence[tuple[int, ...]], start: int
 ) -> tuple[int, tuple[int, ...]]:
@@ -294,27 +330,18 @@ def _exhaustive_minimum(
     labels whose first occurrences increase (one per palette renaming),
     lexicographically.  Backtracking labels positions left to right and
     keeps a bitmask of the live rows, those the prefix has not broken: a
-    row is broken once some i and row[i] are both labeled and differ.  A
-    live row whose moved positions are all labeled preserves every
-    completion, which cuts the branch.  The search starts at r = start,
-    a lower bound on the answer.
+    row is broken once some i and row[i] are both labeled and differ.
+    Labeling position k with a label breaks the rows of ties[k][j] for
+    each earlier j labeled otherwise.  A live row of settled[k], whose
+    moved positions are all labeled once k is, preserves every
+    completion, which cuts the branch.  _row_masks builds both tables a
+    column at a time, at C speed, before the search.  The search starts
+    at r = start, a lower bound on the answer.
 
     Requires that no row fixes every position, so that the all-distinct
     assignment is distinguishing and the search terminates at r = size.
     """
-    # ties[k][j], j < k: bitmask of the rows mapping j to k or k to j;
-    # settled[k]: bitmask of the rows whose largest moved position is k
-    ties: list[dict[int, int]] = [{} for _ in range(size)]
-    settled = [0] * size
-    for t, row in enumerate(rows):
-        bit = 1 << t
-        last = 0
-        for i, j in enumerate(row):
-            if i != j:
-                last = i
-                hi, lo = max(i, j), min(i, j)
-                ties[hi][lo] = ties[hi].get(lo, 0) | bit
-        settled[last] |= bit
+    ties, settled = _row_masks(size, rows)
     # labels[k]: the label tried last at position k (0: none yet);
     # used[k], live[k]: the label count and the live rows of the prefix 0..k-1
     labels = [0] * size

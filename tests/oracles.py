@@ -9,15 +9,18 @@ enumerates one labeling per palette renaming in the library's canonical
 order; reference_automorphisms, the recursive enumerator that listed
 every automorphism in lexicographic order; reference_preserving_row,
 the linear stabilizer test that checks every row in list order;
-reference_parse_graph6, the graph6 reader that stepped through every
-character, whose error messages the library's reader must reproduce;
-reference_validate, the Graph constructor's former validator, which
-tested symmetry by scanning neighbour tuples; reference_from_edges, the
-former Graph.from_edges, which handed its rows to the validating
+reference_row_masks, the exhaustive search's table build, one row at a
+time; reference_parse_graph6, the graph6 reader that stepped through
+every character, whose error messages the library's reader must
+reproduce; reference_validate, the Graph constructor's former validator,
+which tested symmetry by scanning neighbour tuples; reference_from_edges,
+the former Graph.from_edges, which handed its rows to the validating
 constructor; reference_product, the former products built from edge
-lists; and reference_parse_edgelist, the former line-by-line edge-list
-reader.  The former readers and products build their graphs through
-reference_from_edges, so every graph they return passed the validator.
+lists; reference_parse_edgelist, the former line-by-line edge-list
+reader; and reference_detect_format, the former format guess, which
+split the whole text into lines.  The former readers and products build
+their graphs through reference_from_edges, so every graph they return
+passed the validator.
 Deliberately slow and only usable on tiny graphs.
 """
 
@@ -136,6 +139,25 @@ def reference_preserving_row(labels, rows):
         else:
             return row
     return None
+
+
+def reference_row_masks(size: int, rows):
+    """The library's former build of _exhaustive_minimum's tables, one row
+    at a time: ties[k][j], j < k, the bitmask of the rows mapping j to k or
+    k to j; settled[k], those whose largest moved position is k (0 for a
+    row moving nothing)."""
+    ties: list[dict[int, int]] = [{} for _ in range(size)]
+    settled = [0] * size
+    for t, row in enumerate(rows):
+        bit = 1 << t
+        last = 0
+        for i, j in enumerate(row):
+            if i != j:
+                last = i
+                hi, lo = max(i, j), min(i, j)
+                ties[hi][lo] = ties[hi].get(lo, 0) | bit
+        settled[last] |= bit
+    return ties, settled
 
 
 def reference_parse_graph6(text: str | bytes) -> Graph:
@@ -272,6 +294,25 @@ def reference_parse_edgelist(text: str | bytes) -> Graph:
         seen.add(key)
         edges.append(key)
     return reference_from_edges(n, edges)
+
+
+def reference_detect_format(text: str | bytes) -> str:
+    """The library's former detect_format, unchanged: every line of the
+    text is split off before the first one is read."""
+    if isinstance(text, bytes):
+        text = text.decode("ascii", errors="replace")
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if _LONG_NUMBER.fullmatch(line):
+            return "edgelist"
+        try:
+            int(line)
+            return "edgelist"
+        except ValueError:
+            return "graph6"
+    return "graph6"
 
 
 def reference_validate(n, adj) -> None:

@@ -231,7 +231,7 @@ def test_cli_verify_all_exits_zero(capsys):
 
 # sha256 of `graphsym verify --all --json`; a change that moves a report
 # updates it and names the report
-VERIFY_ALL_JSON_SHA256 = "be434bf8f0a4b954d2899f9b2549ed4b7c2f8ca79a969fa3f5f5e6aef81ec296"
+VERIFY_ALL_JSON_SHA256 = "961b4f4f83cfd1c1276e87e8a29e681875754fbc9defb08bffaef092fd28c7e9"
 
 
 def test_verify_all_json_is_pinned(capsys):

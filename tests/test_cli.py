@@ -1,7 +1,9 @@
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import graphsym.checks
 import graphsym.cli
 import graphsym.formats
 from graphsym import (
-    DEFAULT_BUDGETS, Budgets, cycle, parse_graph6, path, serialize_edgelist,
+    DEFAULT_BUDGETS, Budgets, Graph, cycle, parse_graph6, path, serialize_edgelist,
     serialize_graph6, strong_product,
 )
 from graphsym.cli import dispatch
@@ -150,6 +152,30 @@ def test_verify_corpus_of_p400_builds_no_product(capsys, monkeypatch, tmp_path):
     assert (code, err) == (0, "")
     doc = json.loads(out)
     assert doc["counts"] == {"pass": 0, "fail": 0, "not-applicable": 9}
+
+
+def test_verify_corpus_of_relabelled_trees_runs_no_isomorphism_search(
+        capsys, monkeypatch, tmp_path):
+    # a random 100-vertex tree and a vertex-shuffled copy: the isomorphism
+    # search takes over 25 s on them, and every product of the pair is over
+    # the size gates, so the sequence check must not start it
+    rng = random.Random(5)
+    tree = Graph.from_edges(100, [(rng.randrange(v), v) for v in range(1, 100)])
+    perm = list(range(100))
+    rng.shuffle(perm)
+    copy = Graph.from_edges(100, [(perm[u], perm[v]) for u, v in tree.edges])
+
+    def refuse(g, h):
+        raise AssertionError("isomorphism test run before the size gate")
+
+    monkeypatch.setattr(graphsym.checks, "is_isomorphic", refuse)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(serialize_graph6(tree) + "\n" + serialize_graph6(copy) + "\n")
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, ["verify", "--corpus", str(corpus), "--json"])
+    assert time.perf_counter() - t0 < 5
+    assert (code, err) == (0, "")
+    assert json.loads(out)["counts"] == {"pass": 0, "fail": 0, "not-applicable": 27}
 
 
 @pytest.mark.parametrize("line", [

@@ -28,8 +28,10 @@ from graphsym import (
 )
 from graphsym.distinguishing import (
     _edge_rows,
+    _exhaustive_minimum,
     _prefix_index,
     _preserving_row,
+    _row_masks,
     _transposition_class_bound,
     _vertex_rows,
 )
@@ -41,6 +43,7 @@ from oracles import (
     naive_distinguishing_number,
     reference_minimum,
     reference_preserving_row,
+    reference_row_masks,
     vertex_rows,
 )
 from test_acceptance import criterion
@@ -400,6 +403,33 @@ def test_indexed_scan_returns_the_reference_row():
             assert _preserving_row(labels, rows) == expected
             outcomes[expected is None] += 1
     assert min(outcomes.values()) > 1000  # both distinguishing and preserved labelings
+
+
+def test_row_masks_match_the_row_by_row_build():
+    count = 0
+    for rows in _stabilizer_test_cases():
+        if rows:
+            size = len(rows[0])
+            assert _row_masks(size, rows) == reference_row_masks(size, rows)
+            count += 1
+    assert count > 80
+    # a row moving nothing is settled at position 0
+    rows = [(1, 0, 2), (0, 1, 2), (0, 2, 1)]
+    assert _row_masks(3, rows) == reference_row_masks(3, rows) == ([{}, {0: 1}, {1: 4}], [2, 1, 4])
+
+
+@pytest.mark.parametrize("size", [136, 300])
+def test_row_masks_past_the_ascii_and_byte_ranges(size):
+    # groups with D = 2 moved onto the last positions, so that both searches
+    # find the witness among the first strings: positions 128 and up are
+    # non-ASCII characters, 256 and up do not fit in a byte
+    for rows in (vertex_rows(cycle(8)), vertex_rows(path(6)), edge_rows(cycle(7))):
+        shift = size - len(rows[0])
+        wide = [tuple(range(shift)) + tuple(shift + j for j in row) for row in rows]
+        assert _row_masks(size, wide) == reference_row_masks(size, wide)
+        value, labels = reference_minimum(size, wide)
+        assert _exhaustive_minimum(size, wide, 2) == (value, labels)
+        assert value == 2 and labels[:shift] == (1,) * shift
 
 
 def test_certified_lower_bound_is_the_transposition_class_bound():

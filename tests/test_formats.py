@@ -19,8 +19,8 @@ from graphsym import (
     serialize_graph6,
     strong_product,
 )
-from graphsym.formats import GRAPH6_HEADER, detect_format
-from oracles import reference_parse_edgelist, reference_parse_graph6
+from graphsym.formats import GRAPH6_HEADER, _lines, detect_format
+from oracles import reference_detect_format, reference_parse_edgelist, reference_parse_graph6
 from test_acceptance import criterion
 
 
@@ -102,6 +102,24 @@ def test_overlong_count_line_is_an_edge_list():
         parse_auto(text)
     assert "99" not in str(err.value)
     assert parse_edgelist("0000005\n").n == 5
+
+
+# every line boundary of str.splitlines, and line contents that are blank,
+# commented, integers or not
+_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_PIECES = ["", " ", "\t", "#", "# 12", "7", " 12 ", "+3", "-0", "1_0", "D?{", "3 # x", "9" * 7,
+           "\u0663", "a", "\x00"]
+_LINE_TEXT = st.sampled_from(_PIECES) | st.text(max_size=3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_LINE_TEXT, st.sampled_from(_BREAKS)), max_size=8), _LINE_TEXT)
+def test_detect_format_matches_the_reference(lines, last):
+    text = "".join(piece + end for piece, end in lines) + last
+    assert list(_lines(text)) == text.splitlines()
+    assert detect_format(text) == reference_detect_format(text)
+    data = text.encode("utf-8")
+    assert detect_format(data) == reference_detect_format(data)
 
 
 def test_overlong_vertex_index_is_out_of_range():
