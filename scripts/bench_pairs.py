@@ -3,16 +3,18 @@ and write the record as a BENCH_*.json file.
 
 Usage, from the root of a checkout:
 
-    python3 scripts/bench_pairs.py --out BENCH_16.json --seconds 35 \\
-        --workload verify-default 2601-2610 --workload query-mix 2701-2705 \\
+    python3 scripts/bench_pairs.py --out BENCH_16.json --parent HEAD~1 \\
+        --seconds 35 --workload verify-default 2601-2610 \\
+        --workload query-mix 2701-2705 \\
         --change "what the change does" --claim "the gain it claims, or none"
 
-The parent (``--parent``, default HEAD) is exported with ``git archive``
-into a temporary directory, which is deleted afterwards, so the run leaves
-nothing in the repository.  The change is the working tree as it stands,
-uncommitted edits included.  perfbench/run.py runs unchanged, from each
-side's own checkout, with ``--trace 0``; the last line of its stdout is
-the run's result.
+The parent (``--parent``, a commit) is exported with ``git archive`` and
+``tar`` into a temporary directory, which is deleted afterwards, so the run
+leaves nothing in the repository.  The change is the working tree as it
+stands, uncommitted edits included; the script refuses to run when its
+tracked files do not differ from the parent's.  perfbench/run.py runs
+unchanged, from each side's own checkout, with ``--trace 0``; the last
+line of its stdout is the run's result.
 
 Each seed is one pair: both sides run on it, one after the other.  The
 side that runs first alternates from pair to pair, the parent first on
@@ -29,14 +31,12 @@ BENCHMARK.json gives.  The notes say the same in one line per workload.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
@@ -120,8 +120,7 @@ def export(rev: str, dest: Path) -> str:
     sha = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"], cwd=ROOT,
                          check=True, capture_output=True, text=True).stdout.strip()
     tar = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True, capture_output=True)
-    with tarfile.open(fileobj=io.BytesIO(tar.stdout)) as archive:
-        archive.extractall(dest, filter="data")
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=tar.stdout, check=True)
     return sha
 
 
@@ -144,16 +143,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", nargs=2, action="append", required=True,
                         metavar=("NAME", "SEEDS"), help='a workload and its seeds, "a-b" or "a,b"')
     parser.add_argument("--seconds", type=float, default=35)
-    parser.add_argument("--parent", default="HEAD")
+    parser.add_argument("--parent", required=True, help="the commit to compare with")
     parser.add_argument("--change", required=True, help="what the working tree changes")
     parser.add_argument("--claim", required=True, help="the gain claimed, or none")
-    parser.add_argument("--note", action="append", default=[], help="a note to add")
     args = parser.parse_args(argv)
 
     better = metric_directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench_parent_") as tmp:
         parent_sha = export(args.parent, Path(tmp))
+        if subprocess.run(["git", "diff", "--quiet", parent_sha], cwd=ROOT).returncode == 0:
+            raise SystemExit(f"error: the working tree does not differ from {args.parent}")
         roots = {"parent": Path(tmp), "change": ROOT}
         for workload, seeds in args.workload:
             for pair, seed in enumerate(parse_seeds(seeds)):
@@ -176,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
                    "the other; 'first' names the side that ran first, alternating by pair",
         "seeds": ", ".join(f"{w} {s}" for w, s in args.workload),
         "claim": args.claim,
-        "notes": args.note + [describe(w, entry) for w, entry in summary.items()],
+        "notes": [describe(w, entry) for w, entry in summary.items()],
         "runs": runs,
         "summary": summary,
     }

@@ -31,8 +31,6 @@ _MAX_COUNT = 258047
 # a vertex count or index with more significant digits than _MAX_COUNT, which
 # is out of range whatever its digits; int() refuses one of more than 4,300 digits
 _LONG_NUMBER = re.compile(r"[+-]?0*[1-9][0-9]{%d,}" % len(str(_MAX_COUNT)))
-# the characters str.splitlines ends a line at; "\r\n" ends one line
-_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # a string of graph6 characters, chr(63)..chr(126)
 _GRAPH6_TEXT = re.compile(r"[?-~]+")
 # a six-bit group with at least one bit set, and the offsets of its set bits
@@ -225,43 +223,39 @@ def parse_edgelist(text: str | bytes) -> Graph:
     return graph if graph is not None else _parse_edgelist_lines(text)
 
 
-def _lines(text: str):
-    """The lines of str.splitlines(text), one at a time.  Each break
-    character is found with str.find, and searched for again only once
-    the lines read have passed it, so no stretch of the text is searched
-    twice for the same character."""
-    ahead = dict.fromkeys(_BREAKS, -1)
-    pos = 0
-    while pos < len(text):
-        for ch, at in ahead.items():
-            if at < pos:
-                at = text.find(ch, pos)
-                ahead[ch] = len(text) if at < 0 else at
-        end = min(ahead.values())
-        yield text[pos:end]
-        pos = end + (2 if text.startswith("\r\n", end) else 1)
-
-
 def detect_format(text: str | bytes) -> str:
     """Guess the format: an integer first line means edge list, else graph6.
 
-    Only the lines up to the first that is neither blank nor a comment
-    are read; they are the lines str.splitlines gives.
+    The first line of str.splitlines that is neither blank nor a comment
+    decides.  The lines are split off a prefix of the text that grows
+    fourfold until they reach it, and a line that cannot begin an integer
+    decides before its end is read: a graph6 line can be the whole text.
     """
     if isinstance(text, bytes):
         text = text.decode("ascii", errors="replace")
-    for raw in _lines(text):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if _LONG_NUMBER.fullmatch(line):
-            return "edgelist"
-        try:
-            int(line)
-            return "edgelist"
-        except ValueError:
+    size = 256
+    while True:
+        lines = text[:size].splitlines()
+        cut = size < len(text)  # then the last line may run on past the prefix
+        for i, raw in enumerate(lines):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            # int() reads a sign or a decimal digit first, after the strip
+            if line[0] not in "+-" and not line[0].isdecimal():
+                return "graph6"
+            if cut and i == len(lines) - 1:
+                break
+            if _LONG_NUMBER.fullmatch(line):
+                return "edgelist"
+            try:
+                int(line)
+                return "edgelist"
+            except ValueError:
+                return "graph6"
+        if not cut:
             return "graph6"
-    return "graph6"
+        size *= 4
 
 
 def parse_auto(text: str | bytes) -> Graph:

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -83,3 +84,15 @@ def test_seeds_and_directions():
     directions = bench.metric_directions(benchmark)
     assert directions["cpu_s"] == "lower" and directions["ops_per_s"] == "higher"
     assert len(directions) == len(benchmark["end_to_end"])
+
+
+def _git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+
+
+@pytest.mark.skipif(_git("rev-parse", "HEAD").returncode != 0, reason="not a git checkout")
+def test_export_writes_the_commit_files(tmp_path):
+    sha = _bench().export("HEAD", tmp_path)
+    assert sha == _git("rev-parse", "HEAD").stdout.strip()
+    assert (tmp_path / "pyproject.toml").read_text() == _git("show", "HEAD:pyproject.toml").stdout
+    assert (tmp_path / "perfbench" / "run.py").is_file()

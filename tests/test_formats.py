@@ -19,7 +19,7 @@ from graphsym import (
     serialize_graph6,
     strong_product,
 )
-from graphsym.formats import GRAPH6_HEADER, _lines, detect_format
+from graphsym.formats import GRAPH6_HEADER, detect_format
 from oracles import reference_detect_format, reference_parse_edgelist, reference_parse_graph6
 from test_acceptance import criterion
 
@@ -94,6 +94,14 @@ def test_detect_format():
     assert parse_auto("D?{") == parse_graph6("D?{")
 
 
+def test_detect_format_across_the_prefix_cut():
+    assert detect_format("#" * 255 + "\r\n5\n") == "edgelist"
+    assert detect_format("#" * 2000 + "\n 3 \n0 1") == "edgelist"
+    assert detect_format("3" + " " * 2000 + "#\n") == "edgelist"
+    assert detect_format("3" + " " * 2000 + "4\n") == "graph6"
+    assert detect_format("\n" * 300 + "D?{" * 1000) == "graph6"
+
+
 def test_overlong_count_line_is_an_edge_list():
     # int() refuses more than 4,300 digits; the count is refused by its length
     text = "9" * 5000 + "\n"
@@ -105,10 +113,12 @@ def test_overlong_count_line_is_an_edge_list():
 
 
 # every line boundary of str.splitlines, and line contents that are blank,
-# commented, integers or not
+# commented, integers or not; the long ones put detect_format's prefix cut
+# inside a line, or a line past it
 _BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 _PIECES = ["", " ", "\t", "#", "# 12", "7", " 12 ", "+3", "-0", "1_0", "D?{", "3 # x", "9" * 7,
-           "\u0663", "a", "\x00"]
+           "\u0663", "\u00b2", "a", "\x00", " " * 300, "#" * 300, "5" + " " * 300,
+           "1" + " " * 300 + "2", "-" + "0" * 300, "D" * 300, "9" * 5000]
 _LINE_TEXT = st.sampled_from(_PIECES) | st.text(max_size=3)
 
 
@@ -116,7 +126,6 @@ _LINE_TEXT = st.sampled_from(_PIECES) | st.text(max_size=3)
 @given(st.lists(st.tuples(_LINE_TEXT, st.sampled_from(_BREAKS)), max_size=8), _LINE_TEXT)
 def test_detect_format_matches_the_reference(lines, last):
     text = "".join(piece + end for piece, end in lines) + last
-    assert list(_lines(text)) == text.splitlines()
     assert detect_format(text) == reference_detect_format(text)
     data = text.encode("utf-8")
     assert detect_format(data) == reference_detect_format(data)
