@@ -518,7 +518,7 @@ def lift_edge_labeling(
     for e in g.edges:
         if e not in lifted:
             lifted[e] = 1
-    return EdgeLabeling(lifted, max(labeling.r, 1))
+    return EdgeLabeling(lifted, labeling.r)
 
 
 def _spans(run: _Run, g: Graph, h: Graph) -> dict[str, bool]:

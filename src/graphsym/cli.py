@@ -19,6 +19,9 @@ from dataclasses import fields, replace
 from typing import Optional
 
 from .checks import (
+    FAIL,
+    NOT_APPLICABLE,
+    PASS,
     all_applicable_pass,
     default_corpus,
     graph_name,
@@ -225,13 +228,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         reports = run_all(default_corpus(), budgets)
     passed = all_applicable_pass(reports)
-    counts = {s: sum(r.status == s for r in reports) for s in ("pass", "fail", "not-applicable")}
+    counts = {s: sum(r.status == s for r in reports) for s in (PASS, FAIL, NOT_APPLICABLE)}
     lines = []
     for r in reports:
         notes = f"  ({'; '.join(r.notes)})" if r.notes else ""
         lines.append(f"[{r.status.upper():>14}] {r.check}: {r.instance}{notes}")
-    lines.append(f"checks: {counts['pass']} pass, {counts['fail']} fail, "
-                 f"{counts['not-applicable']} not applicable")
+    lines.append(f"checks: {counts[PASS]} pass, {counts[FAIL]} fail, "
+                 f"{counts[NOT_APPLICABLE]} not applicable")
     lines.append(f"result: {'PASS' if passed else 'FAIL'}")
     payload = {"passed": passed, "counts": counts,
                "reports": [r.to_json_dict() for r in reports]}

@@ -197,58 +197,22 @@ def _edge_rows(graph: Graph, group: AutomorphismGroup) -> list[tuple[int, ...]]:
     return out
 
 
-def _prefix_index(rows: Sequence[tuple[int, ...]]) -> tuple[list[int], list[int]]:
-    """The prefix index of the rows, for _preserving_row.
-
-    lcp[k] is the length of the common prefix of rows k and k + 1 (0 for
-    the last row); after[k] is the first k' > k with lcp[k'] < lcp[k]
-    (len(rows) if none), so the rows k + 1 .. after[k] all share the first
-    lcp[k] positions of row k.
-    """
-    lcp = [0] * len(rows)
-    for k in range(len(rows) - 1):
-        a, b = rows[k], rows[k + 1]
-        i = 0
-        while i < len(a) and a[i] == b[i]:
-            i += 1
-        lcp[k] = i
-    after = [len(rows)] * len(rows)
-    stack: list[int] = []
-    for k, depth in enumerate(lcp):
-        while stack and lcp[stack[-1]] > depth:
-            after[stack.pop()] = k
-        stack.append(k)
-    return lcp, after
-
-
 def _preserving_row(
-    labels: Sequence[int],
-    rows: Sequence[tuple[int, ...]],
-    index: Optional[tuple[list[int], list[int]]] = None,
+    labels: Sequence[int], rows: Sequence[tuple[int, ...]]
 ) -> Optional[tuple[int, ...]]:
     """The first row (a permutation of label positions) preserving all labels, if any.
 
-    A row that first fails at position i fails there because of its
-    positions 0..i alone, so every row sharing them fails at i too.  With
-    the _prefix_index of the rows, the scan skips the block of following
-    rows whose common prefix with the failed row is longer than i, by
-    following the next-smaller pointers after[k] to the first k with
-    lcp[k] <= i; without it, each row is its own block.  Either way the
-    result is the first preserving row in list order.
+    A plain scan, each row abandoned at its first position whose image
+    carries another label.  It serves is_distinguishing_vertex and
+    is_distinguishing_edge, and the randomized search until its first
+    repair step, which switches the search to _unbroken_row.
     """
-    t, end = 0, len(rows)
-    while t < end:
-        row = rows[t]
+    for row in rows:
         for i, lab in enumerate(labels):
             if labels[row[i]] != lab:
                 break
         else:
             return row
-        if index is not None:
-            lcp, after = index
-            while lcp[t] > i:
-                t = after[t]
-        t += 1
     return None
 
 
@@ -287,7 +251,7 @@ def _normalize_labels(labels: Sequence[int]) -> tuple[tuple[int, ...], int]:
 def _row_masks(
     size: int, rows: Sequence[tuple[int, ...]]
 ) -> tuple[list[dict[int, int]], list[int]]:
-    """The row bitmasks of _exhaustive_minimum, in which bit t is row t.
+    """The row bitmasks of both labeling searches, in which bit t is row t.
 
     ties[k][j], j < k: the rows mapping j to k or k to j (only nonzero
     masks are kept); settled[k]: the rows whose largest moved position is
@@ -320,6 +284,34 @@ def _row_masks(
     return ties, settled
 
 
+def _tie_pairs(size: int, rows: Sequence[tuple[int, ...]]) -> list[tuple[int, int, int]]:
+    """The ties table of _row_masks as one list of (k, j, ties[k][j]) triples."""
+    ties, _ = _row_masks(size, rows)
+    return [(k, j, mask) for k, tie in enumerate(ties) for j, mask in tie.items()]
+
+
+def _unbroken_row(
+    labels: Sequence[int],
+    rows: Sequence[tuple[int, ...]],
+    pairs: Sequence[tuple[int, int, int]],
+) -> Optional[tuple[int, ...]]:
+    """The row _preserving_row returns, read off the _tie_pairs of the rows.
+
+    A row is broken when it ties two positions with different labels,
+    that is when it is in the mask of a pair (k, j) with labels[k] !=
+    labels[j], and preserves the labels otherwise.  The OR of those masks
+    is the set of broken rows; its lowest zero bit is the first row not
+    broken, or len(rows) when every row is.  Unlike the scan, the test
+    walks every pair: it has no early exit.
+    """
+    broken = 0
+    for k, j, mask in pairs:
+        if labels[k] != labels[j]:
+            broken |= mask
+    t = (~broken & (broken + 1)).bit_length() - 1
+    return rows[t] if t < len(rows) else None
+
+
 def _exhaustive_minimum(
     size: int, rows: Sequence[tuple[int, ...]], start: int
 ) -> tuple[int, tuple[int, ...]]:
@@ -335,8 +327,9 @@ def _exhaustive_minimum(
     each earlier j labeled otherwise.  A live row of settled[k], whose
     moved positions are all labeled once k is, preserves every
     completion, which cuts the branch.  _row_masks builds both tables a
-    column at a time, at C speed, before the search.  The search starts
-    at r = start, a lower bound on the answer.
+    column at a time, at C speed, before the search; the randomized
+    search reads the same ties.  The search starts at r = start, a lower
+    bound on the answer.
 
     Requires that no row fixes every position, so that the all-distinct
     assignment is distinguishing and the search terminates at r = size.
@@ -384,15 +377,14 @@ def _randomized_minimum(
     afresh per label count r, from r = start up.  At r = size the
     all-distinct labeling is tried first, which guarantees termination.
 
-    The first repair step builds the _prefix_index of the rows, and every
-    later stabilizer test uses it to skip whole blocks of rows that share
-    the prefix on which a row failed; a search whose first labeling is
-    distinguishing builds none.  The test still returns the first
-    preserving row, so the repair steps and the random trajectory do not
-    depend on the index.
+    The first repair step builds the tie masks of _row_masks, and every
+    later stabilizer test reads them through _unbroken_row: most searches
+    find a distinguishing labeling at once and build none.  Both tests
+    return the first preserving row, so the repair steps and the random
+    trajectory do not depend on which one ran.
     """
     rng = random.Random(budgets.seed)
-    index = None
+    pairs: Optional[list[tuple[int, int, int]]] = None
     for r in range(start, size + 1):
         trials = 0
         pending: list[list[int]] = []
@@ -401,16 +393,19 @@ def _randomized_minimum(
         while trials < budgets.trials or pending:
             labels = pending.pop() if pending else [rng.randint(1, r) for _ in range(size)]
             trials += 1
-            row = _preserving_row(labels, rows, index)
+            if pairs is None:
+                row = _preserving_row(labels, rows)
+            else:
+                row = _unbroken_row(labels, rows, pairs)
             steps = 0
             while row is not None and trials < budgets.trials and steps < 2 * size:
-                if index is None:
-                    index = _prefix_index(rows)
+                if pairs is None:
+                    pairs = _tie_pairs(size, rows)
                 moved = next(i for i in range(size) if row[i] != i)
                 labels[moved] = labels[moved] % r + 1
                 trials += 1
                 steps += 1
-                row = _preserving_row(labels, rows, index)
+                row = _unbroken_row(labels, rows, pairs)
             if row is None:
                 normalized, distinct = _normalize_labels(labels)
                 return distinct, normalized

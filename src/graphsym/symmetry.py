@@ -275,6 +275,9 @@ def find_isomorphism(g: Graph, h: Graph) -> Optional[Permutation]:
     """Backtracking search for a vertex bijection g -> h mapping edges onto edges.
 
     Returns the first isomorphism found (lexicographic image order) or None.
+    The search has no budget: it branches on degree alone, so it can take
+    exponential time, as on a random 100-vertex tree and a relabelled copy
+    of it: over 20 s on a 2-core Xeon VM.
     """
     if g.n != h.n or g.edge_count != h.edge_count:
         return None
@@ -284,4 +287,7 @@ def find_isomorphism(g: Graph, h: Graph) -> Optional[Permutation]:
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
+    """Whether find_isomorphism finds an isomorphism g -> h.  Like that
+    search it has no budget, and can take exponential time on relabelled
+    trees."""
     return find_isomorphism(g, h) is not None

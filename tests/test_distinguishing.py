@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import itertools
 import json
 import random
@@ -19,6 +20,8 @@ from graphsym import (
     cycle,
     distinguishing_index,
     distinguishing_number,
+    hamiltonian_path_exists,
+    has_nontrivial_automorphism,
     identity,
     is_distinguishing_edge,
     is_distinguishing_vertex,
@@ -29,10 +32,11 @@ from graphsym import (
 from graphsym.distinguishing import (
     _edge_rows,
     _exhaustive_minimum,
-    _prefix_index,
     _preserving_row,
     _row_masks,
+    _tie_pairs,
     _transposition_class_bound,
+    _unbroken_row,
     _vertex_rows,
 )
 from oracles import (
@@ -134,6 +138,16 @@ def test_edge_test_rejects_a_group_that_is_not_of_automorphisms():
         is_distinguishing_edge(p3, fake, labeling)
     with pytest.raises(RuntimeError, match="internal fault"):
         distinguishing_index(p3, group=fake)
+
+
+def test_search_defaults_equal_the_default_budgets():
+    # the searches repeat two Budgets defaults in their keyword signatures
+    def default(search):
+        return inspect.signature(search).parameters["max_vertices"].default
+
+    assert default(automorphism_group) == DEFAULT_BUDGETS.aut_vertices
+    assert default(has_nontrivial_automorphism) == DEFAULT_BUDGETS.aut_vertices
+    assert default(hamiltonian_path_exists) == DEFAULT_BUDGETS.hamiltonian_vertices
 
 
 def test_results_are_exact_with_verified_witness_in_budget():
@@ -378,14 +392,14 @@ def _stabilizer_test_cases():
             yield rows
 
 
-def test_indexed_scan_returns_the_reference_row():
+def test_mask_test_returns_the_reference_row():
     rng = random.Random(8)
     outcomes = {True: 0, False: 0}
     for rows in _stabilizer_test_cases():
         if not rows:
             continue
         size = len(rows[0])
-        index = _prefix_index(rows)
+        pairs = _tie_pairs(size, rows)
         labelings = [[rng.randint(1, r) for _ in range(size)] for r in (2, 3) for _ in range(30)]
         for _ in range(10):
             # preserved by one chosen row, or by several
@@ -395,11 +409,11 @@ def test_indexed_scan_returns_the_reference_row():
             several = rng.sample(rows, min(len(rows), rng.randint(2, 3)))
             labelings.append(_orbit_labels(size, several, rng))
             labelings.append(_orbit_labels(size, several, rng, r=2))
-        # preserved by the last row: a scan that skips too far misses it
+        # preserved by the last row, whose bit is the highest a mask can hold
         labelings.append(_orbit_labels(size, [rows[-1]], rng))
         for labels in labelings:
             expected = reference_preserving_row(labels, rows)
-            assert _preserving_row(labels, rows, index) == expected
+            assert _unbroken_row(labels, rows, pairs) == expected
             assert _preserving_row(labels, rows) == expected
             outcomes[expected is None] += 1
     assert min(outcomes.values()) > 1000  # both distinguishing and preserved labelings
@@ -450,18 +464,6 @@ def test_certified_lower_bound_is_the_transposition_class_bound():
     assert distinguishing_index(complete(2)).is_tight is False
     with pytest.raises(ValueError, match="no bounds"):
         distinguishing_index(complete(2)).bounds
-
-
-def test_prefix_index_definition():
-    g = strong_product(path(2), cycle(8))
-    rows = _vertex_rows(g, automorphism_group(g))
-    lcp, after = _prefix_index(rows)
-    assert len(lcp) == len(after) == len(rows) and lcp[-1] == 0
-    for k in range(len(rows) - 1):
-        a, b = rows[k], rows[k + 1]
-        assert a[:lcp[k]] == b[:lcp[k]] and a[lcp[k]] != b[lcp[k]]
-        nxt = next((j for j in range(k + 1, len(rows)) if lcp[j] < lcp[k]), len(rows))
-        assert after[k] == nxt
 
 
 def test_randomized_search_on_a_product_with_twin_classes():
