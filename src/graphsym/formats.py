@@ -3,11 +3,13 @@
 graph6 is the standard ASCII encoding: a vertex-count header followed by
 the upper triangle of the adjacency matrix packed into 6-bit groups, each
 offset by 63.  The optional ``>>graph6<<`` prefix is accepted on input.
-The reader validates the whole string before it decodes any group, and
-its errors keep one order: whitespace anywhere, then the first character
-out of range, then the vertex count, then the body length.  Only the
-groups with a set bit are visited, and padding bits past the last pair
-are ignored.
+The reader validates the whole string before it decodes any group, with
+one ``bytes.translate`` that deletes every graph6 character, and its
+errors keep one order: whitespace anywhere, then the first character out
+of range, then the vertex count, then the body length.  A second
+``translate`` marks every group with a set bit, ``bytes.find`` jumps from
+one mark to the next, so only those groups are visited, and padding bits
+past the last pair are ignored.
 
 The edge-list format is line oriented: the first non-comment line is the
 vertex count, every following line is ``u v`` with 0-based indices, and
@@ -17,11 +19,13 @@ and ``\n``) is read in one pass over the whole string, with the range,
 self-loop and duplicate checks done on whole lists.  Any other text, and
 any such text that fails a check, is read line by line, and only that
 loop reports errors, so the messages do not depend on the path taken.
+The writer makes one string join per vertex row, not one per edge.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 
 from .graph import Graph
 
@@ -31,11 +35,12 @@ _MAX_COUNT = 258047
 # a vertex count or index with more significant digits than _MAX_COUNT, which
 # is out of range whatever its digits; int() refuses one of more than 4,300 digits
 _LONG_NUMBER = re.compile(r"[+-]?0*[1-9][0-9]{%d,}" % len(str(_MAX_COUNT)))
-# a string of graph6 characters, chr(63)..chr(126)
-_GRAPH6_TEXT = re.compile(r"[?-~]+")
-# a six-bit group with at least one bit set, and the offsets of its set bits
+# the graph6 characters, chr(63)..chr(126), as bytes
+_GRAPH6_BYTES = bytes(range(63, 127))
+# a translate table that maps a six-bit group with at least one bit set to
+# 1 and the empty group "?" to 0; and the offsets of a group's set bits,
 # counted from the most significant one
-_SET_GROUP = re.compile(r"[^?]")
+_MARK_SET_GROUPS = bytes(b != 63 for b in range(256))
 _SET_BITS = tuple(tuple(b for b in range(6) if group & (32 >> b)) for group in range(64))
 # an edge list in the shape serialize_edgelist writes, final newline optional
 _WRITER_EDGELIST = re.compile(r"[0-9]{1,6}(?:\n[0-9]{1,6} [0-9]{1,6})*\n?")
@@ -95,7 +100,9 @@ def parse_graph6(text: str | bytes) -> Graph:
         s = s[len(GRAPH6_HEADER):].strip()
     if not s:
         raise FormatError("empty graph6 string")
-    if not _GRAPH6_TEXT.fullmatch(s):
+    # every character is in "?".."~" when deleting those leaves nothing
+    data = s.encode("ascii") if s.isascii() else None
+    if data is None or data.translate(None, _GRAPH6_BYTES):
         # whitespace anywhere is reported before the first character out of range
         if any(ch.isspace() for ch in s):
             raise FormatError("unexpected whitespace inside graph6 string")
@@ -105,17 +112,19 @@ def parse_graph6(text: str | bytes) -> Graph:
     n, pos = _decode_count(s)
     npairs = n * (n - 1) // 2
     need = (npairs + 5) // 6
-    body = s[pos:]
-    if len(body) != need:
-        raise FormatError(f"graph6 body has {len(body)} characters, expected {need}")
+    if len(s) - pos != need:
+        raise FormatError(f"graph6 body has {len(s) - pos} characters, expected {need}")
     # bit k is the pair (u, v) of column v, which starts at k = v(v-1)/2;
     # the set bits come in increasing k, so the column only moves forward
-    # and every neighbour list is filled in increasing order
+    # and every neighbour list is filled in increasing order.  The groups
+    # with a set bit are the 1s of marks, found in order by marks.find
     adj: list[list[int]] = [[] for _ in range(n)]
     v, start = 1, 0
-    for group in _SET_GROUP.finditer(body):
-        first = 6 * group.start()
-        for bit in _SET_BITS[ord(group.group()) - 63]:
+    marks = data.translate(_MARK_SET_GROUPS)
+    i = marks.find(1, pos)
+    while i >= 0:
+        first = 6 * (i - pos)
+        for bit in _SET_BITS[data[i] - 63]:
             k = first + bit
             if k >= npairs:
                 break
@@ -125,13 +134,19 @@ def parse_graph6(text: str | bytes) -> Graph:
             u = k - start
             adj[u].append(v)
             adj[v].append(u)
+        i = marks.find(1, i + 1)
     return Graph._from_rows(n, tuple(map(tuple, adj)))
 
 
 def serialize_edgelist(graph: Graph) -> str:
-    lines = [str(graph.n)]
-    lines.extend(f"{u} {v}" for u, v in graph.edges)
-    return "\n".join(lines) + "\n"
+    # one join per vertex u over the sorted neighbours above it: "\nu v1\nu v2..."
+    rows = [str(graph.n)]
+    for u, nbrs in enumerate(graph.adj):
+        later = nbrs[bisect_right(nbrs, u):]
+        if later:
+            head = f"\n{u} "
+            rows.append(head + head.join(map(str, later)))
+    return "".join(rows) + "\n"
 
 
 def _edge_line_error(message: str, parts: list[str], n: int) -> FormatError:

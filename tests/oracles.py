@@ -17,8 +17,10 @@ which tested symmetry by scanning neighbour tuples; reference_from_edges,
 the former Graph.from_edges, which handed its rows to the validating
 constructor; reference_product, the former products built from edge
 lists; reference_parse_edgelist, the former line-by-line edge-list
-reader; and reference_detect_format, the former format guess, which
-split the whole text into lines.  The former readers and products build
+reader; reference_serialize_edgelist, the former edge-list writer, one
+formatted line per edge, whose output the library's writer must
+reproduce byte for byte; and reference_detect_format, the former format
+guess, which split the whole text into lines.  The former readers and products build
 their graphs through reference_from_edges, so every graph they return
 passed the validator.
 Deliberately slow and only usable on tiny graphs.
@@ -294,6 +296,14 @@ def reference_parse_edgelist(text: str | bytes) -> Graph:
         seen.add(key)
         edges.append(key)
     return reference_from_edges(n, edges)
+
+
+def reference_serialize_edgelist(graph: Graph) -> str:
+    """The library's former edge-list writer, unchanged but for its name: one
+    f-string per edge of graph.edges."""
+    lines = [str(graph.n)]
+    lines.extend(f"{u} {v}" for u, v in graph.edges)
+    return "\n".join(lines) + "\n"
 
 
 def reference_detect_format(text: str | bytes) -> str:

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import graphsym.formats
@@ -20,7 +20,12 @@ from graphsym import (
     strong_product,
 )
 from graphsym.formats import GRAPH6_HEADER, detect_format
-from oracles import reference_detect_format, reference_parse_edgelist, reference_parse_graph6
+from oracles import (
+    reference_detect_format,
+    reference_parse_edgelist,
+    reference_parse_graph6,
+    reference_serialize_edgelist,
+)
 from test_acceptance import criterion
 
 
@@ -190,13 +195,25 @@ def test_graph6_writer_on_a_large_product():
 
 
 def test_graph6_reader_on_a_large_product():
-    # only the groups with a set bit are decoded, after one regex pass
-    # validates the whole string
+    # one bytes.translate validates the whole string, and only the groups
+    # with a set bit, found by bytes.find on a second translate, are decoded
     products = [f(cycle(60), cycle(60)) for f in (strong_product, cartesian_product)]
     texts = [serialize_graph6(g) for g in products]
     with criterion(19, 0.2, "graph6 of C60 x C60 and C60 [] C60 (3600 vertices) read"):
         graphs = [parse_graph6(s) for s in texts]
     assert graphs == products == [reference_parse_graph6(s) for s in texts]
+
+
+def test_edgelist_writer_on_a_large_product():
+    # one join per vertex row instead of one formatted line per edge.  The
+    # bound cannot tell that from the former writer (8-10 ms against 11-12 ms
+    # on 2 cores, fresh graphs): it catches a writer that tests every vertex
+    # pair (0.7 s), and BENCH_18.json records the gain over the former one
+    products = [f(cycle(60), cycle(60)) for f in (strong_product, cartesian_product)]
+    with criterion(21, 0.1, "edge lists of C60 x C60 and C60 [] C60 (3600 vertices) written"):
+        texts = [serialize_edgelist(g) for g in products]
+    assert texts == [reference_serialize_edgelist(g) for g in products]
+    assert [parse_edgelist(t) for t in texts] == products
 
 
 def parse_outcome(parser, text):
@@ -249,6 +266,17 @@ def test_graph6_reader_matches_the_reference_on_any_input(data):
     ("~~??????", "graph6 vertex counts above 258047"),
     ("~?", "truncated graph6 vertex count"),
     ("D?{?", "graph6 body has 3 characters, expected 2"),
+    # a character above U+FFFF, and one just past either end of "?".."~"
+    ("D?\U0001f600", "graph6 character '\U0001f600' out of range"),
+    ("\x7f", "graph6 character '\\x7f' out of range"),
+    (">", "graph6 character '>' out of range"),
+    ("D?>", "graph6 character '>' out of range"),
+    # a body of only empty groups, and no body at all
+    ("D??", "graph"),
+    ("~??~" + "?" * 326, "graph"),  # 63 vertices
+    ("?", "graph"),
+    # every byte from 0x80 up, each read as the replacement character
+    (b"D?" + bytes(range(0x80, 0x100)), "graph6 character '\ufffd' out of range"),
 ])
 def test_graph6_reader_named_cases(text, outcome):
     got = parse_outcome(parse_graph6, text)
@@ -266,6 +294,28 @@ def test_graph6_padding_bits_are_ignored():
 
 
 edgelist_like = st.text(alphabet="0123456789 \n\r#+-")
+
+
+@st.composite
+def writer_graphs(draw):
+    """Graphs for the edge-list writer: n = 0, isolated vertices and vertex
+    numbers of one to four digits.  C60 x C60 is checked by
+    test_edgelist_writer_on_a_large_product."""
+    kind = draw(st.sampled_from(["random", "random", "random", "empty"]))
+    n = draw(st.sampled_from([0, 1, 2, 9, 10, 11, 99, 100, 101, 1500]))
+    if kind == "empty" or n < 2:
+        return Graph.from_edges(n, [])
+    index = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(index, index).filter(lambda e: e[0] != e[1]), max_size=40))
+    return Graph.from_edges(n, pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(writer_graphs())
+def test_edgelist_writer_matches_the_reference(g):
+    text = serialize_edgelist(g)
+    assert text == reference_serialize_edgelist(g)
+    assert parse_edgelist(text) == g
 
 
 @st.composite
@@ -336,3 +386,21 @@ def test_edgelist_reader_named_cases(text, whole, outcome, monkeypatch):
         assert isinstance(got, Graph)
     else:
         assert got == f"FormatError: {outcome}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(), edgelist_like.map(str.encode), graph6_like.map(str.encode),
+                 writer_shaped_edgelists().map(str.encode)))
+# each format, and the graph6 header; then a byte >= 0x80 in an edge list and in graph6 text
+@example(b"3\n0 1\n1 2\n")
+@example(b"D?{")
+@example(b">>graph6<<D?{")
+@example(b"3\n0 1\x80\n")
+@example(b"3 # \xff\n0 1\n")
+@example(b"\x803\n0 1\n")
+@example(b"D?\x80")
+@example(b"D\xff{")
+@example(b"\xe9")
+def test_parse_auto_reads_bytes_as_their_decoded_text(data):
+    text = data.decode("ascii", errors="replace")
+    assert parse_outcome(parse_auto, data) == parse_outcome(parse_auto, text)
