@@ -126,14 +126,16 @@ def graph_name(g: Graph) -> str:
 
 
 class _Run:
-    """The budgets of one harness run and its memo of products, groups and values.
+    """The budgets of one harness run and its memo of products and values.
 
-    Products, automorphism groups and distinguishing values are pure
-    functions of the graphs and the budgets, so the checks of one run share
-    them, budget failures included (they would otherwise redo the aborted
-    search).  run_all passes one run to every check in the budgets position;
-    a check called with plain Budgets starts a fresh run, so nothing
-    outlives a call.
+    Products and distinguishing values are pure functions of the graphs and
+    the budgets, so the checks of one run share them, budget failures
+    included (they would otherwise redo the aborted search).  The memo
+    hands every check the same product objects, and each graph object
+    keeps its own automorphism group (see automorphism_group), so aut
+    needs no memo entry.  run_all passes one run to every check in the
+    budgets position; a check called with plain Budgets starts a fresh run,
+    so nothing is kept outside the graphs a call is given.
     """
 
     def __init__(self, budgets: Budgets) -> None:
@@ -151,15 +153,13 @@ class _Run:
         return self._get(("box", g, h), lambda: cartesian_product(g, h))
 
     def aut(self, g: Graph) -> AutomorphismGroup:
-        return self._get(("aut", g), lambda: _group_of(g, self.budgets, None))
+        return _group_of(g, self.budgets)
 
     def number(self, g: Graph) -> DistinguishingResult:
-        return self._get(
-            ("number", g), lambda: distinguishing_number(g, self.budgets, group=self.aut(g)))
+        return self._get(("number", g), lambda: distinguishing_number(g, self.budgets))
 
     def index(self, g: Graph) -> DistinguishingResult:
-        return self._get(
-            ("index", g), lambda: distinguishing_index(g, self.budgets, group=self.aut(g)))
+        return self._get(("index", g), lambda: distinguishing_index(g, self.budgets))
 
     def _get(self, key: tuple, compute: Callable):
         """compute() once per key; a budget failure is memoized and re-raised."""
@@ -670,7 +670,8 @@ def run_all(
 
     Reports appear in corpus order regardless of how long each check takes;
     hypothesis violations and budget skips are data, not errors.  The checks
-    share one memo of groups and values, which lives for this call only.
+    share one memo of products and values, which lives for this call only;
+    each graph keeps its automorphism group, searched for once.
     """
     bases = list(corpus)
     pairs = list(itertools.combinations_with_replacement(bases, 2)) + list(extra_pairs)

@@ -439,7 +439,7 @@ def _solve(
 
 
 def _group_of(
-    graph: Graph, budgets: Budgets, group: Optional[AutomorphismGroup]
+    graph: Graph, budgets: Budgets, group: Optional[AutomorphismGroup] = None
 ) -> AutomorphismGroup:
     """The given group, else Aut(graph) within the budgets; the row
     builders check that it acts on graph."""
@@ -451,38 +451,35 @@ def _group_of(
 
 
 def distinguishing_number(
-    graph: Graph,
-    budgets: Budgets = DEFAULT_BUDGETS,
-    *,
-    group: Optional[AutomorphismGroup] = None,
+    graph: Graph, budgets: Budgets = DEFAULT_BUDGETS
 ) -> DistinguishingResult:
     """Least number of vertex labels admitting a distinguishing labeling.
 
     Exact for graphs within budgets.exact_vertices; otherwise a certified
     upper bound with a verified witness (tight when the value meets the
-    transposition-class bound).  A caller that already holds Aut(graph)
-    passes it as group.
+    transposition-class bound).  Aut(graph) comes from
+    automorphism_group, which the graph object keeps, so a caller that
+    asks for the group, the number and the index of one graph pays for
+    one search.
     """
-    rows = _vertex_rows(graph, _group_of(graph, budgets, group))
+    rows = _vertex_rows(graph, _group_of(graph, budgets))
     return _solve(graph.n, rows, graph.n <= budgets.exact_vertices, budgets, VertexLabeling)
 
 
 def distinguishing_index(
-    graph: Graph,
-    budgets: Budgets = DEFAULT_BUDGETS,
-    *,
-    group: Optional[AutomorphismGroup] = None,
+    graph: Graph, budgets: Budgets = DEFAULT_BUDGETS
 ) -> DistinguishingResult:
     """Least number of edge labels admitting a distinguishing edge labeling.
 
     Undefined (dedicated outcome, not an error) when some non-identity
     automorphism fixes every edge as a set, as K_2's swap does, or a swap
     of two isolated vertices.  So an edgeless graph on two or more
-    vertices is undefined, while K_1, whose group is trivial, gets 1.  A
-    caller that already holds Aut(graph) passes it as group.
+    vertices is undefined, while K_1, whose group is trivial, gets 1.
+    Aut(graph) is searched for once per graph object, as for
+    distinguishing_number.
     """
     m = graph.edge_count
-    rows = _edge_rows(graph, _group_of(graph, budgets, group))
+    rows = _edge_rows(graph, _group_of(graph, budgets))
 
     def wrap(flat: tuple[int, ...], r: int) -> EdgeLabeling:
         return EdgeLabeling(dict(zip(graph.edges, flat)), r)

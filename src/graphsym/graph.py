@@ -29,6 +29,11 @@ class Graph:
     n: int
     adj: tuple[tuple[int, ...], ...]
 
+    # not a field, so outside eq, hash and repr: what
+    # symmetry.automorphism_group proved about this object, its group or
+    # the largest order budget the group exceeds; set there on first use
+    _aut = None
+
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("vertex count must be non-negative")

@@ -16,7 +16,8 @@ exactly once, so their counts give a lower bound on the group order as
 soon as they are found, and the order budget is decided before any
 element is listed.  Under the budget the elements are listed in full, as
 permutations in one-line image notation (tuples) in lexicographic order,
-which keeps stabilizer checks exact and simple.
+which keeps stabilizer checks exact and simple.  Each graph keeps what its
+search proved, so the group of one Graph object is searched for once.
 """
 
 from __future__ import annotations
@@ -178,6 +179,17 @@ def _transversal(v: int, gens: list[Permutation], n: int) -> dict[int, Permutati
     return trans
 
 
+def _check_vertex_bound(graph: Graph, max_vertices: int) -> None:
+    if graph.n > max_vertices:
+        raise BudgetExceeded(
+            f"graph has {graph.n} vertices, above the automorphism bound {max_vertices}"
+        )
+
+
+def _order_exceeded(max_order: int) -> BudgetExceeded:
+    return BudgetExceeded(f"automorphism group larger than the order budget {max_order}")
+
+
 def _coset_representatives(graph: Graph, max_vertices: int) -> Iterator[tuple[int, Permutation]]:
     """Yield (v, p) for v = n-1 down to 0 and, in increasing order, each
     w != v for which some automorphism fixes 0..v-1 and maps v to w; p is
@@ -198,11 +210,8 @@ def _coset_representatives(graph: Graph, max_vertices: int) -> Iterator[tuple[in
     search runs.  A graph over max_vertices raises BudgetExceeded before
     the first yield.
     """
+    _check_vertex_bound(graph, max_vertices)
     n = graph.n
-    if n > max_vertices:
-        raise BudgetExceeded(
-            f"graph has {n} vertices, above the automorphism bound {max_vertices}"
-        )
     m = _Matcher(graph, graph)
     for v in range(n):
         m.push(v)
@@ -238,7 +247,24 @@ def automorphism_group(
     The order budget is checked against the product of the coset
     representative counts found so far, a lower bound on the order, so an
     oversized group is rejected without listing its elements.
+
+    The graph object keeps what its search proved: the group once listed,
+    or else the largest order budget the group is known to exceed.  Every
+    later call, under any budgets, answers from that exactly as a new
+    search would, after checking the vertex bound; it searches again only
+    when no group is held and max_order is None or above the budget known
+    to be exceeded.  Nothing is shared between distinct objects, equal or
+    not.
     """
+    _check_vertex_bound(graph, max_vertices)
+    known = graph._aut
+    if isinstance(known, AutomorphismGroup):
+        # a search tests the budget once it has a representative: order > 1
+        if max_order is not None and known.order > max(max_order, 1):
+            raise _order_exceeded(max_order)
+        return known
+    if known is not None and max_order is not None and max_order <= known:
+        raise _order_exceeded(max_order)
     ident = identity(graph.n)
     levels: dict[int, list[Permutation]] = {}
     order = 1
@@ -247,16 +273,17 @@ def automorphism_group(
         order = order // len(reps) * (len(reps) + 1)
         reps.append(p)
         if max_order is not None and order > max_order:
-            raise BudgetExceeded(
-                f"automorphism group larger than the order budget {max_order}"
-            )
+            object.__setattr__(graph, "_aut", max_order)
+            raise _order_exceeded(max_order)
     # the stabilizer of 0..v-1 is {u p : u a representative for v, p in the
     # stabilizer of 0..v}; the levels were found deepest first
     elements = [ident]
     for reps in levels.values():
         elements = [compose(u, p) for u in reps for p in elements]
     elements.sort()
-    return AutomorphismGroup(graph.n, tuple(elements))
+    group = AutomorphismGroup(graph.n, tuple(elements))
+    object.__setattr__(graph, "_aut", group)
+    return group
 
 
 def has_nontrivial_automorphism(graph: Graph, *, max_vertices: int = 20) -> bool:

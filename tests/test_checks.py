@@ -399,7 +399,8 @@ def test_index_checks_share_their_product_hypotheses():
 
 
 def test_direct_check_calls_retain_nothing(monkeypatch):
-    # each call computes its groups afresh: no memo outlives a call
+    # nothing is kept outside the graphs a call is given: each call builds
+    # its factors and products afresh, so it searches their groups again
     calls = []
 
     def counting(graph, **kwargs):

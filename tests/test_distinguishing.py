@@ -136,8 +136,6 @@ def test_edge_test_rejects_a_group_that_is_not_of_automorphisms():
     labeling = EdgeLabeling({(0, 1): 1, (1, 2): 2}, 2)
     with pytest.raises(RuntimeError, match="internal fault"):
         is_distinguishing_edge(p3, fake, labeling)
-    with pytest.raises(RuntimeError, match="internal fault"):
-        distinguishing_index(p3, group=fake)
 
 
 def test_search_defaults_equal_the_default_budgets():
@@ -322,17 +320,6 @@ def test_transposition_class_bound_on_twins_and_pendant_edges():
     assert distinguishing_index(star).value == 4
     # C5 has no transposition automorphism
     assert _transposition_class_bound(5, vertex_rows(cycle(5))) == 1
-
-
-def test_given_group_matches_computed_group():
-    for g in (path(5), cycle(6), strong_product(path(2), path(3)), strong_product(path(3), cycle(5))):
-        group = automorphism_group(g)
-        assert distinguishing_number(g, group=group) == distinguishing_number(g)
-        assert distinguishing_index(g, group=group) == distinguishing_index(g)
-    with pytest.raises(ValueError):
-        distinguishing_number(path(4), group=automorphism_group(path(5)))
-    with pytest.raises(ValueError):
-        distinguishing_index(path(4), group=automorphism_group(path(5)))
 
 
 def test_randomized_search_starts_at_the_transposition_class_bound():

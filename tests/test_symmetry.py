@@ -5,6 +5,7 @@ import random
 import pytest
 
 import graphsym.distinguishing
+import graphsym.symmetry
 from graphsym import (
     BudgetExceeded,
     Graph,
@@ -15,6 +16,8 @@ from graphsym import (
     cycle,
     default_corpus,
     direct_product,
+    distinguishing_index,
+    distinguishing_number,
     find_isomorphism,
     group_equal,
     has_nontrivial_automorphism,
@@ -208,8 +211,8 @@ def test_matches_reference_enumerator_on_random_graphs():
 
 
 def test_matches_reference_enumerator_on_corpus_groups(monkeypatch):
-    # record every group the harness builds within its budgets; every run_all
-    # call starts from an empty memo
+    # record every group the harness builds within its budgets; the corpus
+    # graphs are built afresh for this call, so none holds a group yet
     built = {}
 
     def recording(graph, **kwargs):
@@ -332,3 +335,92 @@ def test_successful_searches_are_at_most_log2_order(monkeypatch):
         found.clear()
         order = automorphism_group(g).order
         assert 1 <= len(found) <= math.floor(math.log2(order)), (g, order, len(found))
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The graphs automorphism_group searches, one entry per search."""
+    searched = []
+    search = graphsym.symmetry._coset_representatives
+
+    def counting(graph, max_vertices):
+        searched.append(graph)
+        return search(graph, max_vertices)
+
+    monkeypatch.setattr(graphsym.symmetry, "_coset_representatives", counting)
+    return searched
+
+
+def test_group_number_and_index_of_one_graph_share_one_search(searches):
+    for g in (path(5), cycle(6), strong_product(path(2), path(3)),
+              strong_product(path(3), cycle(5))):
+        searches.clear()
+        group = automorphism_group(g)
+        number, index = distinguishing_number(g), distinguishing_index(g)
+        assert automorphism_group(g) is group
+        assert searches == [g]
+        # the held group gives what a fresh search on an equal graph gives
+        fresh = Graph(g.n, g.adj)
+        assert automorphism_group(fresh) == group
+        assert (distinguishing_number(fresh), distinguishing_index(fresh)) == (number, index)
+        assert len(searches) == 2
+
+
+def test_order_budget_failure_is_remembered(searches):
+    g = strong_product(path(4), cycle(3))  # |Aut| = 2592
+
+    def refused(max_order):
+        with pytest.raises(BudgetExceeded) as exc:
+            automorphism_group(g, max_order=max_order)
+        assert str(exc.value) == f"automorphism group larger than the order budget {max_order}"
+        return len(searches)
+
+    assert refused(100) == 1
+    # the same or a smaller cap is refused without a search
+    assert refused(100) == refused(7) == refused(0) == 1
+    # a larger cap searches again, and its failure is remembered in turn
+    assert refused(2591) == 2
+    assert refused(1000) == 2
+    assert automorphism_group(g, max_order=2592).order == 2592
+    assert len(searches) == 3
+
+
+def test_held_group_still_meets_the_order_and_vertex_bounds(searches):
+    g = strong_product(path(4), cycle(3))
+    assert automorphism_group(g).order == 2592
+    with pytest.raises(BudgetExceeded) as exc:
+        automorphism_group(g, max_order=2591)
+    assert str(exc.value) == "automorphism group larger than the order budget 2591"
+    with pytest.raises(BudgetExceeded) as exc:
+        automorphism_group(g, max_vertices=11)
+    assert str(exc.value) == "graph has 12 vertices, above the automorphism bound 11"
+    # a search tests the order cap only once it has found a representative,
+    # so any cap admits the trivial group, held or not
+    spider = Graph(SPIDER7.n, SPIDER7.adj)
+    for _ in range(2):
+        assert automorphism_group(spider, max_order=0).order == 1
+    assert searches == [g, spider]
+
+
+def test_equal_graph_objects_share_nothing(searches):
+    a, b = cycle(5), cycle(5)
+    assert a == b and a is not b
+    for _ in range(2):
+        assert automorphism_group(a) == automorphism_group(b)
+    assert len(searches) == 2 and searches[0] is a and searches[1] is b
+    # nor is a failure shared
+    searches.clear()
+    for k6 in (complete(6), complete(6)):
+        with pytest.raises(BudgetExceeded):
+            automorphism_group(k6, max_order=10)
+    assert len(searches) == 2
+
+
+def test_graph_holding_its_group_equals_a_fresh_copy():
+    held, failed = cycle(6), complete(6)
+    automorphism_group(held)
+    with pytest.raises(BudgetExceeded):
+        automorphism_group(failed, max_order=10)
+    for g, fresh in ((held, cycle(6)), (failed, complete(6))):
+        assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+        assert {fresh: 1}[g] == 1
