@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 from math import prod
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -30,7 +31,7 @@ from .distinguishing import (
     is_distinguishing_vertex,
 )
 from .graph import Graph, complete, cycle, is_connected, path
-from .products import cartesian_product, strong_power, strong_product
+from .products import cartesian_product, strong_product
 from .structure import (
     declared_strong_prime,
     hamiltonian_path_exists,
@@ -129,13 +130,14 @@ class _Run:
     """The budgets of one harness run and its memo of products and values.
 
     Products and distinguishing values are pure functions of the graphs and
-    the budgets, so the checks of one run share them, budget failures
-    included (they would otherwise redo the aborted search).  The memo
-    hands every check the same product objects, and each graph object
-    keeps its own automorphism group (see automorphism_group), so aut
-    needs no memo entry.  run_all passes one run to every check in the
-    budgets position; a check called with plain Budgets starts a fresh run,
-    so nothing is kept outside the graphs a call is given.
+    the budgets, so the checks of one run share them.  The memo hands every
+    check the same product objects, and each graph object keeps its own
+    automorphism group (see automorphism_group), or the order budget it is
+    known to exceed, so neither a group nor a budget failure needs a memo
+    entry: a repeated failure is answered by the graph, with the same
+    message.  run_all passes one run to every check in the budgets
+    position; a check called with plain Budgets starts a fresh run, so
+    nothing is kept outside the graphs a call is given.
     """
 
     def __init__(self, budgets: Budgets) -> None:
@@ -162,16 +164,10 @@ class _Run:
         return self._get(("index", g), lambda: distinguishing_index(g, self.budgets))
 
     def _get(self, key: tuple, compute: Callable):
-        """compute() once per key; a budget failure is memoized and re-raised."""
+        """compute() once per key."""
         hit = self._memo.get(key)
         if hit is None:
-            try:
-                hit = compute()
-            except BudgetExceeded as exc:
-                hit = exc
-            self._memo[key] = hit
-        if isinstance(hit, BudgetExceeded):
-            raise hit.with_traceback(None)
+            hit = self._memo[key] = compute()
         return hit
 
 
@@ -260,11 +256,7 @@ def _result_summary(res: DistinguishingResult) -> str:
 
 
 def layered_labeling(
-    g: Graph,
-    h: Graph,
-    phi: VertexLabeling,
-    *,
-    group: Optional[AutomorphismGroup] = None,
+    g: Graph, h: Graph, phi: VertexLabeling, budgets: Budgets = DEFAULT_BUDGETS
 ) -> VertexLabeling:
     """Label the strong product of g and h by shifting a distinguishing
     labeling of g to a disjoint palette on every copy of g.
@@ -272,12 +264,11 @@ def layered_labeling(
     Vertex (x, y) receives phi(x) + y * r, so copy y uses labels
     y*r+1 .. (y+1)*r and no two copies share a label; the result uses
     r * |V(h)| labels.  phi must be distinguishing for g; that is tested
-    against group, or against Aut(g) computed under DEFAULT_BUDGETS when
-    group is None.
+    against Aut(g) under budgets, as is_distinguishing_vertex does.
     """
     if len(phi.labels) != g.n:
         raise ValueError("labeling length does not match the first factor")
-    if not is_distinguishing_vertex(g, _group_of(g, DEFAULT_BUDGETS, group), phi):
+    if not is_distinguishing_vertex(g, phi, budgets):
         raise ValueError("base labeling is not distinguishing")
     labels = [0] * (g.n * h.n)
     for x in range(g.n):
@@ -300,10 +291,10 @@ def check_layered_labeling(run: _Run, g: Graph, h: Graph, report) -> BoundReport
     d_h = run.number(h)
     prod_gh = run.strong(g, h)
     prod_hg = run.strong(h, g)
-    lab_gh = layered_labeling(g, h, d_g.witness, group=run.aut(g))
-    lab_hg = layered_labeling(h, g, d_h.witness, group=run.aut(h))
-    ok_gh = is_distinguishing_vertex(prod_gh, run.aut(prod_gh), lab_gh)
-    ok_hg = is_distinguishing_vertex(prod_hg, run.aut(prod_hg), lab_hg)
+    lab_gh = layered_labeling(g, h, d_g.witness, run.budgets)
+    lab_hg = layered_labeling(h, g, d_h.witness, run.budgets)
+    ok_gh = is_distinguishing_vertex(prod_gh, lab_gh, run.budgets)
+    ok_hg = is_distinguishing_vertex(prod_hg, lab_hg, run.budgets)
     counts_ok = lab_gh.r == d_g.value * h.n and lab_hg.r == d_h.value * g.n
     quantities = {
         "labels used, G copies": lab_gh.r,
@@ -385,7 +376,7 @@ def check_power_number(
     order = g.n ** k
 
     def body(report) -> BoundReport:
-        result = run.number(strong_power(g, k))
+        result = run.number(reduce(run.strong, [g] * k))
         quantities = {"power order": order, "D(power)": _result_summary(result)}
         if not result.is_tight:
             return report(NOT_APPLICABLE, quantities, "budget: value not certified tight")
@@ -466,10 +457,8 @@ def sequence_labeling(run: _Run, g: Graph, h: Graph, report) -> BoundReport:
     used = max(labels)
     labeling = VertexLabeling(tuple(labels), used)
 
-    product = run.strong(g, h)
-    group = run.aut(product)
     distinct = len(set(sequences)) == m
-    distinguishing = is_distinguishing_vertex(product, group, labeling)
+    distinguishing = is_distinguishing_vertex(run.strong(g, h), labeling, run.budgets)
     within = used <= bound
     if new_label and case == "i":
         notes.append("construction needed an extra label beyond the stated bound")
@@ -491,28 +480,21 @@ def sequence_labeling(run: _Run, g: Graph, h: Graph, report) -> BoundReport:
 
 
 def lift_edge_labeling(
-    g: Graph,
-    h: Graph,
-    labeling: EdgeLabeling,
-    *,
-    group_g: Optional[AutomorphismGroup] = None,
-    group_h: Optional[AutomorphismGroup] = None,
+    g: Graph, h: Graph, labeling: EdgeLabeling, budgets: Budgets = DEFAULT_BUDGETS
 ) -> EdgeLabeling:
     """Extend a distinguishing edge labeling of a spanning subgraph h to g.
 
     Valid when every automorphism of g is an automorphism of h: such an
     automorphism maps h-edges to h-edges, so keeping h's labels and giving
     every remaining edge the repeated label 1 stays distinguishing.  Both
-    conditions are tested against group_g and group_h; a group left as None
-    is computed under DEFAULT_BUDGETS.
+    conditions are tested against Aut(g) and Aut(h) under budgets, which
+    the graph objects keep.
     """
     if not is_spanning_subgraph(h, g):
         raise ValueError("not a spanning subgraph")
-    group_g = _group_of(g, DEFAULT_BUDGETS, group_g)
-    group_h = _group_of(h, DEFAULT_BUDGETS, group_h)
-    if not set(group_g.elements) <= set(group_h.elements):
+    if not set(_group_of(g, budgets).elements) <= set(_group_of(h, budgets).elements):
         raise ValueError("host automorphisms are not all subgraph automorphisms")
-    if not is_distinguishing_edge(h, group_h, labeling):
+    if not is_distinguishing_edge(h, labeling, budgets):
         raise ValueError("labeling is not distinguishing for the subgraph")
     lifted = dict(labeling.labels)
     for e in g.edges:
@@ -547,10 +529,8 @@ def check_lift(run: _Run, g: Graph, h: Graph, report) -> BoundReport:
     base = run.index(box)
     if base.mode == UNDEFINED:
         return report(NOT_APPLICABLE, {}, "cartesian index undefined")
-    aut_strong = run.aut(strong)
-    lifted = lift_edge_labeling(strong, box, base.witness, group_g=aut_strong,
-                                group_h=run.aut(box))
-    ok = is_distinguishing_edge(strong, aut_strong, lifted)
+    lifted = lift_edge_labeling(strong, box, base.witness, run.budgets)
+    ok = is_distinguishing_edge(strong, lifted, run.budgets)
     quantities = {
         "D'(cartesian)": _result_summary(base),
         "lifted labels": lifted.r,
@@ -627,9 +607,7 @@ def check_traceable_index(
                 f"and traceability {b.hamiltonian_vertices}")
 
     def body(report) -> BoundReport:
-        product = factors[0]
-        for f in factors[1:]:
-            product = run.strong(product, f)
+        product = reduce(run.strong, factors)
         traceable = hamiltonian_path_exists(product, max_vertices=b.hamiltonian_vertices)
         result = run.index(product)
         quantities = {
@@ -671,7 +649,8 @@ def run_all(
     Reports appear in corpus order regardless of how long each check takes;
     hypothesis violations and budget skips are data, not errors.  The checks
     share one memo of products and values, which lives for this call only;
-    each graph keeps its automorphism group, searched for once.
+    each graph keeps its automorphism group, or the order budget it is
+    known to exceed, so one graph object is searched for once.
     """
     bases = list(corpus)
     pairs = list(itertools.combinations_with_replacement(bases, 2)) + list(extra_pairs)

@@ -31,6 +31,7 @@ from .distinguishing import (
     DEFAULT_BUDGETS,
     UNDEFINED,
     Budgets,
+    _group_of,
     distinguishing_index,
     distinguishing_number,
 )
@@ -41,7 +42,7 @@ from .formats import (
 from .graph import Graph, complete, cycle, path
 from .products import cartesian_product, direct_product, strong_product
 from .structure import hamiltonian_path_exists, s_partition, is_s_thin
-from .symmetry import BudgetExceeded, automorphism_group
+from .symmetry import BudgetExceeded
 
 _FAMILY_RE = re.compile(r"^([PCK])(\d+)$")
 _PAIR_RE = re.compile(r"^([PCK]\d+)x([PCK]\d+)s?$")
@@ -132,8 +133,7 @@ def _cmd_product(args: argparse.Namespace) -> int:
 
 def _cmd_autgroup(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    b = _budgets(args)
-    group = automorphism_group(g, max_vertices=b.aut_vertices, max_order=b.aut_max_order)
+    group = _group_of(g, _budgets(args))
     payload: dict = {"n": group.n, "order": group.order}
     lines = [f"order {group.order}"]
     if args.elements:

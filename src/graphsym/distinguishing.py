@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .graph import Graph
-from .symmetry import AutomorphismGroup, Permutation, automorphism_group, identity
+from .symmetry import AutomorphismGroup, Permutation, automorphism_group
 
 EXACT = "exact"
 CERTIFIED_UPPER = "certified-upper"
@@ -145,49 +145,62 @@ def _labeling_json(labeling: object) -> Optional[dict]:
 
 
 def is_distinguishing_vertex(
-    graph: Graph, group: AutomorphismGroup, labeling: VertexLabeling
+    graph: Graph, labeling: VertexLabeling, budgets: Budgets = DEFAULT_BUDGETS
 ) -> bool:
-    """True iff no non-identity automorphism preserves all vertex labels."""
+    """True iff no non-identity automorphism preserves all vertex labels.
+
+    Aut(graph) comes from automorphism_group under the automorphism
+    bounds of budgets, and the graph object keeps it; a graph over them
+    raises BudgetExceeded.
+    """
     if len(labeling.labels) != graph.n:
         raise ValueError("labeling length does not match vertex count")
-    return _preserving_row(labeling.labels, _vertex_rows(graph, group)) is None
+    return _preserving_row(labeling.labels, _vertex_rows(graph, budgets)) is None
 
 
 def is_distinguishing_edge(
-    graph: Graph, group: AutomorphismGroup, labeling: EdgeLabeling
+    graph: Graph, labeling: EdgeLabeling, budgets: Budgets = DEFAULT_BUDGETS
 ) -> bool:
     """True iff no non-identity automorphism preserves all edge labels.
 
-    The group acts on edges through vertex images; an element mapping an
-    edge outside the edge set would mean the group is not a group of
-    automorphisms and is treated as an internal fault.
+    Aut(graph) comes as for is_distinguishing_vertex, and acts on edges
+    through vertex images.
     """
     if set(labeling.labels) != set(graph.edges):
         raise ValueError("labeling domain is not exactly the edge set")
     flat = tuple(labeling.labels[e] for e in graph.edges)
-    return _preserving_row(flat, _edge_rows(graph, group)) is None
+    return _preserving_row(flat, _edge_rows(graph, budgets)) is None
 
 
-def _vertex_rows(graph: Graph, group: AutomorphismGroup) -> list[Permutation]:
-    """The non-identity group elements, as permutations of the vertices."""
-    if group.n != graph.n:
-        raise ValueError("group does not act on this graph")
-    ident = identity(graph.n)
-    return [p for p in group.elements if p != ident]
+def _group_of(graph: Graph, budgets: Budgets) -> AutomorphismGroup:
+    """Aut(graph) under the automorphism bounds of budgets."""
+    return automorphism_group(
+        graph, max_vertices=budgets.aut_vertices, max_order=budgets.aut_max_order
+    )
 
 
-def _edge_rows(graph: Graph, group: AutomorphismGroup) -> list[tuple[int, ...]]:
-    """The non-identity group elements, as permutations of edge positions.
+def _vertex_rows(graph: Graph, budgets: Budgets) -> Sequence[Permutation]:
+    """The non-identity elements of Aut(graph), as permutations of the
+    vertices: the identity is first in the lexicographic element list."""
+    return _group_of(graph, budgets).elements[1:]
+
+
+def _edge_rows(graph: Graph, budgets: Budgets) -> list[tuple[int, ...]]:
+    """The non-identity elements of Aut(graph), as permutations of edge
+    positions.
 
     position[a][b] is the index of edge {a, b} in graph.edges, -1 for a
-    non-edge.  A non-identity element may still fix every edge (K_2's swap).
+    non-edge.  A non-identity element may still fix every edge (K_2's
+    swap).  An element mapping an edge outside the edge set would mean the
+    group is not a group of automorphisms: an internal fault.
     """
+    rows = _vertex_rows(graph, budgets)
     edges = graph.edges
     position = [[-1] * graph.n for _ in range(graph.n)]
     for i, (u, v) in enumerate(edges):
         position[u][v] = position[v][u] = i
     out = []
-    for p in _vertex_rows(graph, group):
+    for p in rows:
         row = tuple([position[p[u]][p[v]] for u, v in edges])
         if -1 in row:
             raise RuntimeError(
@@ -438,18 +451,6 @@ def _solve(
     )
 
 
-def _group_of(
-    graph: Graph, budgets: Budgets, group: Optional[AutomorphismGroup] = None
-) -> AutomorphismGroup:
-    """The given group, else Aut(graph) within the budgets; the row
-    builders check that it acts on graph."""
-    if group is None:
-        return automorphism_group(
-            graph, max_vertices=budgets.aut_vertices, max_order=budgets.aut_max_order
-        )
-    return group
-
-
 def distinguishing_number(
     graph: Graph, budgets: Budgets = DEFAULT_BUDGETS
 ) -> DistinguishingResult:
@@ -462,7 +463,7 @@ def distinguishing_number(
     asks for the group, the number and the index of one graph pays for
     one search.
     """
-    rows = _vertex_rows(graph, _group_of(graph, budgets))
+    rows = _vertex_rows(graph, budgets)
     return _solve(graph.n, rows, graph.n <= budgets.exact_vertices, budgets, VertexLabeling)
 
 
@@ -479,7 +480,7 @@ def distinguishing_index(
     distinguishing_number.
     """
     m = graph.edge_count
-    rows = _edge_rows(graph, _group_of(graph, budgets))
+    rows = _edge_rows(graph, budgets)
 
     def wrap(flat: tuple[int, ...], r: int) -> EdgeLabeling:
         return EdgeLabeling(dict(zip(graph.edges, flat)), r)

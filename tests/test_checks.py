@@ -9,6 +9,7 @@ import graphsym.checks
 import graphsym.distinguishing
 from graphsym import (
     DEFAULT_BUDGETS,
+    BudgetExceeded,
     Budgets,
     EdgeLabeling,
     Graph,
@@ -63,7 +64,7 @@ def test_layered_labeling_construction():
     assert lab.labels == (1, 3, 1, 3, 2, 4)
     assert lab.r == 4
     product = strong_product(path(3), path(2))
-    assert is_distinguishing_vertex(product, automorphism_group(product), lab)
+    assert is_distinguishing_vertex(product, lab)
     with pytest.raises(ValueError):
         layered_labeling(path(3), path(2), VertexLabeling((1, 1, 1), 1))
     with pytest.raises(ValueError):
@@ -205,7 +206,7 @@ def test_lift_edge_labeling():
     non_h = set(g.edges) - set(h.edges)
     assert all(lifted.labels[e] == 1 for e in non_h)
     assert all(lifted.labels[e] == base.witness.labels[e] for e in h.edges)
-    assert is_distinguishing_edge(g, automorphism_group(g), lifted)
+    assert is_distinguishing_edge(g, lifted)
     # lifting onto itself changes nothing
     again = lift_edge_labeling(h, h, base.witness)
     assert again.labels == base.witness.labels
@@ -447,3 +448,35 @@ def test_public_checks_keep_their_interface(name, parameters):
                  if isinstance(node, ast.FunctionDef) and node.name == name)
     assert ast.get_docstring(declared)
     assert inspect.getdoc(check) == ast.get_docstring(declared)
+
+
+@pytest.mark.parametrize("name, parameters", [
+    ("is_distinguishing_vertex", ["graph", "labeling"]),
+    ("is_distinguishing_edge", ["graph", "labeling"]),
+    ("layered_labeling", ["g", "h", "phi"]),
+    ("lift_edge_labeling", ["g", "h", "labeling"]),
+])
+def test_labeling_tests_take_budgets_not_a_group(name, parameters):
+    # Aut(G) comes from the graph under the budgets, as for
+    # distinguishing_number: no labeling test or construction takes a group
+    signature = inspect.signature(getattr(graphsym, name))
+    expected = [(p, inspect.Parameter.empty) for p in parameters] + [("budgets", DEFAULT_BUDGETS)]
+    assert [(p.name, p.default) for p in signature.parameters.values()] == expected
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in signature.parameters.values())
+
+
+def test_labeling_tests_search_within_the_budgets_given():
+    p25 = path(25)
+    vertex = VertexLabeling((1,) * 24 + (2,), 2)
+    edge = EdgeLabeling({e: 1 + (e == (23, 24)) for e in p25.edges}, 2)
+    calls = [
+        lambda b: is_distinguishing_vertex(p25, vertex, b),
+        lambda b: is_distinguishing_edge(p25, edge, b),
+        lambda b: layered_labeling(p25, path(2), vertex, b).r,
+        lambda b: lift_edge_labeling(p25, p25, edge, b).r,
+    ]
+    for call in calls:
+        with pytest.raises(BudgetExceeded) as exc:
+            call(DEFAULT_BUDGETS)
+        assert str(exc.value) == "graph has 25 vertices, above the automorphism bound 20"
+    assert [call(Budgets(aut_vertices=25)) for call in calls] == [True, True, 4, 2]

@@ -263,7 +263,7 @@ def test_deep_search_is_an_error_not_a_traceback(capsys, monkeypatch, g6):
     def overflow(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr(graphsym.cli, "automorphism_group", overflow)
+    monkeypatch.setattr(graphsym.distinguishing, "automorphism_group", overflow)
     code, _, err = run(capsys, ["autgroup", g6("p4.g6", path(4))])
     assert code == 2 and err.startswith("error: ")
 

@@ -55,31 +55,25 @@ from test_acceptance import criterion
 
 def test_is_distinguishing_vertex_examples():
     p3 = path(3)
-    a3 = automorphism_group(p3)
-    assert is_distinguishing_vertex(p3, a3, VertexLabeling((1, 1, 2), 2))
-    assert not is_distinguishing_vertex(p3, a3, VertexLabeling((1, 1, 1), 1))
+    assert is_distinguishing_vertex(p3, VertexLabeling((1, 1, 2), 2))
+    assert not is_distinguishing_vertex(p3, VertexLabeling((1, 1, 1), 1))
     c4 = cycle(4)
-    a4 = automorphism_group(c4)
     # the reflection swapping 0<->1 and 2<->3 preserves (1,1,2,2)
-    assert not is_distinguishing_vertex(c4, a4, VertexLabeling((1, 1, 2, 2), 2))
-    with pytest.raises(ValueError):
-        is_distinguishing_vertex(c4, a3, VertexLabeling((1, 1, 2, 2), 2))
+    assert not is_distinguishing_vertex(c4, VertexLabeling((1, 1, 2, 2), 2))
 
 
 def test_is_distinguishing_edge_examples():
     p3 = path(3)
-    a3 = automorphism_group(p3)
-    assert is_distinguishing_edge(p3, a3, EdgeLabeling({(0, 1): 1, (1, 2): 2}, 2))
+    assert is_distinguishing_edge(p3, EdgeLabeling({(0, 1): 1, (1, 2): 2}, 2))
     k2 = complete(2)
-    a2 = automorphism_group(k2)
-    assert not is_distinguishing_edge(k2, a2, EdgeLabeling({(0, 1): 1}, 1))
+    assert not is_distinguishing_edge(k2, EdgeLabeling({(0, 1): 1}, 1))
     # around C6, the labels 1,1,2,2,2,2 survive a reflection (oracle-checked)
     c6 = cycle(6)
     ring = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]
     labels = dict(zip(ring, (1, 1, 2, 2, 2, 2)))
-    assert not is_distinguishing_edge(c6, automorphism_group(c6), EdgeLabeling(labels, 2))
+    assert not is_distinguishing_edge(c6, EdgeLabeling(labels, 2))
     with pytest.raises(ValueError):
-        is_distinguishing_edge(p3, a3, EdgeLabeling({(0, 1): 1}, 1))
+        is_distinguishing_edge(p3, EdgeLabeling({(0, 1): 1}, 1))
 
 
 def test_stabilizer_formulation_matches_direct_definition():
@@ -95,7 +89,7 @@ def test_stabilizer_formulation_matches_direct_definition():
                 p for p in group.elements
                 if all(labels[p[v]] == labels[v] for v in range(g.n))
             ]
-            assert is_distinguishing_vertex(g, group, lab) == (stabilizer == [ident])
+            assert is_distinguishing_vertex(g, lab) == (stabilizer == [ident])
 
 
 def test_distinguishing_number_known_values():
@@ -131,11 +125,13 @@ def test_index_is_undefined_when_a_swap_of_isolated_vertices_fixes_every_edge():
 
 def test_edge_test_rejects_a_group_that_is_not_of_automorphisms():
     p3 = path(3)
-    # (1 0 2) maps the edge {1, 2} to the non-edge {0, 2}
+    # (1 0 2) maps the edge {1, 2} to the non-edge {0, 2}; planted in the
+    # slot where the graph keeps its group, it is what the test reads
     fake = AutomorphismGroup(3, ((0, 1, 2), (1, 0, 2)))
+    object.__setattr__(p3, "_aut", fake)
     labeling = EdgeLabeling({(0, 1): 1, (1, 2): 2}, 2)
     with pytest.raises(RuntimeError, match="internal fault"):
-        is_distinguishing_edge(p3, fake, labeling)
+        is_distinguishing_edge(p3, labeling)
 
 
 def test_search_defaults_equal_the_default_budgets():
@@ -150,15 +146,14 @@ def test_search_defaults_equal_the_default_budgets():
 
 def test_results_are_exact_with_verified_witness_in_budget():
     for g in (path(6), cycle(6), complete(5)):
-        group = automorphism_group(g)
         num = distinguishing_number(g)
         assert num.mode == "exact"
         assert num.witness.r == num.value
         assert len(set(num.witness.labels)) == num.value
-        assert is_distinguishing_vertex(g, group, num.witness)
+        assert is_distinguishing_vertex(g, num.witness)
         idx = distinguishing_index(g)
         assert idx.mode == "exact"
-        assert is_distinguishing_edge(g, group, idx.witness)
+        assert is_distinguishing_edge(g, idx.witness)
 
 
 def test_certified_mode_above_budget():
@@ -167,19 +162,17 @@ def test_certified_mode_above_budget():
     assert num.mode == "certified-upper" and num.value == 2
     assert num.lower_bound_reason == "nontrivial-aut"
     assert num.bounds == (2, 2) and num.is_tight
-    group = automorphism_group(g)
-    assert is_distinguishing_vertex(g, group, num.witness)
+    assert is_distinguishing_vertex(g, num.witness)
     idx = distinguishing_index(g)
     assert idx.mode == "certified-upper" and idx.value == 2
-    assert is_distinguishing_edge(g, group, idx.witness)
+    assert is_distinguishing_edge(g, idx.witness)
 
 
 def test_witness_survives_declaring_a_larger_palette():
     for g in (path(5), cycle(6)):
-        group = automorphism_group(g)
         num = distinguishing_number(g)
         widened = VertexLabeling(num.witness.labels, num.value + 1)
-        assert is_distinguishing_vertex(g, group, widened)
+        assert is_distinguishing_vertex(g, widened)
 
 
 def test_trivial_group_iff_value_one():
@@ -258,11 +251,10 @@ def test_exhaustive_palette_pruning_is_sound():
     # so pruning cannot change the computed value: compare against a raw
     # enumeration without any pruning
     for g in (cycle(4), complete(3), path(5)):
-        group = automorphism_group(g)
         raw = None
         for r in range(1, g.n + 1):
             found = any(
-                is_distinguishing_vertex(g, group, VertexLabeling(labels, r))
+                is_distinguishing_vertex(g, VertexLabeling(labels, r))
                 for labels in itertools.product(range(1, r + 1), repeat=g.n)
             )
             if found:
@@ -332,9 +324,8 @@ def test_randomized_search_starts_at_the_transposition_class_bound():
         index = distinguishing_index(tree)
     assert (number.value, number.mode) == (5, "certified-upper")
     assert (index.value, index.mode) == (5, "certified-upper")
-    group = automorphism_group(tree)
-    assert is_distinguishing_vertex(tree, group, number.witness)
-    assert is_distinguishing_edge(tree, group, index.witness)
+    assert is_distinguishing_vertex(tree, number.witness)
+    assert is_distinguishing_edge(tree, index.witness)
 
 
 def _orbit_labels(size, chosen, rng, r=None):
@@ -371,10 +362,11 @@ def _stabilizer_test_cases():
         g = Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
         if g.edge_count:
             graphs.append(g)
+    # the bounds of automorphism_group's defaults: every group is listed
+    budgets = Budgets(aut_max_order=None)
     for g in graphs:
-        group = automorphism_group(g)
-        yield _vertex_rows(g, group)
-        rows = _edge_rows(g, group)
+        yield _vertex_rows(g, budgets)
+        rows = _edge_rows(g, budgets)
         if tuple(range(g.edge_count)) not in rows:  # undefined index: no search runs
             yield rows
 
@@ -442,7 +434,7 @@ def test_certified_lower_bound_is_the_transposition_class_bound():
     assert (num.value, num.mode) == (3, "certified-upper")
     assert num.bounds == (3, 3) and num.is_tight
     assert num.to_json_dict()["reason"] == "nontrivial-aut"
-    assert _transposition_class_bound(g.n, _vertex_rows(g, automorphism_group(g))) == 3
+    assert _transposition_class_bound(g.n, _vertex_rows(g, DEFAULT_BUDGETS)) == 3
     # P10 x K2 has twin pairs only: the bound is 2 and the witness needs 3
     num = distinguishing_number(strong_product(path(10), complete(2)))
     assert num.bounds == (2, 3) and not num.is_tight

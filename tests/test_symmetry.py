@@ -7,6 +7,7 @@ import pytest
 import graphsym.distinguishing
 import graphsym.symmetry
 from graphsym import (
+    DEFAULT_BUDGETS,
     BudgetExceeded,
     Graph,
     automorphism_group,
@@ -28,6 +29,7 @@ from graphsym import (
     run_all,
     strong_product,
 )
+from graphsym.distinguishing import _group_of
 from graphsym.symmetry import _coset_representatives, _Matcher
 from oracles import brute_automorphisms, reference_automorphisms
 from test_acceptance import criterion
@@ -220,7 +222,8 @@ def test_matches_reference_enumerator_on_corpus_groups(monkeypatch):
         built[graph] = group
         return group
 
-    # the harness builds every group through distinguishing._group_of
+    # the harness, the labeling tests and the solvers build every group
+    # through distinguishing._group_of
     monkeypatch.setattr(graphsym.distinguishing, "automorphism_group", recording)
     run_all(default_corpus())
     assert len(built) > 50
@@ -424,3 +427,42 @@ def test_graph_holding_its_group_equals_a_fresh_copy():
     for g, fresh in ((held, cycle(6)), (failed, complete(6))):
         assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
         assert {fresh: 1}[g] == 1
+
+
+def test_identity_is_the_first_element():
+    # _vertex_rows drops elements[0] as the identity: it is the least
+    # permutation, so it heads the lexicographic list of every group
+    corpus = [g for _, g in default_corpus()]
+    graphs = corpus + [strong_product(a, b) for a, b in itertools.combinations_with_replacement(
+        corpus, 2) if a.n * b.n <= DEFAULT_BUDGETS.aut_vertices]
+    listed = 0
+    for g in graphs:
+        try:
+            elements = _group_of(g, DEFAULT_BUDGETS).elements
+        except BudgetExceeded:
+            continue
+        assert elements[0] == identity(g.n), g
+        listed += 1
+    assert listed > 40
+
+
+def test_run_all_refuses_each_order_capped_product_once(searches):
+    # no run memo holds the failure: the graph object remembers the order
+    # cap it exceeds, and answers each later check with the same message.
+    # K3 x K3, K3 x K4 and K4 x K4 are K9, K12 and K16
+    reports = run_all([("K3", complete(3)), ("K4", complete(4))])
+    assert len({id(g) for g in searches}) == len(searches)
+    refused = [g.n for g in searches if g._aut == DEFAULT_BUDGETS.aut_max_order]
+    assert refused == [9, 12, 16]
+    note = ("budget: automorphism group larger than the order budget 10000",)
+    capped = [(r.check, r.instance) for r in reports if r.notes == note]
+    assert capped == [
+        ("number-sandwich", "K3 x K3"), ("layered-labeling", "K3 x K3"),
+        ("index-bound-plus-one", "K3 x K3"), ("index-lift", "K3 x K3"),
+        ("traceable-index-two", "K3 x K3"),
+        ("number-sandwich", "K3 x K4"), ("layered-labeling", "K3 x K4"),
+        ("index-bound-plus-one", "K3 x K4"), ("index-lift", "K3 x K4"),
+        ("layered-labeling", "K4 x K4"), ("index-bound-plus-one", "K4 x K4"),
+        ("index-lift", "K4 x K4"),
+    ]
+    assert all(r.notes == note for r in reports if "order budget" in "".join(r.notes))
