@@ -6,11 +6,15 @@ group is trivial.  The minimum over vertex labelings is the distinguishing
 number, over edge labelings the distinguishing index.
 
 Both are one problem over positions, the vertices or the edges in
-``graph.edges`` order: the row builders write the non-identity group
-elements as permutations of positions, and one stabilizer test and one
-solver serve both.  No rows: the group is trivial and the value is 1.  A
-row fixing every position (K_2's swap on its edge, never a vertex row)
-makes the minimum undefined.
+``graph.edges`` order, and one solver serves both.  A group element acts
+on the positions as a row, a permutation of them.  The stabilizer tests
+walk the group's stabilizer chain (see _Chain) and never list its
+elements: the first non-identity element preserving a labeling, the
+transposition classes, and whether some non-identity element fixes every
+position (K_2's swap on its edge, never a vertex), which makes the
+minimum undefined.  A trivial group gives the value 1.  Only the
+exhaustive search, and the randomized one once it repairs a labeling,
+list the elements as rows.
 
 Exactness contract: below the configured exhaustive budgets every smaller
 label count is either excluded by the transposition-class bound or
@@ -26,10 +30,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .graph import Graph
-from .symmetry import AutomorphismGroup, Permutation, automorphism_group
+from .symmetry import AutomorphismGroup, Permutation, automorphism_group, compose, identity
 
 EXACT = "exact"
 CERTIFIED_UPPER = "certified-upper"
@@ -155,7 +159,7 @@ def is_distinguishing_vertex(
     """
     if len(labeling.labels) != graph.n:
         raise ValueError("labeling length does not match vertex count")
-    return _preserving_row(labeling.labels, _vertex_rows(graph, budgets)) is None
+    return _Chain(graph, budgets, on_edges=False).first_preserving(labeling.labels) is None
 
 
 def is_distinguishing_edge(
@@ -169,7 +173,7 @@ def is_distinguishing_edge(
     if set(labeling.labels) != set(graph.edges):
         raise ValueError("labeling domain is not exactly the edge set")
     flat = tuple(labeling.labels[e] for e in graph.edges)
-    return _preserving_row(flat, _edge_rows(graph, budgets)) is None
+    return _Chain(graph, budgets, on_edges=True).first_preserving(flat) is None
 
 
 def _group_of(graph: Graph, budgets: Budgets) -> AutomorphismGroup:
@@ -179,75 +183,150 @@ def _group_of(graph: Graph, budgets: Budgets) -> AutomorphismGroup:
     )
 
 
-def _vertex_rows(graph: Graph, budgets: Budgets) -> Sequence[Permutation]:
-    """The non-identity elements of Aut(graph), as permutations of the
-    vertices: the identity is first in the lexicographic element list."""
-    return _group_of(graph, budgets).elements[1:]
+class _Chain:
+    """Aut(graph) acting on label positions, the vertices or the edges in
+    graph.edges order, through the stabilizer chain the group holds.
 
+    levels[k] is (v, choices, span) for the group's level k at vertex v.
+    Each choice is (u[v], u, row) for a representative u, the identity
+    first, where row is u as a permutation of the edge positions, or None
+    for the identity and on the vertices, where u is its own row.  An
+    element's choices at levels 0..k fix its images of the vertices from
+    v up to the next level's vertex (n after the last level); span lists
+    the positions in that range: those vertices, or the edges whose
+    larger endpoint is one of them.  Every element fixes the positions
+    before the first level.
 
-def _edge_rows(graph: Graph, budgets: Budgets) -> list[tuple[int, ...]]:
-    """The non-identity elements of Aut(graph), as permutations of edge
-    positions.
-
-    position[a][b] is the index of edge {a, b} in graph.edges, -1 for a
-    non-edge.  A non-identity element may still fix every edge (K_2's
-    swap).  An element mapping an edge outside the edge set would mean the
-    group is not a group of automorphisms: an internal fault.
+    On the edges the representatives' rows are built here.  A
+    representative mapping an edge outside the edge set would mean the
+    group is not one of automorphisms, an internal fault; every element
+    is a product of representatives, so testing them covers the group.
     """
-    rows = _vertex_rows(graph, budgets)
-    edges = graph.edges
-    position = [[-1] * graph.n for _ in range(graph.n)]
-    for i, (u, v) in enumerate(edges):
-        position[u][v] = position[v][u] = i
-    out = []
-    for p in rows:
-        row = tuple([position[p[u]][p[v]] for u, v in edges])
-        if -1 in row:
-            raise RuntimeError(
-                "internal fault: group element maps an edge outside the edge set"
-            )
-        out.append(row)
-    return out
 
-
-def _preserving_row(
-    labels: Sequence[int], rows: Sequence[tuple[int, ...]]
-) -> Optional[tuple[int, ...]]:
-    """The first row (a permutation of label positions) preserving all labels, if any.
-
-    A plain scan, each row abandoned at its first position whose image
-    carries another label.  It serves is_distinguishing_vertex and
-    is_distinguishing_edge, and the randomized search until its first
-    repair step, which switches the search to _unbroken_row.
-    """
-    for row in rows:
-        for i, lab in enumerate(labels):
-            if labels[row[i]] != lab:
-                break
+    def __init__(self, graph: Graph, budgets: Budgets, on_edges: bool) -> None:
+        group = _group_of(graph, budgets)
+        n = graph.n
+        self.group = group
+        self.edges = graph.edges if on_edges else None
+        self.size = len(graph.edges) if on_edges else n
+        self.levels: list[tuple[int, list, Sequence[int]]] = []
+        if not group.levels:
+            return
+        starts = [v for v, _ in group.levels]
+        bounds = list(zip(starts, starts[1:] + [n]))
+        if on_edges:
+            self.position = [[-1] * n for _ in range(n)]
+            for i, (a, b) in enumerate(self.edges):
+                self.position[a][b] = self.position[b][a] = i
+            spans: list[Sequence[int]] = [
+                [i for i, (_, b) in enumerate(self.edges) if v <= b < w] for v, w in bounds
+            ]
         else:
-            return row
-    return None
+            spans = [range(v, w) for v, w in bounds]
+        for (v, reps), span in zip(group.levels, spans):
+            moving = reps[1:]
+            rows = [self._edge_row(u) for u in moving] if on_edges else [None] * len(moving)
+            if on_edges and any(-1 in row for row in rows):
+                raise RuntimeError(
+                    "internal fault: group element maps an edge outside the edge set"
+                )
+            choices = [(v, reps[0], None)] + [(u[v], u, row) for u, row in zip(moving, rows)]
+            self.levels.append((v, choices, span))
 
+    def _edge_row(self, p: Permutation) -> tuple[int, ...]:
+        """p as a permutation of edge positions: -1 where it maps an edge
+        onto a non-edge."""
+        position = self.position
+        return tuple([position[p[a]][p[b]] for a, b in self.edges])
 
-def _transposition_class_bound(size: int, rows: Sequence[tuple[int, ...]]) -> int:
-    """Size of the largest class of positions pairwise swapped by transposition rows.
+    def rows(self) -> Sequence[tuple[int, ...]]:
+        """Every non-identity element as a row, in lexicographic order of
+        the vertex images: the identity heads group.elements.  This lists
+        the elements."""
+        elements = self.group.elements[1:]
+        if self.edges is None:
+            return elements
+        return [self._edge_row(p) for p in elements]
 
-    A transposition row preserves any labeling that repeats a label on the
-    two positions it swaps, so every position of a class needs its own
-    label.  The rows form a group with the identity, and (i j)(j k)(i j) =
-    (i k), so the class of i is i plus every position swapped with it.
-    Twin vertices and pendant edges at one vertex form such classes.
-    """
-    swapped = [1] * size
-    for row in rows:
-        # a transposition fixes one of any three positions: most rows fail at once
-        if size > 2 and row[0] != 0 and row[1] != 1 and row[2] != 2:
-            continue
-        moved = [i for i, j in enumerate(row) if i != j]
-        if len(moved) == 2:
-            for i in moved:
-                swapped[i] += 1
-    return max(swapped, default=1)
+    def walk(self, labels: Sequence[int], limit: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        """(row, missed) for each non-identity element whose row carries
+        to at most limit positions i a label other than labels[i], missed
+        being how many, in lexicographic order of the vertex images.
+
+        An element is the identity down to its first moving level k,
+        where it maps the level's vertex v to some w > v, and fixes every
+        earlier vertex: the deeper k, the earlier it comes.  From there
+        the walk goes depth first, with p the product of the
+        representatives chosen so far and q its row.  Choosing u at the
+        next level, at vertex v', makes p u, which maps v' to p[u[v']]:
+        distinct u give distinct images and agree on the earlier
+        vertices, so the choices taken in increasing p[u[v']] give the
+        elements in lexicographic order (Seress, Permutation Group
+        Algorithms, 2003).  p u also fixes the row on that level's span,
+        so the branch is cut as soon as more than limit labels there and
+        above differ.
+        """
+        p, q = identity(self.group.n), identity(self.size)
+        for k in range(len(self.levels) - 1, -1, -1):
+            # the moving choices of the first moving level, in increasing u[v]
+            yield from self._descend(labels, limit, k, p, q, 0, self.levels[k][1][1:])
+
+    def _descend(
+        self, labels: Sequence[int], limit: int, k: int,
+        p: Permutation, q: tuple[int, ...], missed: int, choices: Sequence,
+    ) -> Iterator[tuple[tuple[int, ...], int]]:
+        """The walk below level k-1, where the product is p with row q and
+        missed labels differ so far, taking the choices of level k in the
+        order given.  A method, not a closure: a closure calling itself
+        would be a reference cycle, left for the garbage collector."""
+        levels = self.levels
+        v, _, span = levels[k]
+        for w, u, row in choices:
+            if w == v:  # the identity
+                pu, qu = p, q
+            else:
+                pu = compose(p, u)
+                qu = pu if row is None else compose(q, row)
+            count = missed
+            for i in span:
+                if labels[qu[i]] != labels[i]:
+                    count += 1
+                    if count > limit:
+                        break
+            else:
+                if k == len(levels) - 1:
+                    yield qu, count
+                else:
+                    deeper = sorted(levels[k + 1][1], key=lambda c: pu[c[0]])
+                    yield from self._descend(labels, limit, k + 1, pu, qu, count, deeper)
+
+    def first_preserving(self, labels: Sequence[int]) -> Optional[tuple[int, ...]]:
+        """The row of the first non-identity element, in the order of
+        rows(), that preserves every label, if any."""
+        return next((row for row, _ in self.walk(labels, 0)), None)
+
+    def transposition_class_bound(self) -> Optional[int]:
+        """Size of the largest class of positions pairwise swapped by
+        transposition rows, or None when a non-identity element fixes
+        every position.
+
+        A transposition row preserves any labeling that repeats a label on
+        the two positions it swaps, so every position of a class needs its
+        own label.  The rows form a group with the identity, and (i j)(j
+        k)(i j) = (i k), so the class of i is i plus every position
+        swapped with it.  Twin vertices and pendant edges at one vertex
+        form such classes.  Under the all-distinct labeling the walk with
+        limit 2 gives exactly the rows moving at most two positions: none,
+        or a transposition.
+        """
+        swapped = [1] * self.size
+        for row, moved in self.walk(range(self.size), 2):
+            if not moved:
+                return None
+            for i, j in enumerate(row):
+                if i != j:
+                    swapped[i] += 1
+        return max(swapped, default=1)
 
 
 def _normalize_labels(labels: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -261,14 +340,10 @@ def _normalize_labels(labels: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return tuple(out), len(seen)
 
 
-def _row_masks(
-    size: int, rows: Sequence[tuple[int, ...]]
-) -> tuple[list[dict[int, int]], list[int]]:
-    """The row bitmasks of both labeling searches, in which bit t is row t.
-
-    ties[k][j], j < k: the rows mapping j to k or k to j (only nonzero
-    masks are kept); settled[k]: the rows whose largest moved position is
-    k, with a row that moves nothing counted at 0.
+def _tie_masks(size: int, rows: Sequence[tuple[int, ...]]) -> list[dict[int, int]]:
+    """ties[k][j], j < k: the bitmask of the rows mapping j to k or k to j,
+    in which bit t is row t; only nonzero masks are kept.  The tie masks
+    serve both labeling searches.
 
     Built from columns: column i, the images of position i down the rows,
     becomes a str of one character per row, last row first, and
@@ -276,19 +351,31 @@ def _row_masks(
     mask of the rows mapping i to k in binary.  A str, not bytes, so
     that positions past 255 are characters too.
     """
-    full = (1 << len(rows)) - 1
     ties: list[dict[int, int]] = [{} for _ in range(size)]
-    moved = [full] * size
     for i, col in enumerate(zip(*reversed(rows))):
         text = "".join(map(chr, col))
         for k in set(col):
-            mask = int(text.translate("0" * k + "1" + "0" * (size - 1 - k)), 2)
-            if k == i:
-                moved[i] = full ^ mask
-            else:
+            if k != i:
+                mask = int(text.translate("0" * k + "1" + "0" * (size - 1 - k)), 2)
                 hi, lo = max(i, k), min(i, k)
                 ties[hi][lo] = ties[hi].get(lo, 0) | mask
-    # a row is settled at its last moved position; one moving nothing at 0
+    return ties
+
+
+def _row_masks(
+    size: int, rows: Sequence[tuple[int, ...]]
+) -> tuple[list[dict[int, int]], list[int]]:
+    """The exhaustive search's tables: the ties of _tie_masks, and
+    settled[k], the rows whose largest moved position is k, with a row
+    that moves nothing counted at 0."""
+    ties = _tie_masks(size, rows)
+    # a row moves k exactly when it maps k elsewhere or another position onto k
+    moved = [0] * size
+    for k, tie in enumerate(ties):
+        for j, mask in tie.items():
+            moved[k] |= mask
+            moved[j] |= mask
+    full = (1 << len(rows)) - 1
     settled = [0] * size
     later = 0
     for k in range(size - 1, -1, -1):
@@ -298,8 +385,8 @@ def _row_masks(
 
 
 def _tie_pairs(size: int, rows: Sequence[tuple[int, ...]]) -> list[tuple[int, int, int]]:
-    """The ties table of _row_masks as one list of (k, j, ties[k][j]) triples."""
-    ties, _ = _row_masks(size, rows)
+    """The table of _tie_masks as one list of (k, j, ties[k][j]) triples."""
+    ties = _tie_masks(size, rows)
     return [(k, j, mask) for k, tie in enumerate(ties) for j, mask in tie.items()]
 
 
@@ -308,14 +395,16 @@ def _unbroken_row(
     rows: Sequence[tuple[int, ...]],
     pairs: Sequence[tuple[int, int, int]],
 ) -> Optional[tuple[int, ...]]:
-    """The row _preserving_row returns, read off the _tie_pairs of the rows.
+    """The first row preserving the labels, read off the _tie_pairs of the
+    rows: the row _Chain.first_preserving returns when rows are the
+    chain's rows().
 
     A row is broken when it ties two positions with different labels,
     that is when it is in the mask of a pair (k, j) with labels[k] !=
     labels[j], and preserves the labels otherwise.  The OR of those masks
     is the set of broken rows; its lowest zero bit is the first row not
-    broken, or len(rows) when every row is.  Unlike the scan, the test
-    walks every pair: it has no early exit.
+    broken, or len(rows) when every row is.  Unlike the walk, the test
+    reads every pair: it has no early exit.
     """
     broken = 0
     for k, j, mask in pairs:
@@ -339,9 +428,9 @@ def _exhaustive_minimum(
     Labeling position k with a label breaks the rows of ties[k][j] for
     each earlier j labeled otherwise.  A live row of settled[k], whose
     moved positions are all labeled once k is, preserves every
-    completion, which cuts the branch.  _row_masks builds both tables a
-    column at a time, at C speed, before the search; the randomized
-    search reads the same ties.  The search starts at r = start, a lower
+    completion, which cuts the branch.  _row_masks builds both tables
+    before the search, the ties a column at a time at C speed; the
+    randomized search reads the same ties.  The search starts at r = start, a lower
     bound on the answer.
 
     Requires that no row fixes every position, so that the all-distinct
@@ -380,7 +469,7 @@ def _exhaustive_minimum(
 
 
 def _randomized_minimum(
-    size: int, rows: Sequence[tuple[int, ...]], budgets: Budgets, start: int
+    chain: _Chain, budgets: Budgets, start: int
 ) -> tuple[int, tuple[int, ...]]:
     """Witness search above the exhaustive budget.
 
@@ -390,13 +479,16 @@ def _randomized_minimum(
     afresh per label count r, from r = start up.  At r = size the
     all-distinct labeling is tried first, which guarantees termination.
 
-    The first repair step builds the tie masks of _row_masks, and every
-    later stabilizer test reads them through _unbroken_row: most searches
-    find a distinguishing labeling at once and build none.  Both tests
-    return the first preserving row, so the repair steps and the random
+    Until the first repair step the stabilizer test is the chain's walk.
+    That step lists the rows and builds their tie masks, and every later
+    test reads them through _unbroken_row: most searches find a
+    distinguishing labeling at once and list nothing.  Both tests return
+    the first preserving row, so the repair steps and the random
     trajectory do not depend on which one ran.
     """
+    size = chain.size
     rng = random.Random(budgets.seed)
+    rows: Sequence[tuple[int, ...]] = ()
     pairs: Optional[list[tuple[int, int, int]]] = None
     for r in range(start, size + 1):
         trials = 0
@@ -407,12 +499,13 @@ def _randomized_minimum(
             labels = pending.pop() if pending else [rng.randint(1, r) for _ in range(size)]
             trials += 1
             if pairs is None:
-                row = _preserving_row(labels, rows)
+                row = chain.first_preserving(labels)
             else:
                 row = _unbroken_row(labels, rows, pairs)
             steps = 0
             while row is not None and trials < budgets.trials and steps < 2 * size:
                 if pairs is None:
+                    rows = chain.rows()
                     pairs = _tie_pairs(size, rows)
                 moved = next(i for i in range(size) if row[i] != i)
                 labels[moved] = labels[moved] % r + 1
@@ -425,27 +518,27 @@ def _randomized_minimum(
     raise AssertionError("the all-distinct labeling must be distinguishing")
 
 
-def _solve(
-    size: int, rows: Sequence[tuple[int, ...]], exact: bool, budgets: Budgets, wrap
-) -> DistinguishingResult:
-    """The least label count for `size` positions under the non-identity
-    rows, exact or certified-upper; wrap(labels, r) builds the witness.
+def _solve(chain: _Chain, exact: bool, budgets: Budgets, wrap) -> DistinguishingResult:
+    """The least label count for the chain's positions, exact or
+    certified-upper; wrap(labels, r) builds the witness.
 
-    No rows: the group is trivial and one label suffices.  A row fixing
+    A trivial group: one label suffices.  A non-identity element fixing
     every position preserves every labeling: the minimum is undefined.
     Otherwise both searches start at the transposition-class bound (at
     least 2, since the group is nontrivial): no smaller r has a witness.
     """
-    if not rows:
+    size = chain.size
+    if not chain.levels:
         return DistinguishingResult(1, EXACT, wrap((1,) * size, 1), REASON_ASYMMETRIC, 1)
-    if tuple(range(size)) in rows:
+    bound = chain.transposition_class_bound()
+    if bound is None:
         return DistinguishingResult(None, UNDEFINED, None, None, None)
-    start = max(2, _transposition_class_bound(size, rows))
+    start = max(2, bound)
     if exact:
-        value, labels = _exhaustive_minimum(size, rows, start)
+        value, labels = _exhaustive_minimum(size, chain.rows(), start)
         reason = REASON_NONTRIVIAL_AUT if value == 2 else REASON_EXHAUSTED
         return DistinguishingResult(value, EXACT, wrap(labels, value), reason, value)
-    value, labels = _randomized_minimum(size, rows, budgets, start)
+    value, labels = _randomized_minimum(chain, budgets, start)
     return DistinguishingResult(
         value, CERTIFIED_UPPER, wrap(labels, value), REASON_NONTRIVIAL_AUT, start
     )
@@ -463,8 +556,8 @@ def distinguishing_number(
     asks for the group, the number and the index of one graph pays for
     one search.
     """
-    rows = _vertex_rows(graph, budgets)
-    return _solve(graph.n, rows, graph.n <= budgets.exact_vertices, budgets, VertexLabeling)
+    chain = _Chain(graph, budgets, on_edges=False)
+    return _solve(chain, graph.n <= budgets.exact_vertices, budgets, VertexLabeling)
 
 
 def distinguishing_index(
@@ -480,9 +573,9 @@ def distinguishing_index(
     distinguishing_number.
     """
     m = graph.edge_count
-    rows = _edge_rows(graph, budgets)
+    chain = _Chain(graph, budgets, on_edges=True)
 
     def wrap(flat: tuple[int, ...], r: int) -> EdgeLabeling:
         return EdgeLabeling(dict(zip(graph.edges, flat)), r)
 
-    return _solve(m, rows, m <= budgets.exact_edges, budgets, wrap)
+    return _solve(chain, m <= budgets.exact_edges, budgets, wrap)

@@ -14,15 +14,18 @@ successful search at least doubles the known group, so there are at most
 log2 |Aut| of them.  The coset representatives multiply to every element
 exactly once, so their counts give a lower bound on the group order as
 soon as they are found, and the order budget is decided before any
-element is listed.  Under the budget the elements are listed in full, as
-permutations in one-line image notation (tuples) in lexicographic order,
-which keeps stabilizer checks exact and simple.  Each graph keeps what its
-search proved, so the group of one Graph object is searched for once.
+element is listed.  Under the budget the group is held as that chain, the
+representatives of each level; its elements, permutations in one-line
+image notation (tuples), are listed in lexicographic order only when
+first asked for.  Each graph keeps what its search proved, so the group
+of one Graph object is searched for once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import prod
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -60,16 +63,46 @@ def is_automorphism(graph: Graph, p: Permutation) -> bool:
     return all(p[v] in nbr[p[u]] for u, v in graph.edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AutomorphismGroup:
-    """Fully enumerated automorphism group of a graph on n vertices."""
+    """The automorphism group of a graph on n vertices, held as a
+    stabilizer chain.
+
+    levels holds (v, reps), v increasing, for each vertex v whose orbit
+    under the stabilizer of 0..v-1 is more than v itself: reps, the
+    identity first, are coset representatives of the stabilizer of 0..v
+    in that of 0..v-1, one mapping v to each point of that orbit, in
+    increasing order of that point.  Every element is one product
+    u_0 u_1 ... of one representative per level, shallowest first, so
+    order is the product of the level sizes.  elements lists those
+    products in lexicographic order on first use.  Two groups are equal
+    when they have the same elements.
+    """
 
     n: int
-    elements: tuple[Permutation, ...]
+    levels: tuple[tuple[int, tuple[Permutation, ...]], ...]
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return prod(len(reps) for _, reps in self.levels)
+
+    @cached_property
+    def elements(self) -> tuple[Permutation, ...]:
+        # the stabilizer of 0..v-1 is {u p : u a representative for v, p in
+        # the stabilizer of 0..v}: build it deepest level first
+        elements = [identity(self.n)]
+        for _, reps in reversed(self.levels):
+            elements = [compose(u, p) for u in reps for p in elements]
+        elements.sort()
+        return tuple(elements)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AutomorphismGroup):
+            return NotImplemented
+        return (self.n, self.order) == (other.n, other.order) and self.elements == other.elements
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.order))
 
 
 class _Matcher:
@@ -246,9 +279,11 @@ def automorphism_group(
 
     The order budget is checked against the product of the coset
     representative counts found so far, a lower bound on the order, so an
-    oversized group is rejected without listing its elements.
+    oversized group is rejected without listing its elements.  The group
+    returned holds the representatives of every level; its elements are
+    listed only when read.
 
-    The graph object keeps what its search proved: the group once listed,
+    The graph object keeps what its search proved: the group once found,
     or else the largest order budget the group is known to exceed.  Every
     later call, under any budgets, answers from that exactly as a new
     search would, after checking the vertex bound; it searches again only
@@ -275,13 +310,10 @@ def automorphism_group(
         if max_order is not None and order > max_order:
             object.__setattr__(graph, "_aut", max_order)
             raise _order_exceeded(max_order)
-    # the stabilizer of 0..v-1 is {u p : u a representative for v, p in the
-    # stabilizer of 0..v}; the levels were found deepest first
-    elements = [ident]
-    for reps in levels.values():
-        elements = [compose(u, p) for u in reps for p in elements]
-    elements.sort()
-    group = AutomorphismGroup(graph.n, tuple(elements))
+    # the levels were found deepest first
+    group = AutomorphismGroup(
+        graph.n, tuple((v, tuple(reps)) for v, reps in reversed(levels.items()))
+    )
     object.__setattr__(graph, "_aut", group)
     return group
 
@@ -292,10 +324,10 @@ def has_nontrivial_automorphism(graph: Graph, *, max_vertices: int = 20) -> bool
 
 
 def group_equal(a: AutomorphismGroup, b: AutomorphismGroup) -> bool:
-    """Set equality of the two element collections."""
+    """Whether the two groups have the same elements."""
     if a.n != b.n:
         raise ValueError("groups act on different vertex counts")
-    return set(a.elements) == set(b.elements)
+    return a == b
 
 
 def find_isomorphism(g: Graph, h: Graph) -> Optional[Permutation]:

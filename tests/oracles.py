@@ -9,6 +9,8 @@ enumerates one labeling per palette renaming in the library's canonical
 order; reference_automorphisms, the recursive enumerator that listed
 every automorphism in lexicographic order; reference_preserving_row,
 the linear stabilizer test that checks every row in list order;
+reference_transposition_class_bound, the scan of every row for
+transpositions that the labeling searches' lower bound came from;
 reference_row_masks, the exhaustive search's table build, one row at a
 time; reference_parse_graph6, the graph6 reader that stepped through
 every character, whose error messages the library's reader must
@@ -141,6 +143,21 @@ def reference_preserving_row(labels, rows):
         else:
             return row
     return None
+
+
+def reference_transposition_class_bound(size: int, rows) -> int:
+    """Size of the largest class of positions pairwise swapped by
+    transposition rows, read off every row."""
+    swapped = [1] * size
+    for row in rows:
+        # a transposition fixes one of any three positions: most rows fail at once
+        if size > 2 and row[0] != 0 and row[1] != 1 and row[2] != 2:
+            continue
+        moved = [i for i, j in enumerate(row) if i != j]
+        if len(moved) == 2:
+            for i in moved:
+                swapped[i] += 1
+    return max(swapped, default=1)
 
 
 def reference_row_masks(size: int, rows):

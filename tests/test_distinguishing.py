@@ -30,14 +30,11 @@ from graphsym import (
     strong_product,
 )
 from graphsym.distinguishing import (
-    _edge_rows,
+    _Chain,
     _exhaustive_minimum,
-    _preserving_row,
     _row_masks,
     _tie_pairs,
-    _transposition_class_bound,
     _unbroken_row,
-    _vertex_rows,
 )
 from oracles import (
     all_connected_graphs,
@@ -48,6 +45,7 @@ from oracles import (
     reference_minimum,
     reference_preserving_row,
     reference_row_masks,
+    reference_transposition_class_bound,
     vertex_rows,
 )
 from test_acceptance import criterion
@@ -74,6 +72,18 @@ def test_is_distinguishing_edge_examples():
     assert not is_distinguishing_edge(c6, EdgeLabeling(labels, 2))
     with pytest.raises(ValueError):
         is_distinguishing_edge(p3, EdgeLabeling({(0, 1): 1}, 1))
+
+
+def test_labeling_shape_errors():
+    p3 = path(3)
+    with pytest.raises(ValueError, match="labeling length does not match vertex count"):
+        is_distinguishing_vertex(p3, VertexLabeling((1, 2), 2))
+    with pytest.raises(ValueError, match="labeling length does not match vertex count"):
+        is_distinguishing_vertex(p3, VertexLabeling((1, 2, 1, 2), 2))
+    # keys outside the edge set, with or without every edge present
+    for labels in ({(0, 1): 1, (0, 2): 2}, {(0, 1): 1, (1, 2): 2, (0, 2): 1}):
+        with pytest.raises(ValueError, match="labeling domain is not exactly the edge set"):
+            is_distinguishing_edge(p3, EdgeLabeling(labels, 2))
 
 
 def test_stabilizer_formulation_matches_direct_definition():
@@ -125,9 +135,10 @@ def test_index_is_undefined_when_a_swap_of_isolated_vertices_fixes_every_edge():
 
 def test_edge_test_rejects_a_group_that_is_not_of_automorphisms():
     p3 = path(3)
-    # (1 0 2) maps the edge {1, 2} to the non-edge {0, 2}; planted in the
-    # slot where the graph keeps its group, it is what the test reads
-    fake = AutomorphismGroup(3, ((0, 1, 2), (1, 0, 2)))
+    # (1 0 2) maps the edge {1, 2} to the non-edge {0, 2}; planted as the
+    # level-0 representative of a group in the slot where the graph keeps
+    # its group, it is what the test reads
+    fake = AutomorphismGroup(3, ((0, ((0, 1, 2), (1, 0, 2))),))
     object.__setattr__(p3, "_aut", fake)
     labeling = EdgeLabeling({(0, 1): 1, (1, 2): 2}, 2)
     with pytest.raises(RuntimeError, match="internal fault"):
@@ -270,7 +281,7 @@ def _assert_matches_reference(g, budgets):
     got = distinguishing_number(g, budgets)
     assert got.mode == "exact"
     assert (got.value, got.witness.labels, got.witness.r) == (value, labels, value)
-    assert _transposition_class_bound(g.n, rows) <= value
+    assert _Chain(g, budgets, on_edges=False).transposition_class_bound() <= value
     if not g.edge_count or g.edge_count > budgets.exact_edges:
         return
     rows = edge_rows(g)
@@ -283,7 +294,7 @@ def _assert_matches_reference(g, budgets):
     assert got.mode == "exact"
     assert got.value == value and got.witness.r == value
     assert tuple(got.witness.labels[e] for e in g.edges) == labels
-    assert _transposition_class_bound(g.edge_count, rows) <= value
+    assert _Chain(g, budgets, on_edges=True).transposition_class_bound() <= value
 
 
 def test_witness_matches_reference_search_small_graphs():
@@ -306,12 +317,12 @@ def test_witness_matches_reference_search_products():
 def test_transposition_class_bound_on_twins_and_pendant_edges():
     # K_{1,4}: the four leaves are pairwise twins, and so are the four edges
     star = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    assert _transposition_class_bound(5, vertex_rows(star)) == 4
-    assert _transposition_class_bound(4, edge_rows(star)) == 4
+    assert _Chain(star, DEFAULT_BUDGETS, on_edges=False).transposition_class_bound() == 4
+    assert _Chain(star, DEFAULT_BUDGETS, on_edges=True).transposition_class_bound() == 4
     assert distinguishing_number(star).value == 4
     assert distinguishing_index(star).value == 4
     # C5 has no transposition automorphism
-    assert _transposition_class_bound(5, vertex_rows(cycle(5))) == 1
+    assert _Chain(cycle(5), DEFAULT_BUDGETS, on_edges=False).transposition_class_bound() == 1
 
 
 def test_randomized_search_starts_at_the_transposition_class_bound():
@@ -349,7 +360,7 @@ def _orbit_labels(size, chosen, rng, r=None):
     return [label[find(i)] for i in range(size)]
 
 
-def _stabilizer_test_cases():
+def _stabilizer_test_graphs():
     graphs = [
         strong_product(path(10), complete(2)),
         strong_product(path(2), cycle(8)),
@@ -362,19 +373,28 @@ def _stabilizer_test_cases():
         g = Graph.from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
         if g.edge_count:
             graphs.append(g)
-    # the bounds of automorphism_group's defaults: every group is listed
-    budgets = Budgets(aut_max_order=None)
-    for g in graphs:
-        yield _vertex_rows(g, budgets)
-        rows = _edge_rows(g, budgets)
+    return graphs
+
+
+# no order cap, as in automorphism_group's defaults: every group is found
+_UNCAPPED = Budgets(aut_max_order=None)
+
+
+def _stabilizer_test_cases():
+    """(chain, rows) on the vertices and on the edges of each graph."""
+    for g in _stabilizer_test_graphs():
+        chain = _Chain(g, _UNCAPPED, on_edges=False)
+        yield chain, chain.rows()
+        chain = _Chain(g, _UNCAPPED, on_edges=True)
+        rows = chain.rows()
         if tuple(range(g.edge_count)) not in rows:  # undefined index: no search runs
-            yield rows
+            yield chain, rows
 
 
 def test_mask_test_returns_the_reference_row():
     rng = random.Random(8)
     outcomes = {True: 0, False: 0}
-    for rows in _stabilizer_test_cases():
+    for chain, rows in _stabilizer_test_cases():
         if not rows:
             continue
         size = len(rows[0])
@@ -393,14 +413,14 @@ def test_mask_test_returns_the_reference_row():
         for labels in labelings:
             expected = reference_preserving_row(labels, rows)
             assert _unbroken_row(labels, rows, pairs) == expected
-            assert _preserving_row(labels, rows) == expected
+            assert chain.first_preserving(labels) == expected
             outcomes[expected is None] += 1
     assert min(outcomes.values()) > 1000  # both distinguishing and preserved labelings
 
 
 def test_row_masks_match_the_row_by_row_build():
     count = 0
-    for rows in _stabilizer_test_cases():
+    for _, rows in _stabilizer_test_cases():
         if rows:
             size = len(rows[0])
             assert _row_masks(size, rows) == reference_row_masks(size, rows)
@@ -409,6 +429,44 @@ def test_row_masks_match_the_row_by_row_build():
     # a row moving nothing is settled at position 0
     rows = [(1, 0, 2), (0, 1, 2), (0, 2, 1)]
     assert _row_masks(3, rows) == reference_row_masks(3, rows) == ([{}, {0: 1}, {1: 4}], [2, 1, 4])
+
+
+def test_walk_lists_the_rows_and_bounds_the_transposition_classes():
+    # the walk with no effective limit gives every row in list order; with
+    # limit 2 under distinct labels it gives the oracle's transposition-class
+    # bound, or None exactly when some row fixes every position
+    undefined = 0
+    for g in _stabilizer_test_graphs():
+        for on_edges in (False, True):
+            chain = _Chain(g, _UNCAPPED, on_edges)
+            rows = list(chain.rows())
+            size = chain.size
+            assert [row for row, _ in chain.walk(range(size), size)] == rows
+            if tuple(range(size)) in rows:
+                assert chain.transposition_class_bound() is None
+                undefined += 1
+            else:
+                expected = reference_transposition_class_bound(size, rows)
+                assert chain.transposition_class_bound() == expected
+    assert undefined > 0
+
+
+def test_labeling_tests_list_no_elements():
+    # the walk answers from the representatives; a randomized search whose
+    # first labeling distinguishes never reaches its first repair
+    g = strong_product(path(4), cycle(3))
+    labels = dict.fromkeys(g.edges, 1)
+    labels[g.edges[0]] = 2
+    assert not is_distinguishing_edge(g, EdgeLabeling(labels, 2))
+    group = automorphism_group(g)
+    assert group.order == 2592 and "elements" not in vars(group)
+    g = strong_product(cycle(4), cycle(5))
+    result = distinguishing_index(g)
+    assert (g.n, result.value, result.mode) == (20, 2, "certified-upper")
+    group = automorphism_group(g)
+    assert group.order == 80 and "elements" not in vars(group)
+    # reading them lists them, sorted
+    assert list(group.elements) == sorted(group.elements) and "elements" in vars(group)
 
 
 @pytest.mark.parametrize("size", [136, 300])
@@ -434,7 +492,7 @@ def test_certified_lower_bound_is_the_transposition_class_bound():
     assert (num.value, num.mode) == (3, "certified-upper")
     assert num.bounds == (3, 3) and num.is_tight
     assert num.to_json_dict()["reason"] == "nontrivial-aut"
-    assert _transposition_class_bound(g.n, _vertex_rows(g, DEFAULT_BUDGETS)) == 3
+    assert _Chain(g, DEFAULT_BUDGETS, on_edges=False).transposition_class_bound() == 3
     # P10 x K2 has twin pairs only: the bound is 2 and the witness needs 3
     num = distinguishing_number(strong_product(path(10), complete(2)))
     assert num.bounds == (2, 3) and not num.is_tight

@@ -8,6 +8,7 @@ import graphsym.distinguishing
 import graphsym.symmetry
 from graphsym import (
     DEFAULT_BUDGETS,
+    AutomorphismGroup,
     BudgetExceeded,
     Graph,
     automorphism_group,
@@ -132,6 +133,19 @@ def test_group_equal():
     assert group_equal(k4, k4)
     with pytest.raises(ValueError):
         group_equal(k4, automorphism_group(path(3)))
+
+
+def test_groups_are_equal_when_their_elements_are():
+    # two chains of S3 with different level-0 representatives
+    e = identity(3)
+    a = AutomorphismGroup(3, ((0, (e, (1, 0, 2), (2, 1, 0))), (1, (e, (0, 2, 1)))))
+    b = AutomorphismGroup(3, ((0, (e, (1, 2, 0), (2, 0, 1))), (1, (e, (0, 2, 1)))))
+    assert a.levels != b.levels
+    assert a == b and hash(a) == hash(b) and a.order == 6
+    assert a.elements == b.elements == tuple(itertools.permutations(range(3)))
+    assert a == automorphism_group(complete(3))
+    cyclic = AutomorphismGroup(3, ((0, (e, (1, 2, 0), (2, 0, 1))),))
+    assert cyclic != a and cyclic.order == 3
 
 
 def test_budget_errors():
@@ -430,7 +444,7 @@ def test_graph_holding_its_group_equals_a_fresh_copy():
 
 
 def test_identity_is_the_first_element():
-    # _vertex_rows drops elements[0] as the identity: it is the least
+    # _Chain.rows drops elements[0] as the identity: it is the least
     # permutation, so it heads the lexicographic list of every group
     corpus = [g for _, g in default_corpus()]
     graphs = corpus + [strong_product(a, b) for a, b in itertools.combinations_with_replacement(
