@@ -29,8 +29,6 @@ from .symmetry import (
     automorphism_group,
     compose,
     find_isomorphism,
-    group_equal,
-    has_nontrivial_automorphism,
     identity,
     is_automorphism,
     is_isomorphic,

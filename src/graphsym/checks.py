@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from math import prod
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -41,7 +41,7 @@ from .structure import (
     is_s_thin,
     is_spanning_subgraph,
 )
-from .symmetry import AutomorphismGroup, BudgetExceeded, group_equal, is_isomorphic
+from .symmetry import BudgetExceeded, is_isomorphic
 
 PASS = "pass"
 FAIL = "fail"
@@ -127,48 +127,35 @@ def graph_name(g: Graph) -> str:
 
 
 class _Run:
-    """The budgets of one harness run and its memo of products and values.
+    """The budgets of one harness run and its caches of products and values.
 
     Products and distinguishing values are pure functions of the graphs and
-    the budgets, so the checks of one run share them.  The memo hands every
-    check the same product objects, and each graph object keeps its own
-    automorphism group (see automorphism_group), or the order budget it is
-    known to exceed, so neither a group nor a budget failure needs a memo
-    entry: a repeated failure is answered by the graph, with the same
-    message.  run_all passes one run to every check in the budgets
-    position; a check called with plain Budgets starts a fresh run, so
-    nothing is kept outside the graphs a call is given.
+    the budgets, so the checks of one run share them.  strong, box, number
+    and index are functools caches that live as long as the run; their
+    functions close over budgets and intern, never over the run, and look
+    up the product builders and solvers when called.  intern hands back
+    the first graph of the run equal to the one given: the products and
+    the factors of every check go through it, so within one run equal
+    graphs are one object.  Each graph object keeps its own automorphism
+    group (see automorphism_group), or the order budget it is known to
+    exceed, so neither a group nor a budget failure needs a cache entry,
+    and equal graphs are searched for once.  run_all passes one run to
+    every check in the budgets position; a check called with plain Budgets
+    starts a fresh run, so nothing is kept outside the graphs a call is
+    given.
     """
 
     def __init__(self, budgets: Budgets) -> None:
         self.budgets = budgets
-        self._memo: dict = {}
+        self.intern = intern = cache(lambda g: g)
+        self.strong = cache(lambda g, h: intern(strong_product(g, h)))
+        self.box = cache(lambda g, h: intern(cartesian_product(g, h)))
+        self.number = cache(lambda g: distinguishing_number(g, budgets))
+        self.index = cache(lambda g: distinguishing_index(g, budgets))
 
     @staticmethod
     def of(budgets: Union[Budgets, "_Run"]) -> "_Run":
         return budgets if isinstance(budgets, _Run) else _Run(budgets)
-
-    def strong(self, g: Graph, h: Graph) -> Graph:
-        return self._get(("strong", g, h), lambda: strong_product(g, h))
-
-    def box(self, g: Graph, h: Graph) -> Graph:
-        return self._get(("box", g, h), lambda: cartesian_product(g, h))
-
-    def aut(self, g: Graph) -> AutomorphismGroup:
-        return _group_of(g, self.budgets)
-
-    def number(self, g: Graph) -> DistinguishingResult:
-        return self._get(("number", g), lambda: distinguishing_number(g, self.budgets))
-
-    def index(self, g: Graph) -> DistinguishingResult:
-        return self._get(("index", g), lambda: distinguishing_index(g, self.budgets))
-
-    def _get(self, key: tuple, compute: Callable):
-        """compute() once per key."""
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._memo[key] = compute()
-        return hit
 
 
 def _connected(g: Graph, h: Graph) -> dict[str, bool]:
@@ -239,6 +226,7 @@ def _pairwise(check: str, hypotheses: Callable, size_gate: Callable,
         def public(g: Graph, h: Graph, budgets: Budgets = DEFAULT_BUDGETS,
                    label: Optional[str] = None) -> BoundReport:
             run = _Run.of(budgets)
+            g, h = run.intern(g), run.intern(h)
             instance = label if label is not None else f"{graph_name(g)} x {graph_name(h)}"
             return _decide(check, instance, hypotheses(g, h),
                            size_gate(run.budgets, g, h),
@@ -341,11 +329,11 @@ def check_number_equality(run: _Run, g: Graph, h: Graph, report) -> BoundReport:
     distinguishing numbers."""
     strong = run.strong(g, h)
     box = run.box(g, h)
-    aut_strong = run.aut(strong)
-    aut_box = run.aut(box)
+    aut_strong = _group_of(strong, run.budgets)
+    aut_box = _group_of(box, run.budgets)
     d_strong = run.number(strong)
     d_box = run.number(box)
-    groups_equal = group_equal(aut_strong, aut_box)
+    groups_equal = aut_strong == aut_box
     quantities = {
         "Aut(strong) order": aut_strong.order,
         "Aut(cartesian) order": aut_box.order,
@@ -376,7 +364,7 @@ def check_power_number(
     order = g.n ** k
 
     def body(report) -> BoundReport:
-        result = run.number(reduce(run.strong, [g] * k))
+        result = run.number(reduce(run.strong, [run.intern(g)] * k))
         quantities = {"power order": order, "D(power)": _result_summary(result)}
         if not result.is_tight:
             return report(NOT_APPLICABLE, quantities, "budget: value not certified tight")
@@ -514,7 +502,8 @@ def _lift_hypotheses(run: _Run, g: Graph, h: Graph) -> dict[str, bool]:
     return {
         **_spans(run, g, h),
         "Aut(strong) subgroup of Aut(cartesian)": (
-            set(run.aut(run.strong(g, h)).elements) <= set(run.aut(run.box(g, h)).elements)
+            set(_group_of(run.strong(g, h), run.budgets).elements)
+            <= set(_group_of(run.box(g, h), run.budgets).elements)
         ),
     }
 
@@ -587,7 +576,7 @@ def check_traceable_index(
     distinguishing edge labeling."""
     run = _Run.of(budgets)
     b = run.budgets
-    factors = list(factors)
+    factors = list(map(run.intern, factors))
     delta = len(factors)
     instance = label if label is not None else " x ".join(graph_name(f) for f in factors)
     orders = [f.n for f in factors]
@@ -648,9 +637,10 @@ def run_all(
 
     Reports appear in corpus order regardless of how long each check takes;
     hypothesis violations and budget skips are data, not errors.  The checks
-    share one memo of products and values, which lives for this call only;
-    each graph keeps its automorphism group, or the order budget it is
-    known to exceed, so one graph object is searched for once.
+    share one _Run of products and values, which lives for this call only;
+    within it equal graphs are one object, and each graph keeps its
+    automorphism group, or the order budget it is known to exceed, so each
+    distinct graph is searched for once.
     """
     bases = list(corpus)
     pairs = list(itertools.combinations_with_replacement(bases, 2)) + list(extra_pairs)

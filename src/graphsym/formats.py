@@ -42,6 +42,11 @@ _GRAPH6_BYTES = bytes(range(63, 127))
 # counted from the most significant one
 _MARK_SET_GROUPS = bytes(b != 63 for b in range(256))
 _SET_BITS = tuple(tuple(b for b in range(6) if group & (32 >> b)) for group in range(64))
+# the characters at which str.splitlines ends a line, as a regex class body
+_LINE_ENDS = r"\n\r\v\f\x1c-\x1e\x85\u2028\u2029"
+# whitespace and "#" comments, each ending at a line end, then the first
+# significant line up to a comment, if it starts with a sign or a decimal digit
+_INTEGER_LINE = re.compile(rf"\s*(?:#[^{_LINE_ENDS}]*\s*)*([+\-\d][^#{_LINE_ENDS}]*)?")
 # an edge list in the shape serialize_edgelist writes, final newline optional
 _WRITER_EDGELIST = re.compile(r"[0-9]{1,6}(?:\n[0-9]{1,6} [0-9]{1,6})*\n?")
 
@@ -242,35 +247,26 @@ def detect_format(text: str | bytes) -> str:
     """Guess the format: an integer first line means edge list, else graph6.
 
     The first line of str.splitlines that is neither blank nor a comment
-    decides.  The lines are split off a prefix of the text that grows
-    fourfold until they reach it, and a line that cannot begin an integer
-    decides before its end is read: a graph6 line can be the whole text.
+    decides.  One anchored match skips whitespace and "#" comments, each
+    comment ending where str.splitlines ends a line, and then takes the
+    rest of that line up to a comment only when its first character can
+    begin an integer, a sign or a decimal digit: any other character
+    decides for graph6 without reading on, so a graph6 line can be the
+    whole text.
     """
     if isinstance(text, bytes):
         text = text.decode("ascii", errors="replace")
-    size = 256
-    while True:
-        lines = text[:size].splitlines()
-        cut = size < len(text)  # then the last line may run on past the prefix
-        for i, raw in enumerate(lines):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            # int() reads a sign or a decimal digit first, after the strip
-            if line[0] not in "+-" and not line[0].isdecimal():
-                return "graph6"
-            if cut and i == len(lines) - 1:
-                break
-            if _LONG_NUMBER.fullmatch(line):
-                return "edgelist"
-            try:
-                int(line)
-                return "edgelist"
-            except ValueError:
-                return "graph6"
-        if not cut:
-            return "graph6"
-        size *= 4
+    line = _INTEGER_LINE.match(text)[1]
+    if line is None:
+        return "graph6"
+    line = line.strip()
+    if _LONG_NUMBER.fullmatch(line):
+        return "edgelist"
+    try:
+        int(line)
+        return "edgelist"
+    except ValueError:
+        return "graph6"
 
 
 def parse_auto(text: str | bytes) -> Graph:

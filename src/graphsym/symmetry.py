@@ -212,18 +212,11 @@ def _transversal(v: int, gens: list[Permutation], n: int) -> dict[int, Permutati
     return trans
 
 
-def _check_vertex_bound(graph: Graph, max_vertices: int) -> None:
-    if graph.n > max_vertices:
-        raise BudgetExceeded(
-            f"graph has {graph.n} vertices, above the automorphism bound {max_vertices}"
-        )
-
-
 def _order_exceeded(max_order: int) -> BudgetExceeded:
     return BudgetExceeded(f"automorphism group larger than the order budget {max_order}")
 
 
-def _coset_representatives(graph: Graph, max_vertices: int) -> Iterator[tuple[int, Permutation]]:
+def _coset_representatives(graph: Graph) -> Iterator[tuple[int, Permutation]]:
     """Yield (v, p) for v = n-1 down to 0 and, in increasing order, each
     w != v for which some automorphism fixes 0..v-1 and maps v to w; p is
     one such automorphism.
@@ -240,10 +233,8 @@ def _coset_representatives(graph: Graph, max_vertices: int) -> Iterator[tuple[in
     the known group, so it at least doubles it.  The deepest levels come
     first because their searches have the fewest free vertices: they are
     cheap, and the order they prove can end the walk before a shallow
-    search runs.  A graph over max_vertices raises BudgetExceeded before
-    the first yield.
+    search runs.
     """
-    _check_vertex_bound(graph, max_vertices)
     n = graph.n
     m = _Matcher(graph, graph)
     for v in range(n):
@@ -291,7 +282,10 @@ def automorphism_group(
     to be exceeded.  Nothing is shared between distinct objects, equal or
     not.
     """
-    _check_vertex_bound(graph, max_vertices)
+    if graph.n > max_vertices:
+        raise BudgetExceeded(
+            f"graph has {graph.n} vertices, above the automorphism bound {max_vertices}"
+        )
     known = graph._aut
     if isinstance(known, AutomorphismGroup):
         # a search tests the budget once it has a representative: order > 1
@@ -303,7 +297,7 @@ def automorphism_group(
     ident = identity(graph.n)
     levels: dict[int, list[Permutation]] = {}
     order = 1
-    for v, p in _coset_representatives(graph, max_vertices):
+    for v, p in _coset_representatives(graph):
         reps = levels.setdefault(v, [ident])
         order = order // len(reps) * (len(reps) + 1)
         reps.append(p)
@@ -316,18 +310,6 @@ def automorphism_group(
     )
     object.__setattr__(graph, "_aut", group)
     return group
-
-
-def has_nontrivial_automorphism(graph: Graph, *, max_vertices: int = 20) -> bool:
-    """True iff some non-identity automorphism exists; stops at the first."""
-    return next(_coset_representatives(graph, max_vertices), None) is not None
-
-
-def group_equal(a: AutomorphismGroup, b: AutomorphismGroup) -> bool:
-    """Whether the two groups have the same elements."""
-    if a.n != b.n:
-        raise ValueError("groups act on different vertex counts")
-    return a == b
 
 
 def find_isomorphism(g: Graph, h: Graph) -> Optional[Permutation]:

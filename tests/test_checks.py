@@ -1,4 +1,5 @@
 import ast
+import gc
 import inspect
 import itertools
 
@@ -416,6 +417,18 @@ def test_direct_check_calls_retain_nothing(monkeypatch):
             assert check(path(3), path(4)).passed
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0, check.__name__
+
+
+def test_run_all_leaves_no_reference_cycles():
+    # the run's caches close over its budgets, never over the run, so
+    # reference counting alone frees a finished run and all it built
+    gc.collect()
+    gc.disable()
+    try:
+        run_all(default_corpus()[:6])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 PAIR_PARAMETERS = [("g", inspect.Parameter.empty), ("h", inspect.Parameter.empty),

@@ -21,7 +21,6 @@ from graphsym import (
     distinguishing_index,
     distinguishing_number,
     hamiltonian_path_exists,
-    has_nontrivial_automorphism,
     identity,
     is_distinguishing_edge,
     is_distinguishing_vertex,
@@ -151,7 +150,6 @@ def test_search_defaults_equal_the_default_budgets():
         return inspect.signature(search).parameters["max_vertices"].default
 
     assert default(automorphism_group) == DEFAULT_BUDGETS.aut_vertices
-    assert default(has_nontrivial_automorphism) == DEFAULT_BUDGETS.aut_vertices
     assert default(hamiltonian_path_exists) == DEFAULT_BUDGETS.hamiltonian_vertices
 
 

@@ -118,12 +118,14 @@ def test_overlong_count_line_is_an_edge_list():
 
 
 # every line boundary of str.splitlines, and line contents that are blank,
-# commented, integers or not; the long ones put detect_format's prefix cut
-# inside a line, or a line past it
+# commented, integers or not; the long ones run past any short look-ahead,
+# and the last four hold whitespace that ends no line, the only characters
+# that regex \s and str.splitlines treat differently
 _BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 _PIECES = ["", " ", "\t", "#", "# 12", "7", " 12 ", "+3", "-0", "1_0", "D?{", "3 # x", "9" * 7,
            "\u0663", "\u00b2", "a", "\x00", " " * 300, "#" * 300, "5" + " " * 300,
-           "1" + " " * 300 + "2", "-" + "0" * 300, "D" * 300, "9" * 5000]
+           "1" + " " * 300 + "2", "-" + "0" * 300, "D" * 300, "9" * 5000,
+           "\x1f", "\xa0 7", "3\x1f", "\u3000"]
 _LINE_TEXT = st.sampled_from(_PIECES) | st.text(max_size=3)
 
 

@@ -21,8 +21,6 @@ from graphsym import (
     distinguishing_index,
     distinguishing_number,
     find_isomorphism,
-    group_equal,
-    has_nontrivial_automorphism,
     identity,
     is_automorphism,
     is_isomorphic,
@@ -114,25 +112,25 @@ def test_elements_sorted_and_degree_preserving():
 
 
 def test_has_nontrivial_automorphism():
-    assert has_nontrivial_automorphism(path(2))
-    assert not has_nontrivial_automorphism(complete(1))
+    assert automorphism_group(path(2)).order > 1
+    assert automorphism_group(complete(1)).order == 1
     # oracle-verified: the 6-vertex caterpillar has a reversal automorphism
-    assert has_nontrivial_automorphism(CATERPILLAR6)
+    assert automorphism_group(CATERPILLAR6).order > 1
     assert len(brute_automorphisms(CATERPILLAR6)) == 2
     # and the 7-vertex spider is asymmetric
-    assert not has_nontrivial_automorphism(SPIDER7)
+    assert automorphism_group(SPIDER7).order == 1
     assert len(brute_automorphisms(SPIDER7)) == 1
 
 
 def test_group_equal():
     a = automorphism_group(strong_product(path(3), path(4)))
     b = automorphism_group(cartesian_product(path(3), path(4)))
-    assert group_equal(a, b)
+    assert a == b
     k4, c4 = automorphism_group(complete(4)), automorphism_group(cycle(4))
-    assert not group_equal(k4, c4)
-    assert group_equal(k4, k4)
-    with pytest.raises(ValueError):
-        group_equal(k4, automorphism_group(path(3)))
+    assert k4 != c4
+    assert k4 == k4
+    # groups on different vertex counts are unequal
+    assert k4 != automorphism_group(path(3))
 
 
 def test_groups_are_equal_when_their_elements_are():
@@ -213,7 +211,6 @@ def _assert_matches_reference(g):
     assert automorphism_group(g).elements == expected, g
     # the kernel's own full walk from the empty map
     assert tuple(_Matcher(g, g).completions()) == expected, g
-    assert has_nontrivial_automorphism(g) == (len(expected) > 1), g
 
 
 def test_matches_reference_enumerator_on_all_small_graphs():
@@ -326,7 +323,7 @@ def test_coset_representatives_follow_the_stabilizer_chain():
     graphs += list(_random_graphs(80, seed=23))
     for g in graphs:
         pairs = []
-        for v, p in _coset_representatives(g, g.n):
+        for v, p in _coset_representatives(g):
             assert is_automorphism(g, p) and p[:v] == identity(g.n)[:v], g
             pairs.append((v, p[v]))
         assert pairs == _reference_chain(g), g
@@ -360,9 +357,9 @@ def searches(monkeypatch):
     searched = []
     search = graphsym.symmetry._coset_representatives
 
-    def counting(graph, max_vertices):
+    def counting(graph):
         searched.append(graph)
-        return search(graph, max_vertices)
+        return search(graph)
 
     monkeypatch.setattr(graphsym.symmetry, "_coset_representatives", counting)
     return searched
@@ -461,7 +458,7 @@ def test_identity_is_the_first_element():
 
 
 def test_run_all_refuses_each_order_capped_product_once(searches):
-    # no run memo holds the failure: the graph object remembers the order
+    # no run cache holds the failure: the graph object remembers the order
     # cap it exceeds, and answers each later check with the same message.
     # K3 x K3, K3 x K4 and K4 x K4 are K9, K12 and K16
     reports = run_all([("K3", complete(3)), ("K4", complete(4))])
@@ -480,3 +477,11 @@ def test_run_all_refuses_each_order_capped_product_once(searches):
         ("index-lift", "K4 x K4"),
     ]
     assert all(r.notes == note for r in reports if "order budget" in "".join(r.notes))
+
+
+def test_run_all_searches_each_distinct_graph_once(searches):
+    # within one run equal graphs are one object: P2 and K2, C3 and K3,
+    # K4 and K2 x K2, and K2 x K3 and K3 x K2 (both K6) are each searched once
+    run_all(default_corpus())
+    assert searches and len(set(searches)) == len(searches)
+    assert complete(6) in searches and complete(4) in searches
