@@ -16,6 +16,7 @@ import json
 import re
 import sys
 from dataclasses import fields, replace
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .checks import (
@@ -106,9 +107,36 @@ def _load_graph(source: str) -> Graph:
         return parse_auto(fh.read())
 
 
+def _json(value: object, pad: str = "\n") -> str:
+    """value as json.dumps(value, indent=2) writes it, byte for byte, for
+    str keys and JSON values, tuples as lists.  The standard encoder runs
+    in pure Python whenever it indents; here each container is one join of
+    its items, with strings encoded by the C escaper json uses."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     else:
         for line in text_lines:
             print(line)

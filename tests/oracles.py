@@ -400,6 +400,25 @@ def reference_automorphisms(graph: Graph):
     yield from extend(0)
 
 
+def reference_stable_partition(graph: Graph) -> list[list[int]]:
+    """The coarsest equitable partition refining the degrees, by textbook
+    colour refinement: each round colours v by its colour and the sorted
+    colours of its neighbours, until a round splits no class.  The classes,
+    each sorted, in order of their least vertex."""
+    colour = [graph.degree(v) for v in range(graph.n)]
+    while True:
+        signature = [(colour[v], tuple(sorted(colour[u] for u in graph.adj[v])))
+                     for v in range(graph.n)]
+        if len(set(signature)) == len(set(colour)):
+            break
+        names = {s: k for k, s in enumerate(set(signature))}
+        colour = [names[s] for s in signature]
+    classes: dict = {}
+    for v, c in enumerate(colour):
+        classes.setdefault(c, []).append(v)
+    return list(classes.values())
+
+
 def naive_hamiltonian_path(g: Graph) -> bool:
     if g.n == 1:
         return True

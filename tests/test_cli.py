@@ -471,3 +471,46 @@ def test_each_budget_field_has_exactly_one_flag():
     assert graphsym.cli._budgets(parser.parse_args(["verify", "--all"])) == DEFAULT_BUDGETS
     args = parser.parse_args(["distnum", "g", "--max-order", "0"])
     assert graphsym.cli._budgets(args).aut_max_order is None
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), None, True, False, 0, -7, 2 ** 70, 1.5, "", "plain",
+    {"a": {}, "b": [], "c": [{}, [[]], ()], "d": None, "e": [True, False, None]},
+    {"t": (1, (2, 3), ()), "u": [(), {"k": ("x", None)}]},
+    {"café": "été — \U0001f600", "esc": "tab\t quote\" back\\ nl\n \x00"},
+    [[[[{"deep": [1, [2, [3]]]}]]]],
+])
+def test_json_writer_matches_the_standard_encoder(value):
+    assert graphsym.cli._json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["product", "--op", "strong", "P3", "C4"],
+    ["autgroup", "C4"],
+    ["autgroup", "C4", "--elements"],
+    ["distnum", "C4"],
+    ["distidx", "C4"],
+    ["distidx", "P2"],
+    ["sthin", "C4"],
+    ["traceable", "C4"],
+    ["verify", "--all"],
+])
+def test_every_verb_writes_what_the_standard_encoder_writes(capsys, monkeypatch, g6, argv):
+    # each payload the verb emits, tuples and all, as json.dumps(indent=2)
+    # writes it
+    payloads = []
+    write = graphsym.cli._json
+
+    def checked(value, *pad):
+        out = write(value, *pad)
+        if not pad:
+            payloads.append(value)
+            assert out == json.dumps(value, indent=2)
+        return out
+
+    monkeypatch.setattr(graphsym.cli, "_json", checked)
+    files = {"P2": path(2), "P3": path(3), "C4": cycle(4)}
+    argv = [g6(a + ".g6", files[a]) if a in files else a for a in argv]
+    code, out, _ = run(capsys, argv + ["--json"])
+    assert code == 0 and len(payloads) == 1
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -26,11 +28,15 @@ from graphsym import (
     is_isomorphic,
     path,
     run_all,
+    serialize_graph6,
     strong_product,
 )
 from graphsym.distinguishing import _group_of
-from graphsym.symmetry import _coset_representatives, _Matcher
-from oracles import brute_automorphisms, reference_automorphisms
+from graphsym.symmetry import _coset_representatives, _Matcher, _stable_colouring
+from oracles import (
+    brute_automorphisms, connected_graph_sample, reference_automorphisms,
+    reference_stable_partition,
+)
 from test_acceptance import criterion
 
 # The caterpillar tree on 6 vertices: reversing the spine (0<->4, 1<->3)
@@ -485,3 +491,167 @@ def test_run_all_searches_each_distinct_graph_once(searches):
     run_all(default_corpus())
     assert searches and len(set(searches)) == len(searches)
     assert complete(6) in searches and complete(4) in searches
+
+
+def _random_tree(n, seed):
+    rng = random.Random(seed)
+    return Graph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+def _relabelled(g, seed):
+    """A copy of g with its vertices shuffled, and the shuffle."""
+    relabel = list(range(g.n))
+    random.Random(seed).shuffle(relabel)
+    return Graph.from_edges(g.n, [(relabel[u], relabel[v]) for u, v in g.edges]), relabel
+
+
+def _colouring_graphs():
+    yield from _random_graphs(150, seed=31)
+    yield from connected_graph_sample(8, 40, seed=4)
+    for seed in range(10):
+        yield _random_tree(30, seed)
+    yield from (path(9), cycle(7), complete(5), CATERPILLAR6, SPIDER7, Graph(0, ()),
+                direct_product(complete(2), path(6)), strong_product(path(3), cycle(4)))
+
+
+def test_stable_colouring_is_equitable_and_refines_degree():
+    for g in _colouring_graphs():
+        colour = _stable_colouring(g)
+        assert sorted(set(colour)) == list(range(len(set(colour)))), g
+        for u, v in itertools.combinations(range(g.n), 2):
+            if colour[u] == colour[v]:
+                assert g.degree(u) == g.degree(v), g
+                # equitable: equally many neighbours of every colour
+                assert (sorted(colour[x] for x in g.adj[u])
+                        == sorted(colour[x] for x in g.adj[v])), g
+
+
+def test_stable_colouring_matches_textbook_refinement():
+    # a long path refines over 30 rounds; P5 + C5 + K1,3 mixes components
+    mixed = Graph.from_edges(14, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8),
+                                  (8, 9), (5, 9), (10, 11), (10, 12), (10, 13)])
+    for g in itertools.chain(_colouring_graphs(), (path(61), mixed)):
+        classes: dict = {}
+        for v, c in enumerate(_stable_colouring(g)):
+            classes.setdefault(c, []).append(v)
+        assert sorted(classes.values()) == reference_stable_partition(g), g
+
+
+def test_stable_colouring_maps_through_a_relabelling():
+    graphs = connected_graph_sample(7, 60, seed=8) + [_random_tree(40, s) for s in range(5)]
+    for k, g in enumerate(graphs):
+        h, relabel = _relabelled(g, k)
+        colour_g, colour_h = _stable_colouring(g), _stable_colouring(h)
+        assert all(colour_h[relabel[v]] == colour_g[v] for v in range(g.n)), g
+
+
+def test_every_orbit_lies_inside_one_colour():
+    for g in itertools.chain(_random_graphs(100, seed=37), connected_graph_sample(7, 40, seed=2),
+                             (CATERPILLAR6, strong_product(path(3), path(3)))):
+        colour = _stable_colouring(g)
+        for a in reference_automorphisms(g):
+            assert all(colour[a[v]] == colour[v] for v in range(g.n)), g
+
+
+def test_regular_pairs_that_colouring_cannot_tell_apart():
+    # each pair is regular with equal vertex and edge counts, so both
+    # colourings are one class and the search alone refutes the isomorphism
+    def cycles(*lengths):
+        edges, start = [], 0
+        for k in lengths:
+            edges += [(start + i, start + (i + 1) % k) for i in range(k)]
+            start += k
+        return Graph.from_edges(start, edges)
+
+    prism = cartesian_product(cycle(3), complete(2))
+    k33 = Graph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    cube = cartesian_product(cycle(4), complete(2))
+    two_k4 = Graph.from_edges(8, [(u, v) for u, v in itertools.combinations(range(8), 2)
+                                  if u // 4 == v // 4])
+    pairs = [(cycle(6), cycles(3, 3)), (k33, prism), (cube, two_k4), (cycle(8), cycles(4, 4)),
+             (cycles(9), cycles(3, 3, 3))]
+    for g, h in pairs:
+        assert _stable_colouring(g) == _stable_colouring(h) == [0] * g.n
+        assert find_isomorphism(g, h) is None and find_isomorphism(h, g) is None
+        assert not is_isomorphic(g, h)
+        # and each is still isomorphic to a relabelled copy of itself
+        for x in (g, h):
+            assert is_isomorphic(x, _relabelled(x, 1)[0])
+
+
+@pytest.fixture
+def pushes(monkeypatch):
+    """Counts kernel pushes, and fails a search at once when it makes more
+    than ``limit``: the degree-only kernel needed minutes on these graphs."""
+    count = [0]
+    limit = [math.inf]
+    push = _Matcher.push
+
+    def counting(self, w):
+        count[0] += 1
+        if count[0] > limit[0]:
+            raise AssertionError(f"more than {limit[0]} kernel pushes")
+        push(self, w)
+
+    monkeypatch.setattr(_Matcher, "push", counting)
+
+    def within(bound, search):
+        count[0], limit[0] = 0, bound
+        result = search()
+        return result, count[0]
+
+    return within
+
+
+def test_relabelled_tree_isomorphism_is_linear_in_pushes(pushes):
+    g = _random_tree(100, 5)
+    h, relabel = _relabelled(g, 6)
+    iso, made = pushes(2 * g.n, lambda: find_isomorphism(g, h))
+    assert iso is not None and is_automorphism(g, compose(inverse(relabel), iso))
+    assert made <= 2 * g.n
+
+
+def test_colour_class_sizes_refuse_an_isomorphism_before_the_search(pushes):
+    # P6 with a leaf on its second or its third vertex: equal degree
+    # sequences, but two leaves next to the degree-3 vertex against one
+    spine = [(i, i + 1) for i in range(5)]
+    g, h = Graph.from_edges(7, spine + [(1, 6)]), Graph.from_edges(7, spine + [(2, 6)])
+    assert sorted(map(g.degree, range(7))) == sorted(map(h.degree, range(7)))
+    assert pushes(0, lambda: find_isomorphism(g, h)) == (None, 0)
+
+
+def test_disconnected_direct_product_group_takes_few_pushes(pushes):
+    # K2 x P10 is two disjoint paths; by degree alone the failing searches
+    # at shallow levels took about 1.5 million pushes
+    g = direct_product(complete(2), path(10))
+    group, made = pushes(1000, lambda: automorphism_group(g))
+    assert group.order == 8 and made <= 1000
+
+
+def test_tree_group_takes_few_pushes(pushes):
+    g = _random_tree(100, 5)
+    group, made = pushes(2000, lambda: automorphism_group(g, max_vertices=100))
+    assert group.order == 36864 and made <= 2000
+
+
+# sha256 of (graph6, levels) of every group listable at the default budgets
+# among the corpus graphs and their strong and Cartesian products within the
+# automorphism vertex bound: what the search finds, representatives and all
+LEVELS_SHA256 = "ce650b726d53738d1e49ab85387fbce817b878c77736af81e4cffcfefc5626f9"
+
+
+def test_levels_of_corpus_groups_are_pinned():
+    corpus = [g for _, g in default_corpus()]
+    graphs = corpus + [op(a, b) for op in (strong_product, cartesian_product)
+                       for a, b in itertools.product(corpus, repeat=2)
+                       if a.n * b.n <= DEFAULT_BUDGETS.aut_vertices]
+    rows = []
+    for g in graphs:
+        try:
+            group = _group_of(g, DEFAULT_BUDGETS)
+        except BudgetExceeded:
+            continue
+        levels = [[v, [list(p) for p in reps]] for v, reps in group.levels]
+        rows.append([serialize_graph6(g), levels])
+    assert len(rows) == 227
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == LEVELS_SHA256
