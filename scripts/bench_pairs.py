@@ -14,7 +14,8 @@ leaves nothing in the repository.  The change is the working tree as it
 stands, uncommitted edits included; the script refuses to run when its
 tracked files do not differ from the parent's.  perfbench/run.py runs
 unchanged, from each side's own checkout, with ``--trace 0``; the last
-line of its stdout is the run's result.
+line of its stdout is the run's result, and its ``meta`` line gives the
+run's pass count.
 
 Each seed is one pair: both sides run on it, one after the other.  The
 side that runs first alternates from pair to pair, the parent first on
@@ -23,7 +24,9 @@ the first pair of each workload.
 The record holds every result line in the order the runs happened and,
 per workload and side, the median and quartiles (inclusive method) of
 each end-to-end metric, the attempted and failed operation counts and
-whether every run was correct.  change_wins_of_pairs counts, per metric,
+whether every run was correct, and the pass count of each run, in pair
+order.  Pass counts matter because some metrics, such as query-mix
+peak_rss_mb, grow with them.  change_wins_of_pairs counts, per metric,
 the pairs in which the change was strictly better, in the direction that
 BENCHMARK.json gives.  The notes say the same in one line per workload.
 """
@@ -70,8 +73,9 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     """The summary of the runs per workload: per side, each metric's spread
     and the operation counts; and the pairs the change won per metric.
 
-    A run is {"workload", "seed", "side", "first", "result"}, with result
-    the JSON line perfbench/run.py printed last.
+    A run is {"workload", "seed", "side", "first", "result", "passes"},
+    with result the JSON line perfbench/run.py printed last and passes the
+    pass count of its meta line.
     """
     out: dict[str, dict] = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
@@ -86,6 +90,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             entry[side]["failed"] = sum(res["failed"] for res in mine)
             entry[side]["attempted"] = sum(res["attempted"] for res in mine)
             entry[side]["all_correct"] = all(res["correct"] for res in mine)
+            entry[side]["passes"] = [r["passes"] for r in runs
+                                     if (r["workload"], r["side"]) == (workload, side)]
         seeds = [seed for seed, side in results if side == "parent" and (seed, "change") in results]
         wins = {}
         for name, direction in better.items():
@@ -102,7 +108,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
 
 def describe(workload: str, entry: dict) -> str:
     """One line per workload: each metric's median [q1, q3] on both sides,
-    the relative change of the median, and the pairs the change won."""
+    the relative change of the median, the pairs the change won, and the
+    pass counts of both sides' runs."""
     parts = []
     for name, wins in entry["change_wins_of_pairs"].items():
         p, c = entry["parent"][name], entry["change"][name]
@@ -112,7 +119,8 @@ def describe(workload: str, entry: dict) -> str:
             f"[{c['q1']:.4f}, {c['q3']:.4f}] ({rel:+.1f}%, change won {wins} of "
             f"{entry['pairs']} pairs)")
     failed = f"failed {entry['parent']['failed']} -> {entry['change']['failed']}"
-    return f"{workload}: " + "; ".join(parts) + f"; {failed}"
+    passes = " -> ".join(" ".join(map(str, entry[side]["passes"])) for side in SIDES)
+    return f"{workload}: " + "; ".join(parts) + f"; {failed}; passes {passes}"
 
 
 def export(rev: str, dest: Path) -> str:
@@ -124,9 +132,9 @@ def export(rev: str, dest: Path) -> str:
     return sha
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> str:
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[str, int]:
     """perfbench/run.py of the checkout at root, on one workload and seed;
-    its last stdout line."""
+    its last stdout line and the pass count of its meta line."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -134,7 +142,9 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> str:
     if done.returncode != 0:
         raise SystemExit(f"error: {workload} seed {seed} in {root} exited "
                          f"{done.returncode}: {done.stderr.strip()}")
-    return done.stdout.strip().splitlines()[-1]
+    lines = done.stdout.strip().splitlines()
+    meta = next(json.loads(line[5:]) for line in lines if line.startswith("meta "))
+    return lines[-1], meta["passes"]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -159,10 +169,11 @@ def main(argv: list[str] | None = None) -> int:
             for pair, seed in enumerate(parse_seeds(seeds)):
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    result = run_once(roots[side], workload, seed, args.seconds)
+                    result, passes = run_once(roots[side], workload, seed, args.seconds)
                     runs.append({"workload": workload, "seed": seed, "side": side,
-                                 "first": order[0], "result": result})
-                    print(f"{workload} seed {seed} {side}: {result}", file=sys.stderr)
+                                 "first": order[0], "result": result, "passes": passes})
+                    print(f"{workload} seed {seed} {side} ({passes} passes): {result}",
+                          file=sys.stderr)
     summary = summarize(runs, better)
     record = {
         "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> "

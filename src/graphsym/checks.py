@@ -129,11 +129,14 @@ def graph_name(g: Graph) -> str:
 class _Run:
     """The budgets of one harness run and its caches of products and values.
 
-    Products and distinguishing values are pure functions of the graphs and
-    the budgets, so the checks of one run share them.  strong, box, number
-    and index are functools caches that live as long as the run; their
-    functions close over budgets and intern, never over the run, and look
-    up the product builders and solvers when called.  intern hands back
+    Products, distinguishing values and factor hypotheses are pure
+    functions of the graphs and the budgets, so the checks of one run
+    share them.  strong, box, number and index are functools caches that
+    live as long as the run; their functions close over budgets and
+    intern, never over the run, and look up the product builders and
+    solvers when called.  connected, thin and prime are caches of
+    is_connected, is_s_thin and declared_strong_prime, which read the
+    graph alone: the hypotheses of every check.  intern hands back
     the first graph of the run equal to the one given: the products and
     the factors of every check go through it, so within one run equal
     graphs are one object.  Each graph object keeps its own automorphism
@@ -152,24 +155,27 @@ class _Run:
         self.box = cache(lambda g, h: intern(cartesian_product(g, h)))
         self.number = cache(lambda g: distinguishing_number(g, budgets))
         self.index = cache(lambda g: distinguishing_index(g, budgets))
+        self.connected = cache(is_connected)
+        self.thin = cache(is_s_thin)
+        self.prime = cache(declared_strong_prime)
 
     @staticmethod
     def of(budgets: Union[Budgets, "_Run"]) -> "_Run":
         return budgets if isinstance(budgets, _Run) else _Run(budgets)
 
 
-def _connected(g: Graph, h: Graph) -> dict[str, bool]:
-    return {"G connected": is_connected(g), "H connected": is_connected(h)}
+def _connected(run: _Run, g: Graph, h: Graph) -> dict[str, bool]:
+    return {"G connected": run.connected(g), "H connected": run.connected(h)}
 
 
-def _thin_prime(g: Graph, h: Graph) -> dict[str, bool]:
+def _thin_prime(run: _Run, g: Graph, h: Graph) -> dict[str, bool]:
     """Connected, S-thin and declared-prime factors: the S-thin checks' hypotheses."""
     return {
-        **_connected(g, h),
-        "G S-thin": is_s_thin(g),
-        "H S-thin": is_s_thin(h),
-        "G declared prime": declared_strong_prime(g),
-        "H declared prime": declared_strong_prime(h),
+        **_connected(run, g, h),
+        "G S-thin": run.thin(g),
+        "H S-thin": run.thin(h),
+        "G declared prime": run.prime(g),
+        "H declared prime": run.prime(h),
     }
 
 
@@ -215,11 +221,12 @@ def _pairwise(check: str, hypotheses: Callable, size_gate: Callable,
     becomes the public check(g, h, budgets, label), with the body's name and
     docstring.
 
-    hypotheses(g, h), size_gate(budgets, g, h) and late(run, g, h) are the
-    stages _decide runs before the body, in that order.  The first two read
-    only the factors; a hypothesis that builds a product or a group belongs
-    in late, so that nothing is built before the size gate passes.  budgets
-    is a Budgets, or the _Run that run_all shares between its checks.
+    hypotheses(run, g, h), size_gate(budgets, g, h) and late(run, g, h) are
+    the stages _decide runs before the body, in that order.  The first two
+    read only the factors, the hypotheses through the run's caches; a
+    hypothesis that builds a product or a group belongs in late, so that
+    nothing is built before the size gate passes.  budgets is a Budgets,
+    or the _Run that run_all shares between its checks.
     """
 
     def declare(body: Callable) -> Callable[..., BoundReport]:
@@ -228,7 +235,7 @@ def _pairwise(check: str, hypotheses: Callable, size_gate: Callable,
             run = _Run.of(budgets)
             g, h = run.intern(g), run.intern(h)
             instance = label if label is not None else f"{graph_name(g)} x {graph_name(h)}"
-            return _decide(check, instance, hypotheses(g, h),
+            return _decide(check, instance, hypotheses(run, g, h),
                            size_gate(run.budgets, g, h),
                            lambda report: body(run, g, h, report), lambda: late(run, g, h))
 
@@ -356,9 +363,9 @@ def check_power_number(
     run = _Run.of(budgets)
     instance = label if label is not None else f"{graph_name(g)}^{k} (strong)"
     hyps = {
-        "G connected": is_connected(g),
+        "G connected": run.connected(g),
         "G non-trivial": g.n >= 2,
-        "G S-thin": is_s_thin(g),
+        "G S-thin": run.thin(g),
         "power at least 2": k >= 2,
     }
     order = g.n ** k
@@ -584,7 +591,7 @@ def check_traceable_index(
     hyps = {
         "at least two factors": delta >= 2,
         "factors non-trivial": all(n >= 2 for n in orders) and delta > 0,
-        "factors connected": all(is_connected(f) for f in factors) and delta > 0,
+        "factors connected": all(map(run.connected, factors)) and delta > 0,
         f"max degree at most {delta}": all(
             max((f.degree(v) for v in range(f.n)), default=0) <= delta for f in factors
         ),

@@ -111,14 +111,19 @@ def _json(value: object, pad: str = "\n") -> str:
     """value as json.dumps(value, indent=2) writes it, byte for byte, for
     str keys and JSON values, tuples as lists.  The standard encoder runs
     in pure Python whenever it indents; here each container is one join of
-    its items, with strings encoded by the C escaper json uses."""
+    its items, with strings encoded by the C escaper json uses, and a list
+    of ints, bools excluded, written in one join of their reprs."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         inner = pad + "  "
-        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + pad + "]"
+        if all(type(v) is int for v in value):
+            items = map(int.__repr__, value)
+        else:
+            items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"

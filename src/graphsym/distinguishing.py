@@ -13,8 +13,8 @@ elements: the first non-identity element preserving a labeling, the
 transposition classes, and whether some non-identity element fixes every
 position (K_2's swap on its edge, never a vertex), which makes the
 minimum undefined.  A trivial group gives the value 1.  Only the
-exhaustive search, and the randomized one once it repairs a labeling,
-list the elements as rows.
+exhaustive search, and the randomized one once its walks have visited
+more chain nodes than the group has elements, list the elements as rows.
 
 Exactness contract: below the configured exhaustive budgets every smaller
 label count is either excluded by the transposition-class bound or
@@ -209,6 +209,7 @@ class _Chain:
         self.group = group
         self.edges = graph.edges if on_edges else None
         self.size = len(graph.edges) if on_edges else n
+        self.visited = 0  # the walks' nodes so far: one per choice taken
         self.levels: list[tuple[int, list, Sequence[int]]] = []
         if not group.levels:
             return
@@ -282,6 +283,7 @@ class _Chain:
         levels = self.levels
         v, _, span = levels[k]
         for w, u, row in choices:
+            self.visited += 1
             if w == v:  # the identity
                 pu, qu = p, q
             else:
@@ -346,17 +348,24 @@ def _tie_masks(size: int, rows: Sequence[tuple[int, ...]]) -> list[dict[int, int
     serve both labeling searches.
 
     Built from columns: column i, the images of position i down the rows,
-    becomes a str of one character per row, last row first, and
-    translating it by a table with "1" at k and "0" elsewhere spells the
-    mask of the rows mapping i to k in binary.  A str, not bytes, so
-    that positions past 255 are characters too.
+    becomes a string of one character per row, last row first, and
+    translating it by the table of k, "1" at k and "0" elsewhere, spells
+    the mask of the rows mapping i to k in binary.  The string is bytes
+    when every position is below 256, and str, slower to build and
+    translate, when positions do not fit in a byte.  The tables, one per
+    position, are built once per call.
     """
+    if size <= 256:
+        spell, zero, one, width = bytes, b"0", b"1", 256
+    else:
+        spell, zero, one, width = lambda col: "".join(map(chr, col)), "0", "1", size
+    tables = [zero * k + one + zero * (width - 1 - k) for k in range(size)]
     ties: list[dict[int, int]] = [{} for _ in range(size)]
     for i, col in enumerate(zip(*reversed(rows))):
-        text = "".join(map(chr, col))
+        text = spell(col)
         for k in set(col):
             if k != i:
-                mask = int(text.translate("0" * k + "1" + "0" * (size - 1 - k)), 2)
+                mask = int(text.translate(tables[k]), 2)
                 hi, lo = max(i, k), min(i, k)
                 ties[hi][lo] = ties[hi].get(lo, 0) | mask
     return ties
@@ -479,17 +488,32 @@ def _randomized_minimum(
     afresh per label count r, from r = start up.  At r = size the
     all-distinct labeling is tried first, which guarantees termination.
 
-    Until the first repair step the stabilizer test is the chain's walk.
-    That step lists the rows and builds their tie masks, and every later
-    test reads them through _unbroken_row: most searches find a
-    distinguishing labeling at once and list nothing.  Both tests return
-    the first preserving row, so the repair steps and the random
-    trajectory do not depend on which one ran.
+    Each stabilizer test either walks the chain or reads the tie masks of
+    the listed rows through _unbroken_row.  Listing costs about order x
+    size, and each walk costs its nodes, so the search walks until the
+    walks of this search have visited more chain nodes than the group
+    has elements, and only then lists the rows and builds their masks:
+    a search that stops early lists nothing, and one that goes on spends
+    at most about twice what the better of the two would have.  Both
+    tests return the first preserving row, so the repair steps and the
+    random trajectory do not depend on which one ran.
     """
     size = chain.size
     rng = random.Random(budgets.seed)
+    order = chain.group.order
+    chain.visited = 0
     rows: Sequence[tuple[int, ...]] = ()
     pairs: Optional[list[tuple[int, int, int]]] = None
+
+    def first_preserving(labels: Sequence[int]) -> Optional[tuple[int, ...]]:
+        nonlocal rows, pairs
+        if pairs is None and chain.visited > order:
+            rows = chain.rows()
+            pairs = _tie_pairs(size, rows)
+        if pairs is None:
+            return chain.first_preserving(labels)
+        return _unbroken_row(labels, rows, pairs)
+
     for r in range(start, size + 1):
         trials = 0
         pending: list[list[int]] = []
@@ -498,20 +522,14 @@ def _randomized_minimum(
         while trials < budgets.trials or pending:
             labels = pending.pop() if pending else [rng.randint(1, r) for _ in range(size)]
             trials += 1
-            if pairs is None:
-                row = chain.first_preserving(labels)
-            else:
-                row = _unbroken_row(labels, rows, pairs)
+            row = first_preserving(labels)
             steps = 0
             while row is not None and trials < budgets.trials and steps < 2 * size:
-                if pairs is None:
-                    rows = chain.rows()
-                    pairs = _tie_pairs(size, rows)
                 moved = next(i for i in range(size) if row[i] != i)
                 labels[moved] = labels[moved] % r + 1
                 trials += 1
                 steps += 1
-                row = _unbroken_row(labels, rows, pairs)
+                row = first_preserving(labels)
             if row is None:
                 normalized, distinct = _normalize_labels(labels)
                 return distinct, normalized

@@ -49,6 +49,12 @@ def hamiltonian_path_exists(graph: Graph, *, max_vertices: int = 16) -> bool:
     are tried in ascending-degree order, which keeps the search shallow on
     the structured instances this library targets; the result does not
     depend on the ordering.
+
+    Dead ends are cut: the rest of the path runs through the unvisited
+    vertices from the path's end, so each unvisited vertex needs two
+    neighbours among them and the end, or one if it ends the path.  A
+    branch fails when some unvisited vertex has none, or when more than
+    one has fewer than two.
     """
     n = graph.n
     if n > max_vertices:
@@ -59,6 +65,7 @@ def hamiltonian_path_exists(graph: Graph, *, max_vertices: int = 16) -> bool:
         return True
     if not is_connected(graph):
         return False
+    adj = graph.adj
     deg = [graph.degree(v) for v in range(n)]
     nbrs = [sorted(graph.adj[v], key=lambda w: (deg[w], w)) for v in range(n)]
     leaves = [v for v in range(n) if deg[v] == 1]
@@ -66,22 +73,43 @@ def hamiltonian_path_exists(graph: Graph, *, max_vertices: int = 16) -> bool:
         return False
     visited = [False] * n
     for start in leaves[:1] or sorted(range(n), key=lambda v: (deg[v], v)):
-        # the path so far, and the untried neighbours of each of its vertices
+        # the path so far, and the untried neighbours of each of its vertices;
+        # free[u]: u's neighbours that are unvisited or the path's end, and
+        # short: the unvisited vertices with fewer than two of them
         visited[start] = True
         path = [start]
         untried = [iter(nbrs[start])]
+        free = deg[:]
+        short = len(leaves) - (deg[start] == 1)
         while untried:
             for w in untried[-1]:
                 if not visited[w]:
                     if len(path) == n - 1:
                         return True
                     visited[w] = True
+                    short -= free[w] < 2
+                    dead = False
+                    for x in adj[path[-1]]:
+                        free[x] -= 1
+                        if not visited[x] and free[x] < 2:
+                            if free[x]:
+                                short += 1
+                            else:
+                                dead = True
                     path.append(w)
-                    untried.append(iter(nbrs[w]))
+                    # a dead end is entered with nothing to try, and left at once
+                    untried.append(iter(() if dead or short > 1 else nbrs[w]))
                     break
             else:
                 untried.pop()
-                visited[path.pop()] = False
+                w = path.pop()
+                if path:
+                    for x in adj[path[-1]]:
+                        if not visited[x] and free[x] == 1:
+                            short -= 1
+                        free[x] += 1
+                    short += free[w] < 2
+                visited[w] = False
     return False
 
 

@@ -419,13 +419,24 @@ def reference_stable_partition(graph: Graph) -> list[list[int]]:
     return list(classes.values())
 
 
-def naive_hamiltonian_path(g: Graph) -> bool:
-    if g.n == 1:
+def reference_hamiltonian_path(g: Graph) -> bool:
+    """Exhaustive over vertex sets (Held and Karp): ends[s], a bitmask,
+    holds every vertex at which some path through exactly the vertices of
+    s ends."""
+    n = g.n
+    if n <= 1:
         return True
-    return any(
-        all(g.has_edge(order[i], order[i + 1]) for i in range(g.n - 1))
-        for order in itertools.permutations(range(g.n))
-    )
+    nbrs = [sum(1 << w for w in g.adj[v]) for v in range(n)]
+    ends = [0] * (1 << n)
+    for v in range(n):
+        ends[1 << v] = 1 << v
+    for s in range(1, 1 << n):
+        for v in range(n):
+            if ends[s] >> v & 1:
+                for w in range(n):
+                    if (nbrs[v] & ~s) >> w & 1:
+                        ends[s | 1 << w] |= 1 << w
+    return ends[-1] != 0
 
 
 def naive_isomorphic(g: Graph, h: Graph) -> bool:

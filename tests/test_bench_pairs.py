@@ -17,7 +17,7 @@ def _bench():
     return module
 
 
-def _run(workload, seed, side, first, cpu, ops, failed=0):
+def _run(workload, seed, side, first, cpu, ops, failed=0, passes=12):
     result = {
         "correct": failed == 0, "attempted": 100, "failed": failed,
         "metrics": {"cpu_s": {"value": cpu, "unit": "s"},
@@ -25,7 +25,7 @@ def _run(workload, seed, side, first, cpu, ops, failed=0):
                     "decided_frac": {"value": 0.5, "unit": "ratio"}},
     }
     return {"workload": workload, "seed": seed, "side": side, "first": first,
-            "result": json.dumps(result)}
+            "result": json.dumps(result), "passes": passes}
 
 
 # (seed, parent cpu_s, change cpu_s, parent ops_per_s, change ops_per_s)
@@ -40,7 +40,8 @@ def _canned_runs():
         sides = {"parent": (p_cpu, p_ops), "change": (c_cpu, c_ops)}
         for side in (first, "change" if first == "parent" else "parent"):
             runs.append(_run("verify-default", seed, side, first, *sides[side],
-                             failed=1 if (side, seed) == ("change", 5) else 0))
+                             failed=1 if (side, seed) == ("change", 5) else 0,
+                             passes=10 + seed + (side == "change")))
     runs.append(_run("io-large", 9, "parent", "parent", 0.1, 10))
     runs.append(_run("io-large", 9, "change", "parent", 0.1, 12))
     return runs
@@ -61,6 +62,9 @@ def test_summary_of_canned_runs():
     assert (entry["parent"]["failed"], entry["parent"]["attempted"]) == (0, 500)
     assert (entry["change"]["failed"], entry["change"]["all_correct"]) == (1, False)
     assert entry["parent"]["all_correct"] is True
+    # pass counts in pair order
+    assert entry["parent"]["passes"] == [11, 12, 13, 14, 15]
+    assert entry["change"]["passes"] == [12, 13, 14, 15, 16]
     one = summary["io-large"]
     assert one["parent"]["cpu_s"] == {"median": 0.1, "q1": 0.1, "q3": 0.1, "runs": 1}
     assert one["change_wins_of_pairs"] == {"cpu_s": 0, "ops_per_s": 1, "decided_frac": 0}
@@ -73,7 +77,7 @@ def test_description_of_canned_runs():
     assert line.startswith(
         "verify-default: cpu_s 0.2200 [0.2100, 0.2300] -> 0.2000 [0.1900, 0.2100] "
         "(-9.1%, change won 3 of 5 pairs); ops_per_s ")
-    assert line.endswith("; failed 0 -> 1")
+    assert line.endswith("; failed 0 -> 1; passes 11 12 13 14 15 -> 12 13 14 15 16")
 
 
 def test_seeds_and_directions():
@@ -96,3 +100,13 @@ def test_export_writes_the_commit_files(tmp_path):
     assert sha == _git("rev-parse", "HEAD").stdout.strip()
     assert (tmp_path / "pyproject.toml").read_text() == _git("show", "HEAD:pyproject.toml").stdout
     assert (tmp_path / "perfbench" / "run.py").is_file()
+
+
+def test_run_once_keeps_the_pass_count(tmp_path):
+    # a stand-in perfbench/run.py that prints a meta line, then its result
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        'print("meta " + \'{"workload": "query-mix", "passes": 7}\')\n'
+        'print("cpu_s 0.1 s")\n'
+        'print(\'{"correct": true}\')\n')
+    assert _bench().run_once(tmp_path, "query-mix", 1, 0.5) == ('{"correct": true}', 7)

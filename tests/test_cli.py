@@ -479,6 +479,9 @@ def test_each_budget_field_has_exactly_one_flag():
     {"t": (1, (2, 3), ()), "u": [(), {"k": ("x", None)}]},
     {"café": "été — \U0001f600", "esc": "tab\t quote\" back\\ nl\n \x00"},
     [[[[{"deep": [1, [2, [3]]]}]]]],
+    # int lists are one join: bools, floats, None and nesting are not ints
+    [1, -2, 0, 2 ** 70], (3, 4), [True, False], [1, True], [False, 0], [1, 2.5],
+    [1, None], [1, "2"], [[1, 2], [], [3]], [1, [2, 3]], {"k": [[0, 1, 2]]},
 ])
 def test_json_writer_matches_the_standard_encoder(value):
     assert graphsym.cli._json(value) == json.dumps(value, indent=2)

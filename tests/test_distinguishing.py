@@ -28,10 +28,13 @@ from graphsym import (
     path,
     strong_product,
 )
+from graphsym.checks import default_corpus
 from graphsym.distinguishing import (
     _Chain,
     _exhaustive_minimum,
+    _randomized_minimum,
     _row_masks,
+    _tie_masks,
     _tie_pairs,
     _unbroken_row,
 )
@@ -479,6 +482,81 @@ def test_row_masks_past_the_ascii_and_byte_ranges(size):
         value, labels = reference_minimum(size, wide)
         assert _exhaustive_minimum(size, wide, 2) == (value, labels)
         assert value == 2 and labels[:shift] == (1,) * shift
+
+
+@pytest.mark.parametrize("size", [12, 255, 256, 257, 300])
+def test_tie_masks_match_the_row_by_row_build_on_few_rows(size):
+    # bytes columns up to 256 positions, str columns past them; fewer than
+    # 10 rows make masks of fewer than 10 bits
+    rng = random.Random(size)
+    for count in range(10):
+        rows = [tuple(rng.sample(range(size), size)) for _ in range(count)]
+        if count:
+            # a row moving only the last two positions
+            rows[0] = tuple(range(size - 2)) + (size - 1, size - 2)
+        assert _tie_masks(size, rows) == reference_row_masks(size, rows)[0]
+
+
+def _randomized_searches(graphs):
+    """(graph, on_edges) for each graph and side the randomized search can
+    run on: a nontrivial group within the default budgets, and a minimum
+    that is defined."""
+    for g in graphs:
+        for on_edges in (False, True):
+            try:
+                chain = _Chain(g, DEFAULT_BUDGETS, on_edges)
+            except BudgetExceeded:
+                break
+            if chain.levels and chain.transposition_class_bound() is not None:
+                yield g, on_edges
+
+
+# a tenth of the default trials: a search without a two-label witness
+# spends them all at r = 2, whichever test it runs
+_FEW_TRIALS = Budgets(trials=1000)
+
+
+def _forced_minimum(monkeypatch, g, on_edges, order):
+    """_randomized_minimum on a fresh copy of g, with its group's order read
+    as order: -1 lists the rows before the first test, inf never lists."""
+    g = Graph.from_edges(g.n, g.edges)
+    chain = _Chain(g, _FEW_TRIALS, on_edges)
+    start = max(2, chain.transposition_class_bound())
+    if order is None:
+        found = _randomized_minimum(chain, _FEW_TRIALS, start)
+    else:
+        with monkeypatch.context() as patch:
+            patch.setattr(AutomorphismGroup, "order", order)
+            found = _randomized_minimum(chain, _FEW_TRIALS, start)
+    return found, "elements" in vars(chain.group)
+
+
+def _assert_switch_keeps_the_result(monkeypatch, graphs):
+    sides = {"walk": 0, "list": 0}
+    for g, on_edges in _randomized_searches(graphs):
+        walked, listed = _forced_minimum(monkeypatch, g, on_edges, float("inf"))
+        assert not listed
+        assert _forced_minimum(monkeypatch, g, on_edges, -1) == (walked, True)
+        found, listed = _forced_minimum(monkeypatch, g, on_edges, None)
+        assert found == walked
+        sides["list" if listed else "walk"] += 1
+    return sides
+
+
+def test_randomized_switch_keeps_the_result_on_the_corpus_products(monkeypatch):
+    # the walk and the listed rows give the same first preserving row, so
+    # the search finds the same labeling whichever test it runs
+    factors = [g for _, g in default_corpus()]
+    products = [op(a, b) for a, b in itertools.combinations_with_replacement(factors, 2)
+                for op in (strong_product, cartesian_product) if a.n * b.n <= 20]
+    sides = _assert_switch_keeps_the_result(monkeypatch, products)
+    assert sides["walk"] > 50 and sides["list"] > 0
+
+
+def test_randomized_switch_keeps_the_result_on_the_query_products(monkeypatch, query_products):
+    sides = _assert_switch_keeps_the_result(monkeypatch, [g for _, g in query_products])
+    # the futile r = 2 trials of products like P10 x K2 turn to the listed rows
+    assert sides["walk"] > 0 and sides["list"] > 0
 
 
 def test_certified_lower_bound_is_the_transposition_class_bound():

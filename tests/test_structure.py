@@ -17,11 +17,12 @@ from graphsym import (
     is_s_thin,
     is_spanning_subgraph,
     is_tree,
+    parse_graph6,
     path,
     s_partition,
     strong_product,
 )
-from oracles import all_connected_graphs, connected_graph_sample, naive_hamiltonian_path
+from oracles import all_connected_graphs, connected_graph_sample, reference_hamiltonian_path
 
 SPIDER7 = Graph.from_edges(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
 
@@ -85,12 +86,24 @@ def test_hamiltonian_path():
 def test_hamiltonian_oracle_agreement():
     for n in range(2, 8):
         for g in connected_graph_sample(n, 12, seed=n):
-            assert hamiltonian_path_exists(g) == naive_hamiltonian_path(g)
+            assert hamiltonian_path_exists(g) == reference_hamiltonian_path(g)
     # every connected graph on 5 vertices, so every number of degree-1 vertices
     for g in all_connected_graphs(5):
-        assert hamiltonian_path_exists(g) == naive_hamiltonian_path(g)
+        assert hamiltonian_path_exists(g) == reference_hamiltonian_path(g)
     # a few disconnected ones as well
     assert not hamiltonian_path_exists(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+
+def test_hamiltonian_dead_end_cuts_agree_with_the_oracle():
+    # every graph on at most 7 vertices, connected or not, and a 15-vertex
+    # query-mix sample with no degree-1 vertex and no Hamiltonian path
+    nx = pytest.importorskip("networkx")
+    graphs = [Graph.from_edges(a.number_of_nodes(), a.edges()) for a in nx.graph_atlas_g()]
+    g = parse_graph6("NBj?WgW?WD?W?B?D?B?")
+    assert g.n == 15 and min(map(len, g.adj)) == 2
+    for h in graphs + [g]:
+        assert hamiltonian_path_exists(h) == reference_hamiltonian_path(h)
+    assert not hamiltonian_path_exists(g)
 
 
 def test_family_recognizers():
