@@ -60,8 +60,8 @@ def _count(text: str) -> int:
     return value
 
 
-def _order_cap(text: str) -> Optional[int]:
-    """An element cap: a non-negative integer, 0 for unlimited."""
+def _cap(text: str) -> Optional[int]:
+    """A cap: a non-negative integer, 0 for unlimited."""
     return _count(text) or None
 
 
@@ -73,8 +73,11 @@ _BUDGET_FLAGS = {
         "exact_edges", _count, "largest edge count for exhaustive edge-labeling search"),
     "--aut-bound": ("aut_vertices", _count, "largest vertex count for automorphism enumeration"),
     "--max-order": (
-        "aut_max_order", _order_cap,
+        "aut_max_order", _cap,
         "abort automorphism enumeration beyond this many elements (0 = unlimited)"),
+    "--aut-nodes": (
+        "aut_nodes", _cap, "abort an automorphism search beyond this many kernel pushes "
+        "(0 = unlimited)"),
     "--ham-bound": (
         "hamiltonian_vertices", _count, "largest vertex count for the Hamiltonian path search"),
     "--trials": ("trials", _count, "randomized witness search budget per label count"),
@@ -281,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Graph products, automorphism groups, and symmetry-breaking labelings.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    aut = ("--aut-bound", "--max-order")
+    aut = ("--aut-bound", "--max-order", "--aut-nodes")
     search = (*aut, "--trials", "--seed")
 
     p = _add_verb(sub, "product", "build a graph product")

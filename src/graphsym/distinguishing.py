@@ -49,16 +49,18 @@ class Budgets:
     """Search budgets shared by the solvers, the harness, and the CLI.
 
     exact_vertices / exact_edges: largest instance for which labelings are
-    enumerated exhaustively (exact mode).  aut_vertices / aut_max_order:
-    automorphism enumeration bounds.  hamiltonian_vertices: traceability
-    search bound.  trials: stabilizer tests per label count in the
-    randomized witness search, repair steps included (not labelings).
+    enumerated exhaustively (exact mode).  aut_vertices / aut_max_order /
+    aut_nodes: automorphism search bounds, the last on the search's kernel
+    pushes.  hamiltonian_vertices: traceability search bound.  trials:
+    stabilizer tests per label count in the randomized witness search,
+    repair steps included (not labelings).
     """
 
     exact_vertices: int = 12
     exact_edges: int = 14
     aut_vertices: int = 20
     aut_max_order: Optional[int] = 10000
+    aut_nodes: Optional[int] = 100000
     hamiltonian_vertices: int = 16
     trials: int = 10000
     seed: int = 0
@@ -179,7 +181,8 @@ def is_distinguishing_edge(
 def _group_of(graph: Graph, budgets: Budgets) -> AutomorphismGroup:
     """Aut(graph) under the automorphism bounds of budgets."""
     return automorphism_group(
-        graph, max_vertices=budgets.aut_vertices, max_order=budgets.aut_max_order
+        graph, max_vertices=budgets.aut_vertices, max_order=budgets.aut_max_order,
+        max_nodes=budgets.aut_nodes,
     )
 
 
@@ -189,8 +192,8 @@ class _Chain:
 
     levels[k] is (v, choices, span) for the group's level k at vertex v.
     Each choice is (u[v], u, row) for a representative u, the identity
-    first, where row is u as a permutation of the edge positions, or None
-    for the identity and on the vertices, where u is its own row.  An
+    first, where row is u as a permutation of the positions: u itself on
+    the vertices, its action on the edge positions on the edges.  An
     element's choices at levels 0..k fix its images of the vertices from
     v up to the next level's vertex (n after the last level); span lists
     the positions in that range: those vertices, or the edges whose
@@ -224,14 +227,14 @@ class _Chain:
             ]
         else:
             spans = [range(v, w) for v, w in bounds]
+        unmoved = identity(self.size)
         for (v, reps), span in zip(group.levels, spans):
-            moving = reps[1:]
-            rows = [self._edge_row(u) for u in moving] if on_edges else [None] * len(moving)
+            rows = [self._edge_row(u) for u in reps[1:]] if on_edges else reps[1:]
             if on_edges and any(-1 in row for row in rows):
                 raise RuntimeError(
                     "internal fault: group element maps an edge outside the edge set"
                 )
-            choices = [(v, reps[0], None)] + [(u[v], u, row) for u, row in zip(moving, rows)]
+            choices = [(u[v], u, row) for u, row in zip(reps, [unmoved, *rows])]
             self.levels.append((v, choices, span))
 
     def _edge_row(self, p: Permutation) -> tuple[int, ...]:
@@ -278,24 +281,33 @@ class _Chain:
     ) -> Iterator[tuple[tuple[int, ...], int]]:
         """The walk below level k-1, where the product is p with row q and
         missed labels differ so far, taking the choices of level k in the
-        order given.  A method, not a closure: a closure calling itself
-        would be a reference cycle, left for the garbage collector."""
+        order given.
+
+        The row of p u is q r, for r the choice's row, so its label at
+        position i is labels[q[r[i]]], which for the identity choice is
+        labels[q[i]].  The span test reads that before anything is
+        composed, and p u and q r are composed only for a choice that
+        passes it: most choices fail it, and a composition costs the
+        whole vertex or edge count.  A method, not a closure: a closure
+        calling itself would be a reference cycle, left for the garbage
+        collector."""
         levels = self.levels
         v, _, span = levels[k]
-        for w, u, row in choices:
+        on_vertices = self.edges is None
+        for w, u, r in choices:
             self.visited += 1
-            if w == v:  # the identity
-                pu, qu = p, q
-            else:
-                pu = compose(p, u)
-                qu = pu if row is None else compose(q, row)
             count = missed
             for i in span:
-                if labels[qu[i]] != labels[i]:
+                if labels[q[r[i]]] != labels[i]:
                     count += 1
                     if count > limit:
                         break
             else:
+                if w == v:  # the identity
+                    pu, qu = p, q
+                else:
+                    pu = compose(p, u)
+                    qu = pu if on_vertices else compose(q, r)
                 if k == len(levels) - 1:
                     yield qu, count
                 else:

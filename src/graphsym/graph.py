@@ -29,10 +29,11 @@ class Graph:
     n: int
     adj: tuple[tuple[int, ...], ...]
 
-    # not a field, so outside eq, hash and repr: what
-    # symmetry.automorphism_group proved about this object, its group or
-    # the largest order budget the group exceeds; set there on first use
+    # not fields, so outside eq, hash and repr: what
+    # symmetry.automorphism_group proved about this object, set there on
+    # first use, and the hash of (n, adj), set by __hash__ on first use
     _aut = None
+    _hash = None
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -50,6 +51,15 @@ class Graph:
                     raise ValueError(f"neighbour {w} of vertex {v} out of range")
                 if v not in nbr[w]:
                     raise ValueError(f"adjacency not symmetric for pair {v}, {w}")
+
+    def __hash__(self) -> int:
+        """hash((n, adj)), as the dataclass would compute it, computed once:
+        the run's caches hash the same graphs many times."""
+        h = self._hash
+        if h is None:
+            h = hash((self.n, self.adj))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @classmethod
     def _from_rows(cls, n: int, adj: tuple[tuple[int, ...], ...]) -> "Graph":

@@ -8,12 +8,17 @@ that colouring, so a single iterative kernel extends a partial vertex map
 in vertex order, taking candidate images only from the vertex's own colour
 and testing them on adjacency with the images of its earlier neighbours;
 no branch it cuts holds a completion, so the completions and their order
-are those of the unpruned search.  The colouring is not refined again
-after a branch, so where it leaves large classes the search can still
-take exponential time: on regular graphs, such as vertex-transitive
-strong powers, whose colouring is one class, and on K1,5 x K1,5 (strong),
-whose 25 leaf pairs are one class, with each star's centre numbered last.
-Isomorphisms walk the kernel from the empty map.
+are those of the unpruned search.  The kernel works on int bitsets, one
+bit per vertex of the target graph: the candidates of a vertex are one
+AND of masks per earlier neighbour, and the test that a candidate has no
+other mapped neighbour is one AND and one comparison, so a step keeps no
+per-vertex counts.  The colouring is not refined again after a branch, so
+where it leaves large classes the search can still take exponential
+time: on regular graphs, such as vertex-transitive strong powers, whose
+colouring is one class, and on K1,5 x K1,5 (strong), whose 25 leaf pairs
+are one class, with each star's centre numbered last.  A node budget on
+the kernel's pushes bounds the automorphism search; the isomorphism
+search has none.  Isomorphisms walk the kernel from the empty map.
 ``automorphism_group`` walks a stabilizer chain instead: for v = n-1 down
 to 0 it takes, for each possible w, one automorphism that fixes 0..v-1 and
 maps v to w.  The automorphisms that a search found are kept as
@@ -36,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
+from math import inf, prod
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -174,89 +179,114 @@ def _stable_colouring(graph: Graph) -> list[int]:
 
 
 class _Matcher:
-    """A map of g's vertices 0..depth-1 into h, extended in vertex order.
+    """A map of g's vertices 0..depth-1 into h, extended in vertex order,
+    on int bitsets: bit w of a mask stands for h's vertex w.
 
-    An image w of the next vertex v must be unused, have v's colour in the
-    stable colourings of g and h, be adjacent to the image of every earlier
-    neighbour of v, and have no other mapped neighbour: ``mapped[w]``, the
-    count of mapped vertices adjacent to w that ``push`` and ``pop`` keep,
-    must equal the number of those neighbours.  That is adjacency
-    consistency with every mapped vertex, tested on v's earlier neighbours
-    only.  Every isomorphism keeps the colours, so the colour test cuts
-    only branches that no completion passes through.  Candidates come in
-    increasing order, so completions come in lexicographic image order.
+    ``h_mask[w]`` holds h's neighbours of w, ``pool[v]`` the vertices of h
+    that have v's colour in the stable colourings of g and h, and ``used``
+    the images taken so far.  An image w of the next vertex v must lie in
+    ``pool[v]`` and not in ``used``, be adjacent to the image of every
+    earlier neighbour of v, and have no other mapped neighbour: ``h_mask[w]
+    & used`` must equal ``want``, the mask of those images.  That is
+    adjacency consistency with every mapped vertex, and it keeps no state
+    that ``push`` and ``pop`` must update beyond ``used``.  Every
+    isomorphism keeps the colours, so the colour test cuts only branches
+    that no completion passes through.  Candidates are taken lowest bit
+    first, so completions come in lexicographic image order.
+
+    ``pushes`` counts the pushes made; one past ``max_pushes`` raises
+    BudgetExceeded, which bounds the work of a search.
     """
 
-    def __init__(self, g: Graph, h: Graph) -> None:
+    def __init__(self, g: Graph, h: Graph, max_pushes: Optional[int] = None) -> None:
         n = g.n
         self.n = n
-        self.h_adj = h.adj
-        self.h_nbr = h.neighbor_sets
         self.g_colour = _stable_colouring(g)
         self.h_colour = self.g_colour if h is g else _stable_colouring(h)
-        self.earlier = [tuple(u for u in g.adj[v] if u < v) for v in range(n)]
-        self.h_by_colour: dict[int, list[int]] = {}
+        self.h_mask = [sum(1 << x for x in row) for row in h.adj]
+        by_colour: dict[int, int] = {}
         for w, c in enumerate(self.h_colour):
-            self.h_by_colour.setdefault(c, []).append(w)
+            by_colour[c] = by_colour.get(c, 0) | 1 << w
+        self.pool = [by_colour.get(c, 0) for c in self.g_colour]
+        self.earlier = [tuple(u for u in g.adj[v] if u < v) for v in range(n)]
         self.image = [-1] * n
-        self.used = [False] * n
-        self.mapped = [0] * n
+        self.used = 0
         self.depth = 0
+        self.pushes = 0
+        self.max_pushes = inf if max_pushes is None else max_pushes
 
     def push(self, w: int) -> None:
         """Map the next vertex to w."""
+        self.pushes += 1
+        if self.pushes > self.max_pushes:
+            raise _nodes_exceeded(self.max_pushes)
         self.image[self.depth] = w
-        self.used[w] = True
-        mapped = self.mapped
-        for x in self.h_adj[w]:
-            mapped[x] += 1
+        self.used |= 1 << w
         self.depth += 1
 
     def pop(self) -> None:
         """Undo the last push."""
         self.depth -= 1
-        w = self.image[self.depth]
-        self.used[w] = False
-        mapped = self.mapped
-        for x in self.h_adj[w]:
-            mapped[x] -= 1
+        self.used ^= 1 << self.image[self.depth]
+
+    def options(self) -> tuple[int, int]:
+        """(mask, want) for the next vertex v: mask, the unused vertices of
+        v's colour adjacent to the image of each earlier neighbour u of v,
+        and want, the mask of those images.  A w of mask fits v when
+        h_mask[w] & used == want."""
+        image, h_mask = self.image, self.h_mask
+        v = self.depth
+        mask, want = self.pool[v] & ~self.used, 0
+        for u in self.earlier[v]:
+            x = image[u]
+            mask &= h_mask[x]
+            want |= 1 << x
+        return mask, want
 
     def candidates(self) -> Iterator[int]:
         """The images that fit the next vertex, lazily and in increasing order."""
-        image, used, mapped, h_colour, h_nbr = (
-            self.image, self.used, self.mapped, self.h_colour, self.h_nbr)
-        v = self.depth
-        earlier = self.earlier[v]
-        k, c = len(earlier), self.g_colour[v]
-        # a fitting image is adjacent to the image of any earlier neighbour
-        pool = self.h_adj[image[earlier[0]]] if earlier else self.h_by_colour.get(c, ())
-        return (
-            w for w in pool
-            if not used[w] and mapped[w] == k and h_colour[w] == c
-            and all(image[u] in h_nbr[w] for u in earlier)
-        )
+        mask, want = self.options()
+        used, h_mask = self.used, self.h_mask
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            w = low.bit_length() - 1
+            if h_mask[w] & used == want:
+                yield w
 
     def completions(self) -> Iterator[Permutation]:
         """Every full map extending the current one, in lexicographic image
-        order: depth-first, with an explicit stack of candidate iterators."""
-        n = self.n
+        order: depth-first, with an explicit stack of the candidate masks
+        not yet taken and the want of each depth."""
+        n, image, h_mask = self.n, self.image, self.h_mask
         if self.depth == n:
-            yield tuple(self.image)
+            yield tuple(image)
             return
-        stack = [self.candidates()]
-        while stack:
-            w = next(stack[-1], None)
-            if w is None:
-                stack.pop()
-                if stack:
+        mask, want = self.options()
+        masks, wants = [mask], [want]
+        while masks:
+            mask, want, used = masks[-1], wants[-1], self.used
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                w = low.bit_length() - 1
+                if h_mask[w] & used == want:
+                    break
+            else:
+                masks.pop()
+                wants.pop()
+                if masks:
                     self.pop()
                 continue
+            masks[-1] = mask
             self.push(w)
             if self.depth == n:
-                yield tuple(self.image)
+                yield tuple(image)
                 self.pop()
             else:
-                stack.append(self.candidates())
+                mask, want = self.options()
+                masks.append(mask)
+                wants.append(want)
 
     def first(self) -> Optional[Permutation]:
         """The first completion of the current map, or None; the map is left
@@ -286,7 +316,13 @@ def _order_exceeded(max_order: int) -> BudgetExceeded:
     return BudgetExceeded(f"automorphism group larger than the order budget {max_order}")
 
 
-def _coset_representatives(graph: Graph) -> Iterator[tuple[int, Permutation]]:
+def _nodes_exceeded(max_nodes: int) -> BudgetExceeded:
+    return BudgetExceeded(f"automorphism search larger than the node budget {max_nodes}")
+
+
+def _coset_representatives(
+    graph: Graph, max_nodes: Optional[int] = None
+) -> Iterator[tuple[int, Permutation]]:
     """Yield (v, p) for v = n-1 down to 0 and, in increasing order, each
     w != v for which some automorphism fixes 0..v-1 and maps v to w; p is
     one such automorphism.
@@ -303,10 +339,11 @@ def _coset_representatives(graph: Graph) -> Iterator[tuple[int, Permutation]]:
     the known group, so it at least doubles it.  The deepest levels come
     first because their searches have the fewest free vertices: they are
     cheap, and the order they prove can end the walk before a shallow
-    search runs.
+    search runs.  One kernel serves every search, and past max_nodes
+    pushes in all, the identity's n included, it raises BudgetExceeded.
     """
     n = graph.n
-    m = _Matcher(graph, graph)
+    m = _Matcher(graph, graph, max_nodes)
     for v in range(n):
         m.push(v)
     gens: list[Permutation] = []
@@ -335,51 +372,70 @@ def automorphism_group(
     *,
     max_vertices: int = 20,
     max_order: Optional[int] = None,
+    max_nodes: Optional[int] = None,
 ) -> AutomorphismGroup:
     """Aut(graph), raising BudgetExceeded beyond the given bounds.
 
     The order budget is checked against the product of the coset
     representative counts found so far, a lower bound on the order, so an
-    oversized group is rejected without listing its elements.  The group
-    returned holds the representatives of every level; its elements are
-    listed only when read.
+    oversized group is rejected without listing its elements.  The node
+    budget bounds the search's work: its kernel pushes, over all its
+    searches.  The group returned holds the representatives of every
+    level; its elements are listed only when read.
 
     The graph object keeps what its search proved: the group once found,
-    or else the largest order budget the group is known to exceed.  Every
-    later call, under any budgets, answers from that exactly as a new
-    search would, after checking the vertex bound; it searches again only
-    when no group is held and max_order is None or above the budget known
-    to be exceeded.  Nothing is shared between distinct objects, equal or
-    not.
+    the largest order budget the group is known to exceed, or else the
+    order and node budgets of a search that ran out of nodes.  A later
+    call checks the vertex bound, then answers from what is kept without
+    a search: from a group under any order budget, as a new search would;
+    as over the order budget when its order budget is at most the one
+    exceeded; as over the node budget when its node budget is at most the
+    one run out of and its order budget, which can only prolong the same
+    search, at least that search's.  An answer kept costs no search, so
+    the node budget does not apply to it.  Otherwise it searches again.
+    Nothing is shared between distinct objects, equal or not.
     """
     if graph.n > max_vertices:
         raise BudgetExceeded(
             f"graph has {graph.n} vertices, above the automorphism bound {max_vertices}"
         )
     known = graph._aut
+    reach = inf if max_order is None else max_order
     if isinstance(known, AutomorphismGroup):
         # a search tests the budget once it has a representative: order > 1
-        if max_order is not None and known.order > max(max_order, 1):
+        if known.order > max(reach, 1):
             raise _order_exceeded(max_order)
         return known
-    if known is not None and max_order is not None and max_order <= known:
+    if isinstance(known, int) and reach <= known:
         raise _order_exceeded(max_order)
+    if isinstance(known, tuple):
+        # a search under the order budget ran past the node budget; a
+        # larger order budget only prolongs that same search
+        ran_reach, ran_nodes = known
+        if max_nodes is not None and max_nodes <= ran_nodes and reach >= ran_reach:
+            raise _nodes_exceeded(max_nodes)
     ident = identity(graph.n)
     levels: dict[int, list[Permutation]] = {}
     order = 1
-    for v, p in _coset_representatives(graph):
-        reps = levels.setdefault(v, [ident])
-        order = order // len(reps) * (len(reps) + 1)
-        reps.append(p)
-        if max_order is not None and order > max_order:
-            object.__setattr__(graph, "_aut", max_order)
-            raise _order_exceeded(max_order)
-    # the levels were found deepest first
-    group = AutomorphismGroup(
-        graph.n, tuple((v, tuple(reps)) for v, reps in reversed(levels.items()))
-    )
-    object.__setattr__(graph, "_aut", group)
-    return group
+    try:
+        for v, p in _coset_representatives(graph, max_nodes):
+            reps = levels.setdefault(v, [ident])
+            order = order // len(reps) * (len(reps) + 1)
+            reps.append(p)
+            if order > reach:
+                break
+        else:
+            # the levels were found deepest first
+            group = AutomorphismGroup(
+                graph.n, tuple((v, tuple(reps)) for v, reps in reversed(levels.items()))
+            )
+            object.__setattr__(graph, "_aut", group)
+            return group
+    except BudgetExceeded:  # the kernel ran out of nodes
+        object.__setattr__(graph, "_aut", (reach, max_nodes))
+        raise
+    object.__setattr__(graph, "_aut", max_order)
+    raise _order_exceeded(max_order)
 
 
 def find_isomorphism(g: Graph, h: Graph) -> Optional[Permutation]:

@@ -243,6 +243,19 @@ def test_budget_error_reports_the_bound(capsys, g6):
     assert code == 0 and "order 2" in out
 
 
+def test_node_budget_error_reports_the_bound(capsys, g6):
+    # the identity map alone takes 12 kernel pushes on P4 x C3
+    a = g6("p4c3.g6", strong_product(path(4), cycle(3)))
+    code, out, err = run(capsys, ["autgroup", a, "--aut-nodes", "12"])
+    assert (code, out) == (2, "")
+    assert err == "error: automorphism search larger than the node budget 12\n"
+    for nodes in ("0", "100"):
+        code, out, _ = run(capsys, ["autgroup", a, "--aut-nodes", nodes])
+        assert (code, out) == (0, "order 2592\n")
+    args = graphsym.cli.build_parser().parse_args(["autgroup", "g", "--aut-nodes", "0"])
+    assert graphsym.cli._budgets(args).aut_nodes is None
+
+
 def test_seeded_determinism(capsys, g6):
     big = g6("prod.g6", strong_product(path(3), path(5)))
     code, out1, _ = run(capsys, ["distnum", big, "--seed", "5", "--json"])
@@ -343,7 +356,8 @@ def test_budgets_ignore_the_environment(capsys, monkeypatch, g6):
 
 @pytest.mark.parametrize(
     "flag",
-    ["--exact-bound", "--edge-exact-bound", "--aut-bound", "--max-order", "--ham-bound", "--trials"],
+    ["--exact-bound", "--edge-exact-bound", "--aut-bound", "--max-order", "--aut-nodes",
+     "--ham-bound", "--trials"],
 )
 def test_negative_budget_is_a_usage_error(capsys, tmp_path, flag):
     corpus = tmp_path / "corpus.txt"
@@ -414,12 +428,14 @@ def test_overlong_edge_list_vertex_index_is_a_parse_error(capsys, tmp_path):
 BUDGET_FLAGS_BY_VERB = {
     "product": set(),
     "sthin": set(),
-    "autgroup": {"--aut-bound", "--max-order"},
-    "distnum": {"--exact-bound", "--aut-bound", "--max-order", "--trials", "--seed"},
-    "distidx": {"--edge-exact-bound", "--aut-bound", "--max-order", "--trials", "--seed"},
+    "autgroup": {"--aut-bound", "--max-order", "--aut-nodes"},
+    "distnum": {"--exact-bound", "--aut-bound", "--max-order", "--aut-nodes", "--trials",
+                "--seed"},
+    "distidx": {"--edge-exact-bound", "--aut-bound", "--max-order", "--aut-nodes", "--trials",
+                "--seed"},
     "traceable": {"--ham-bound"},
     "verify": {"--exact-bound", "--edge-exact-bound", "--aut-bound", "--max-order",
-               "--ham-bound", "--trials", "--seed"},
+               "--aut-nodes", "--ham-bound", "--trials", "--seed"},
 }
 ALL_BUDGET_FLAGS = BUDGET_FLAGS_BY_VERB["verify"]
 OPERANDS = {"product": ["--op", "strong", "a", "b"], "verify": ["--all"]}

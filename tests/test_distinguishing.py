@@ -452,6 +452,32 @@ def test_walk_lists_the_rows_and_bounds_the_transposition_classes():
     assert undefined > 0
 
 
+def test_walk_at_intermediate_limits_yields_the_rows_within_the_limit():
+    # at limit L the walk yields, in list order, exactly the rows that carry
+    # at most L labels onto a position labelled otherwise, with that count
+    rng = random.Random(25)
+    yielded, partial = {1: 0, 3: 0}, 0
+    for g in _stabilizer_test_graphs():
+        for on_edges in (False, True):
+            chain = _Chain(g, _UNCAPPED, on_edges)
+            rows = chain.rows()
+            size = chain.size
+            for r in (2, 3):
+                for _ in range(3):
+                    labels = [rng.randint(1, r) for _ in range(size)]
+                    missed = [sum(labels[row[i]] != labels[i] for i in range(size))
+                              for row in rows]
+                    for limit in (1, 3):
+                        expected = [(row, m) for row, m in zip(rows, missed) if m <= limit]
+                        assert list(chain.walk(labels, limit)) == expected, (g, on_edges)
+                        yielded[limit] += len(expected)
+                        partial += sum(1 for _, m in expected if m)
+    # a row keeps the count of each label, so no row misses exactly one: at
+    # limit 1 the walk yields the preserving rows, at limit 3 also rows
+    # that miss 2 or 3
+    assert min(yielded.values()) > 100 and partial > 1000
+
+
 def test_labeling_tests_list_no_elements():
     # the walk answers from the representatives; a randomized search whose
     # first labeling distinguishes never reaches its first repair

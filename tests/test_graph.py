@@ -14,6 +14,7 @@ from graphsym import (
     direct_product,
     is_connected,
     parse_auto,
+    parse_graph6,
     path,
     serialize_edgelist,
     serialize_graph6,
@@ -256,3 +257,17 @@ def test_validation_is_linear_on_a_dense_graph():
     with criterion(20, 0.2, "K400 validated by the public constructor"):
         g = Graph(k400.n, k400.adj)
     assert g == k400
+
+
+def test_hash_is_cached_outside_the_fields():
+    import dataclasses
+
+    a = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    b = parse_graph6(serialize_graph6(path(4)))
+    assert a == b and a is not b
+    assert hash(a) == hash(b) == hash((a.n, a.adj)) == hash((b.n, b.adj))
+    # kept after the first call, but neither a field nor shown
+    assert a._hash == hash(a) and Graph(3, ((1,), (0, 2), (1,)))._hash is None
+    assert [f.name for f in dataclasses.fields(Graph)] == ["n", "adj"]
+    assert repr(a) == "Graph(n=4, adj=((1,), (0, 2), (1, 3), (2,)))"
+    assert {a: 1}[b] == 1 and len({a, b, path(4)}) == 1

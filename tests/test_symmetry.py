@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import time
 
 import pytest
 
@@ -302,11 +303,13 @@ def test_find_isomorphism_is_the_first_in_lexicographic_order():
         rng.shuffle(relabel)
         h = Graph.from_edges(g.n, [(relabel[u], relabel[v]) for u, v in g.edges])
         h_edges = set(h.edges)
-        first = next(
+        every = [
             p for p in itertools.permutations(range(g.n))
             if all((min(p[u], p[v]), max(p[u], p[v])) in h_edges for u, v in g.edges)
-        )
-        assert find_isomorphism(g, h) == first
+        ]
+        assert find_isomorphism(g, h) == every[0]
+        # and the kernel lists every isomorphism, in the same order
+        assert list(_Matcher(g, h).completions()) == every, g
 
 
 def _reference_chain(g):
@@ -363,9 +366,9 @@ def searches(monkeypatch):
     searched = []
     search = graphsym.symmetry._coset_representatives
 
-    def counting(graph):
+    def counting(graph, *args):
         searched.append(graph)
-        return search(graph)
+        return search(graph, *args)
 
     monkeypatch.setattr(graphsym.symmetry, "_coset_representatives", counting)
     return searched
@@ -655,3 +658,76 @@ def test_levels_of_corpus_groups_are_pinned():
         rows.append([serialize_graph6(g), levels])
     assert len(rows) == 227
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == LEVELS_SHA256
+
+
+def test_kernel_pushes_over_the_corpus_are_pinned(pushes):
+    # the search tree of every automorphism and isomorphism search of one
+    # verify run: a kernel change that keeps every completion, every
+    # refutation and the order they come in keeps this count
+    _, made = pushes(math.inf, lambda: run_all(default_corpus()))
+    assert made == 8631
+
+
+def _star_square():
+    """K1,5 x K1,5 (strong), each star's centre numbered 5: its 25 leaf
+    pairs form one colour class, and the search for its group (order
+    28,800) went past 9 million kernel pushes without deciding the order
+    cap."""
+    star = Graph.from_edges(6, [(leaf, 5) for leaf in range(5)])
+    return strong_product(star, star)
+
+
+def test_node_budget_stops_the_star_square_search(searches):
+    g = _star_square()
+    budgets = graphsym.distinguishing.Budgets(aut_vertices=36)
+    start = time.process_time()
+    with pytest.raises(BudgetExceeded) as exc:
+        _group_of(g, budgets)
+    assert time.process_time() - start < 2
+    assert str(exc.value) == "automorphism search larger than the node budget 100000"
+    # kept on the graph: the same budgets raise again without a search
+    with pytest.raises(BudgetExceeded) as again:
+        _group_of(g, budgets)
+    assert str(again.value) == str(exc.value)
+    assert searches == [g]
+    # with the centre first the order cap decides within the node budget
+    star = Graph.from_edges(6, [(0, leaf) for leaf in range(1, 6)])
+    with pytest.raises(BudgetExceeded) as exc:
+        _group_of(strong_product(star, star), budgets)
+    assert str(exc.value) == "automorphism group larger than the order budget 10000"
+
+
+def test_node_budget_failure_is_remembered(searches, pushes):
+    g = strong_product(path(4), cycle(3))  # |Aut| = 2592
+    _, needed = pushes(math.inf, lambda: automorphism_group(Graph(g.n, g.adj)))
+    searches.clear()
+
+    def refused(max_order, max_nodes):
+        with pytest.raises(BudgetExceeded) as exc:
+            automorphism_group(g, max_order=max_order, max_nodes=max_nodes)
+        assert str(exc.value) == f"automorphism search larger than the node budget {max_nodes}"
+        return len(searches)
+
+    assert refused(None, needed - 1) == 1
+    # a smaller node budget is refused without a search
+    assert refused(None, needed - 1) == refused(None, 12) == 1
+    # a smaller order budget may end the search sooner: it searches again,
+    # and a larger one only prolongs the search refused under the smaller
+    assert refused(2591, needed - 1) == 2
+    assert refused(3000, needed - 1) == refused(None, needed - 1) == 2
+    # a larger node budget searches again, and the group once held is
+    # answered under any node budget
+    assert automorphism_group(g, max_nodes=needed).order == 2592
+    assert automorphism_group(g, max_nodes=1).order == 2592
+    assert len(searches) == 3
+
+
+def test_order_budget_failure_is_answered_under_any_node_budget(searches):
+    g = strong_product(path(4), cycle(3))
+    with pytest.raises(BudgetExceeded):
+        automorphism_group(g, max_order=100)
+    with pytest.raises(BudgetExceeded) as exc:
+        automorphism_group(g, max_order=100, max_nodes=1)
+    assert str(exc.value) == "automorphism group larger than the order budget 100"
+    assert len(searches) == 1
+
