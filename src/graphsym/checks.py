@@ -41,7 +41,7 @@ from .structure import (
     is_s_thin,
     is_spanning_subgraph,
 )
-from .symmetry import BudgetExceeded, is_isomorphic
+from .symmetry import AutomorphismGroup, BudgetExceeded, is_automorphism, is_isomorphic
 
 PASS = "pass"
 FAIL = "fail"
@@ -246,6 +246,23 @@ def _pairwise(check: str, hypotheses: Callable, size_gate: Callable,
     return declare
 
 
+def _within(group: AutomorphismGroup, graph: Graph) -> bool:
+    """Whether group is a subgroup of Aut(graph), on the same vertices.
+
+    Every element of group is a product of the representatives of its
+    chain, so it lies in Aut(graph) exactly when each representative is an
+    automorphism of graph (Seress, Permutation Group Algorithms, 2003): a
+    test of the generators, exact, that lists no element.
+    """
+    return all(is_automorphism(graph, u) for _, reps in group.levels for u in reps[1:])
+
+
+def _equal_groups(group: AutomorphismGroup, other: AutomorphismGroup, graph: Graph) -> bool:
+    """Whether group equals other = Aut(graph): a subgroup of the same
+    order is the whole group."""
+    return group.order == other.order and _within(group, graph)
+
+
 def _result_summary(res: DistinguishingResult) -> str:
     return f"{res.value} ({res.mode})"
 
@@ -332,15 +349,15 @@ def check_number_sandwich(run: _Run, g: Graph, h: Graph, report) -> BoundReport:
 @_pairwise(NUMBER_EQUALITY, _thin_prime, _product_aut_note)
 def check_number_equality(run: _Run, g: Graph, h: Graph, report) -> BoundReport:
     """For connected S-thin declared-prime factors: the strong and Cartesian
-    products must have equal automorphism groups (element sets) and equal
-    distinguishing numbers."""
+    products must have equal automorphism groups and equal distinguishing
+    numbers, the groups compared by _equal_groups."""
     strong = run.strong(g, h)
     box = run.box(g, h)
     aut_strong = _group_of(strong, run.budgets)
     aut_box = _group_of(box, run.budgets)
     d_strong = run.number(strong)
     d_box = run.number(box)
-    groups_equal = aut_strong == aut_box
+    groups_equal = _equal_groups(aut_strong, aut_box, box)
     quantities = {
         "Aut(strong) order": aut_strong.order,
         "Aut(cartesian) order": aut_box.order,
@@ -483,11 +500,14 @@ def lift_edge_labeling(
     automorphism maps h-edges to h-edges, so keeping h's labels and giving
     every remaining edge the repeated label 1 stays distinguishing.  Both
     conditions are tested against Aut(g) and Aut(h) under budgets, which
-    the graph objects keep.
+    the graph objects keep: the first on the representatives of Aut(g)'s
+    chain (_within), the second by the stabilizer walk on Aut(h).
     """
     if not is_spanning_subgraph(h, g):
         raise ValueError("not a spanning subgraph")
-    if not set(_group_of(g, budgets).elements) <= set(_group_of(h, budgets).elements):
+    group_g = _group_of(g, budgets)
+    _group_of(h, budgets)  # h's budget refusal comes before the subgroup test
+    if not _within(group_g, h):
         raise ValueError("host automorphisms are not all subgraph automorphisms")
     if not is_distinguishing_edge(h, labeling, budgets):
         raise ValueError("labeling is not distinguishing for the subgraph")
@@ -505,14 +525,13 @@ def _spans(run: _Run, g: Graph, h: Graph) -> dict[str, bool]:
 
 
 def _lift_hypotheses(run: _Run, g: Graph, h: Graph) -> dict[str, bool]:
-    """The lift's hypotheses on the products, tested once the size gate passed."""
-    return {
-        **_spans(run, g, h),
-        "Aut(strong) subgroup of Aut(cartesian)": (
-            set(_group_of(run.strong(g, h), run.budgets).elements)
-            <= set(_group_of(run.box(g, h), run.budgets).elements)
-        ),
-    }
+    """The lift's hypotheses on the products, tested once the size gate
+    passed.  Both groups are searched for, the strong product's first, so
+    that either one's budget refusal makes the check not-applicable."""
+    strong, box = run.strong(g, h), run.box(g, h)
+    aut_strong = _group_of(strong, run.budgets)
+    _group_of(box, run.budgets)
+    return {**_spans(run, g, h), "Aut(strong) subgroup of Aut(cartesian)": _within(aut_strong, box)}
 
 
 @_pairwise(INDEX_LIFT, _connected, _product_aut_note, late=_lift_hypotheses)

@@ -9,12 +9,16 @@ Both are one problem over positions, the vertices or the edges in
 ``graph.edges`` order, and one solver serves both.  A group element acts
 on the positions as a row, a permutation of them.  The stabilizer tests
 walk the group's stabilizer chain (see _Chain) and never list its
-elements: the first non-identity element preserving a labeling, the
-transposition classes, and whether some non-identity element fixes every
-position (K_2's swap on its edge, never a vertex), which makes the
-minimum undefined.  A trivial group gives the value 1.  Only the
-exhaustive search, and the randomized one once its walks have visited
-more chain nodes than the group has elements, list the elements as rows.
+elements: the first non-identity element preserving a labeling and, on
+the edges, the transposition classes and whether some non-identity
+element fixes every position (K_2's swap on its edge, never a vertex),
+which makes the minimum undefined.  On the vertices the transposition
+classes are the twin classes, read from the graph.  A trivial group
+gives the value 1.  The exhaustive search reads its tables from the
+chain's columns, the images of each position under every product of
+representatives, and lists no element either.  Only the randomized
+search, once its walks have visited more chain nodes than the group has
+elements, lists the elements as rows.
 
 Exactness contract: below the configured exhaustive budgets every smaller
 label count is either excluded by the transposition-class bound or
@@ -30,9 +34,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .graph import Graph
+from .structure import _largest_twin_class
 from .symmetry import AutomorphismGroup, Permutation, automorphism_group, compose, identity
 
 EXACT = "exact"
@@ -209,6 +214,7 @@ class _Chain:
     def __init__(self, graph: Graph, budgets: Budgets, on_edges: bool) -> None:
         group = _group_of(graph, budgets)
         n = graph.n
+        self.graph = graph
         self.group = group
         self.edges = graph.edges if on_edges else None
         self.size = len(graph.edges) if on_edges else n
@@ -242,6 +248,33 @@ class _Chain:
         onto a non-edge."""
         position = self.position
         return tuple([position[p[a]][p[b]] for a, b in self.edges])
+
+    def columns(self) -> list:
+        """Every non-identity element as a row, read down the positions:
+        columns[i] spells the images of position i, last row first, as
+        _tie_masks reads them (see _alphabet).  The rows are the products
+        u_0 u_1 ... of one representative per level, level 0 outermost
+        and each level's choices in order, without the identity, their
+        first product.  No element is listed or composed.
+
+        The rows are spelled one after another in one string, built
+        deepest level first.  If E lists the products of the levels below
+        level k, the products from level k down are u e for each choice u
+        of level k and e in E, and the row of u e is e's row with each
+        position p replaced by u's row at p: the rows over E translated
+        by the table of u's row.  So each level costs one translate per
+        choice, at C speed, over all positions at once, and each column
+        is then one strided slice of the string.
+        """
+        size = self.size
+        spell, table = _alphabet(size)
+        rows = spell(range(size))  # the identity's row
+        for _, choices, _ in reversed(self.levels):
+            # last row first: the last choice's block first, the identity's last
+            blocks = [rows.translate(table(row)) for _, _, row in reversed(choices[1:])]
+            rows = rows[:0].join(blocks + [rows])
+        end = len(rows) - size  # the identity's row is the last
+        return [rows[i:end:size] for i in range(size)]
 
     def rows(self) -> Sequence[tuple[int, ...]]:
         """Every non-identity element as a row, in lexicographic order of
@@ -329,10 +362,18 @@ class _Chain:
         own label.  The rows form a group with the identity, and (i j)(j
         k)(i j) = (i k), so the class of i is i plus every position
         swapped with it.  Twin vertices and pendant edges at one vertex
-        form such classes.  Under the all-distinct labeling the walk with
-        limit 2 gives exactly the rows moving at most two positions: none,
-        or a transposition.
+        form such classes.  On the vertices no element but the identity
+        fixes every position, and the classes are the twin classes, read
+        from the graph in O(n + m); on the edges the walk finds them.
         """
+        if self.edges is None:
+            return _largest_twin_class(self.graph)
+        return self.walked_class_bound()
+
+    def walked_class_bound(self) -> Optional[int]:
+        """transposition_class_bound read off the walk: under the
+        all-distinct labeling the walk with limit 2 gives exactly the rows
+        moving at most two positions, none or a transposition."""
         swapped = [1] * self.size
         for row, moved in self.walk(range(self.size), 2):
             if not moved:
@@ -354,49 +395,66 @@ def _normalize_labels(labels: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return tuple(out), len(seen)
 
 
-def _tie_masks(size: int, rows: Sequence[tuple[int, ...]]) -> list[dict[int, int]]:
+def _alphabet(size: int) -> tuple[Callable, Callable]:
+    """How the columns of rows on positions 0..size-1 are spelled:
+    (spell, table), where spell spells a sequence of positions, one
+    character each, and table(row) is the translation table taking each
+    position i to row[i].  The characters are bytes when every position
+    is below 256, and str, slower to build and translate, when positions
+    do not fit in a byte."""
+    if size <= 256:
+        pad = bytes(range(size, 256))
+        return bytes, lambda row: bytes(row) + pad
+    spell = lambda seq: "".join(map(chr, seq))
+    return spell, spell
+
+
+def _row_columns(size: int, rows: Sequence[tuple[int, ...]]) -> list:
+    """The columns of listed rows, last row first, spelled by _alphabet."""
+    spell, _ = _alphabet(size)
+    return [spell(col) for col in zip(*reversed(rows))]
+
+
+def _tie_masks(size: int, columns: Sequence) -> list[dict[int, int]]:
     """ties[k][j], j < k: the bitmask of the rows mapping j to k or k to j,
     in which bit t is row t; only nonzero masks are kept.  The tie masks
     serve both labeling searches.
 
-    Built from columns: column i, the images of position i down the rows,
-    becomes a string of one character per row, last row first, and
-    translating it by the table of k, "1" at k and "0" elsewhere, spells
-    the mask of the rows mapping i to k in binary.  The string is bytes
-    when every position is below 256, and str, slower to build and
-    translate, when positions do not fit in a byte.  The tables, one per
-    position, are built once per call.
+    columns[i] spells the images of position i down the rows, last row
+    first, as _alphabet says: translating it by the table of k, "1" at k
+    and "0" elsewhere, spells the mask of the rows mapping i to k in
+    binary.  The tables, one per position, are windows on one string,
+    built once per call.
     """
     if size <= 256:
-        spell, zero, one, width = bytes, b"0", b"1", 256
+        zero, one, width, images = b"0", b"1", 256, set
     else:
-        spell, zero, one, width = lambda col: "".join(map(chr, col)), "0", "1", size
-    tables = [zero * k + one + zero * (width - 1 - k) for k in range(size)]
+        zero, one, width = "0", "1", size
+        images = lambda text: map(ord, set(text))
+    line = zero * (width - 1) + one + zero * (width - 1)
+    tables = [line[width - 1 - k:2 * width - 1 - k] for k in range(size)]
     ties: list[dict[int, int]] = [{} for _ in range(size)]
-    for i, col in enumerate(zip(*reversed(rows))):
-        text = spell(col)
-        for k in set(col):
+    for i, text in enumerate(columns):
+        for k in images(text):
             if k != i:
                 mask = int(text.translate(tables[k]), 2)
-                hi, lo = max(i, k), min(i, k)
-                ties[hi][lo] = ties[hi].get(lo, 0) | mask
+                tie, j = (ties[i], k) if k < i else (ties[k], i)
+                tie[j] = tie.get(j, 0) | mask
     return ties
 
 
-def _row_masks(
-    size: int, rows: Sequence[tuple[int, ...]]
-) -> tuple[list[dict[int, int]], list[int]]:
-    """The exhaustive search's tables: the ties of _tie_masks, and
-    settled[k], the rows whose largest moved position is k, with a row
-    that moves nothing counted at 0."""
-    ties = _tie_masks(size, rows)
+def _row_masks(size: int, columns: Sequence) -> tuple[list[dict[int, int]], list[int]]:
+    """The exhaustive search's tables over the rows of the columns: the
+    ties of _tie_masks, and settled[k], the rows whose largest moved
+    position is k, with a row that moves nothing counted at 0."""
+    ties = _tie_masks(size, columns)
     # a row moves k exactly when it maps k elsewhere or another position onto k
     moved = [0] * size
     for k, tie in enumerate(ties):
         for j, mask in tie.items():
             moved[k] |= mask
             moved[j] |= mask
-    full = (1 << len(rows)) - 1
+    full = (1 << len(columns[0])) - 1 if columns else 0
     settled = [0] * size
     later = 0
     for k in range(size - 1, -1, -1):
@@ -406,8 +464,9 @@ def _row_masks(
 
 
 def _tie_pairs(size: int, rows: Sequence[tuple[int, ...]]) -> list[tuple[int, int, int]]:
-    """The table of _tie_masks as one list of (k, j, ties[k][j]) triples."""
-    ties = _tie_masks(size, rows)
+    """The tie masks of listed rows as one list of (k, j, ties[k][j])
+    triples, bit t standing for rows[t]."""
+    ties = _tie_masks(size, _row_columns(size, rows))
     return [(k, j, mask) for k, tie in enumerate(ties) for j, mask in tie.items()]
 
 
@@ -435,9 +494,7 @@ def _unbroken_row(
     return rows[t] if t < len(rows) else None
 
 
-def _exhaustive_minimum(
-    size: int, rows: Sequence[tuple[int, ...]], start: int
-) -> tuple[int, tuple[int, ...]]:
+def _exhaustive_minimum(size: int, columns: Sequence, start: int) -> tuple[int, tuple[int, ...]]:
     """Smallest label count with a distinguishing assignment of `size`
     positions, and the first such assignment in canonical order.
 
@@ -450,19 +507,23 @@ def _exhaustive_minimum(
     each earlier j labeled otherwise.  A live row of settled[k], whose
     moved positions are all labeled once k is, preserves every
     completion, which cuts the branch.  _row_masks builds both tables
-    before the search, the ties a column at a time at C speed; the
-    randomized search reads the same ties.  The search starts at r = start, a lower
-    bound on the answer.
+    from the columns of the rows (see _tie_masks) before the search, at C
+    speed; the randomized search reads ties built the same way.  Which
+    bit stands for which row does not matter: the search only asks
+    whether a set of rows is empty, so it returns the first
+    distinguishing assignment in canonical order whatever the order of
+    the rows.  The search starts at r = start, a lower bound on the
+    answer.
 
     Requires that no row fixes every position, so that the all-distinct
     assignment is distinguishing and the search terminates at r = size.
     """
-    ties, settled = _row_masks(size, rows)
+    ties, settled = _row_masks(size, columns)
     # labels[k]: the label tried last at position k (0: none yet);
     # used[k], live[k]: the label count and the live rows of the prefix 0..k-1
     labels = [0] * size
     used = [0] * (size + 1)
-    live = [(1 << len(rows)) - 1] * (size + 1)
+    live = [(1 << len(columns[0])) - 1] * (size + 1)
     for r in range(start, size + 1):
         k = 0
         while k >= 0:
@@ -565,7 +626,7 @@ def _solve(chain: _Chain, exact: bool, budgets: Budgets, wrap) -> Distinguishing
         return DistinguishingResult(None, UNDEFINED, None, None, None)
     start = max(2, bound)
     if exact:
-        value, labels = _exhaustive_minimum(size, chain.rows(), start)
+        value, labels = _exhaustive_minimum(size, chain.columns(), start)
         reason = REASON_NONTRIVIAL_AUT if value == 2 else REASON_EXHAUSTED
         return DistinguishingResult(value, EXACT, wrap(labels, value), reason, value)
     value, labels = _randomized_minimum(chain, budgets, start)

@@ -12,7 +12,8 @@ the linear stabilizer test that checks every row in list order;
 reference_transposition_class_bound, the scan of every row for
 transpositions that the labeling searches' lower bound came from;
 reference_row_masks, the exhaustive search's table build, one row at a
-time; reference_parse_graph6, the graph6 reader that stepped through
+time; reference_subgroup, the comparison of listed element sets that
+the harness's subgroup and group-equality hypotheses used; reference_parse_graph6, the graph6 reader that stepped through
 every character, whose error messages the library's reader must
 reproduce; reference_validate, the Graph constructor's former validator,
 which tested symmetry by scanning neighbour tuples; reference_from_edges,
@@ -177,6 +178,13 @@ def reference_row_masks(size: int, rows):
                 ties[hi][lo] = ties[hi].get(lo, 0) | bit
         settled[last] |= bit
     return ties, settled
+
+
+def reference_subgroup(a, b) -> bool:
+    """Whether the automorphism group a lies in b, by their listed element
+    sets, as the harness tested it before it tested generators; a equals
+    b when each lies in the other."""
+    return set(a.elements) <= set(b.elements)
 
 
 def reference_parse_graph6(text: str | bytes) -> Graph:

@@ -1,4 +1,5 @@
 import ast
+import functools
 import gc
 import inspect
 import itertools
@@ -10,6 +11,7 @@ import graphsym.checks
 import graphsym.distinguishing
 from graphsym import (
     DEFAULT_BUDGETS,
+    AutomorphismGroup,
     BudgetExceeded,
     Budgets,
     EdgeLabeling,
@@ -44,6 +46,9 @@ from graphsym import (
     strong_power,
     strong_product,
 )
+
+from graphsym.checks import _equal_groups, _within
+from oracles import all_connected_graphs, reference_subgroup
 
 SPIDER7 = Graph.from_edges(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
 
@@ -115,6 +120,73 @@ def test_check_number_equality():
     assert report.quantities["D(strong)"].startswith("2")
     report = check_number_equality(complete(2), complete(2))
     assert report.status == "not-applicable" and not report.hypotheses["G S-thin"]
+
+
+def _groups_within_the_cap(graphs):
+    """(graph, Aut(graph)) for each graph whose group is under the default
+    budgets."""
+    for g in graphs:
+        try:
+            yield g, automorphism_group(g, max_order=DEFAULT_BUDGETS.aut_max_order)
+        except BudgetExceeded:
+            pass
+
+
+def test_generator_tests_agree_with_the_element_sets():
+    # _within tests the representatives of one chain on the other graph,
+    # and _equal_groups adds equal orders
+    graphs = list(all_connected_graphs(4))
+    factors = [g for _, g in default_corpus()]
+    for a, b in itertools.combinations_with_replacement(factors, 2):
+        if a.n * b.n <= 12:
+            graphs += [strong_product(a, b), cartesian_product(a, b)]
+    held = list(_groups_within_the_cap(graphs))
+    outcomes = {"within": set(), "equal": set()}
+    for (a, group_a), (b, group_b) in itertools.product(held, repeat=2):
+        if a.n != b.n:
+            continue
+        within = _within(group_a, b)
+        assert within == reference_subgroup(group_a, group_b)
+        equal = _equal_groups(group_a, group_b, b)
+        assert equal == (reference_subgroup(group_a, group_b)
+                         and reference_subgroup(group_b, group_a))
+        assert equal == (group_a == group_b)
+        outcomes["within"].add(within)
+        outcomes["equal"].add(equal)
+    assert outcomes == {"within": {True, False}, "equal": {True, False}}
+
+
+def test_number_equality_compares_groups_by_generators():
+    # on every pair of the corpus that number-equality decides, the groups
+    # are equal (the theorem), and so are their element sets
+    corpus = dict(default_corpus())
+    decided = 0
+    for report in run_all(default_corpus()):
+        if report.check == "number-equality-sthin" and report.applicable:
+            g, h = (corpus[name] for name in report.instance.split(" x "))
+            strong = automorphism_group(strong_product(g, h))
+            box = automorphism_group(cartesian_product(g, h))
+            assert report.quantities["groups equal"] and strong == box
+            decided += 1
+    assert decided > 5
+
+
+def test_verify_all_lists_no_group(monkeypatch):
+    # the labeling searches read the chain and the group hypotheses test
+    # generators: one run over the default corpus lists no element
+    listed = []
+    listing = AutomorphismGroup.__dict__["elements"].func
+
+    def elements(group):
+        listed.append(group.order)
+        return listing(group)
+
+    counting = functools.cached_property(elements)
+    counting.__set_name__(AutomorphismGroup, "elements")
+    monkeypatch.setattr(AutomorphismGroup, "elements", counting)
+    reports = run_all(default_corpus())
+    assert len(reports) == 945 and listed == []
+    assert automorphism_group(path(3)).elements == ((0, 1, 2), (2, 1, 0)) and listed == [2]
 
 
 def test_check_power_number():

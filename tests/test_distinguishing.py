@@ -33,6 +33,7 @@ from graphsym.distinguishing import (
     _Chain,
     _exhaustive_minimum,
     _randomized_minimum,
+    _row_columns,
     _row_masks,
     _tie_masks,
     _tie_pairs,
@@ -419,17 +420,61 @@ def test_mask_test_returns_the_reference_row():
     assert min(outcomes.values()) > 1000  # both distinguishing and preserved labelings
 
 
+def _rows_down(columns):
+    """The rows that columns spell, read down them: bytes columns hold
+    positions as ints, str columns as characters, last row first."""
+    rows = [tuple(c if isinstance(c, int) else ord(c) for c in row) for row in zip(*columns)]
+    return rows[::-1]
+
+
 def test_row_masks_match_the_row_by_row_build():
     count = 0
-    for _, rows in _stabilizer_test_cases():
+    for chain, rows in _stabilizer_test_cases():
         if rows:
             size = len(rows[0])
-            assert _row_masks(size, rows) == reference_row_masks(size, rows)
+            assert _row_masks(size, _row_columns(size, rows)) == reference_row_masks(size, rows)
+            columns = chain.columns()
+            down = _rows_down(columns)
+            assert _row_masks(size, columns) == reference_row_masks(size, down)
             count += 1
     assert count > 80
     # a row moving nothing is settled at position 0
     rows = [(1, 0, 2), (0, 1, 2), (0, 2, 1)]
-    assert _row_masks(3, rows) == reference_row_masks(3, rows) == ([{}, {0: 1}, {1: 4}], [2, 1, 4])
+    columns = _row_columns(3, rows)
+    assert _rows_down(columns) == rows
+    assert _row_masks(3, columns) == reference_row_masks(3, rows) == ([{}, {0: 1}, {1: 4}], [2, 1, 4])
+
+
+def _wide_chains():
+    """Vertex and edge chains of C136 and C300: positions past the ASCII
+    range, and past the byte range."""
+    budgets = Budgets(aut_vertices=300, aut_max_order=None)
+    for n in (136, 300):
+        for on_edges in (False, True):
+            yield _Chain(cycle(n), budgets, on_edges)
+
+
+def test_chain_columns_hold_every_element_once():
+    # read down the columns, the rows are the group's non-identity
+    # elements, each once: the same set as the listed elements
+    chains = [_Chain(g, _UNCAPPED, on_edges) for g in _stabilizer_test_graphs()
+              for on_edges in (False, True)]
+    sizes = set()
+    for chain in chains + list(_wide_chains()):
+        columns = chain.columns()
+        assert len(columns) == chain.size
+        down = _rows_down(columns)
+        assert len(down) == chain.group.order - 1
+        assert set(down) == set(chain.rows()), chain.group
+        sizes.add(chain.size)
+    assert {136, 300} <= sizes
+
+
+def test_chain_columns_past_the_ascii_and_byte_ranges():
+    for chain in _wide_chains():
+        columns = chain.columns()
+        assert type(columns[0]) is (bytes if chain.size <= 256 else str)
+        assert _row_masks(chain.size, columns) == reference_row_masks(chain.size, _rows_down(columns))
 
 
 def test_walk_lists_the_rows_and_bounds_the_transposition_classes():
@@ -450,6 +495,33 @@ def test_walk_lists_the_rows_and_bounds_the_transposition_classes():
                 expected = reference_transposition_class_bound(size, rows)
                 assert chain.transposition_class_bound() == expected
     assert undefined > 0
+
+
+def _corpus_products():
+    """Strong and Cartesian products of the default corpus within the
+    default automorphism bound."""
+    factors = [g for _, g in default_corpus()]
+    return [op(a, b) for a, b in itertools.combinations_with_replacement(factors, 2)
+            for op in (strong_product, cartesian_product) if a.n * b.n <= 20]
+
+
+def test_twin_bound_equals_the_walk():
+    # on the vertices the transposition classes are read from the twins,
+    # with no walk; the walk at limit 2 must find the same classes
+    nx = pytest.importorskip("networkx")
+    graphs = [Graph.from_edges(a.number_of_nodes(), a.edges()) for a in nx.graph_atlas_g()]
+    assert len(graphs) == 1253 and max(g.n for g in graphs) == 7
+    # no order cap and no node budget: K4 x K5 is K20, of order 20!
+    budgets = Budgets(aut_max_order=None, aut_nodes=None)
+    bounds = set()
+    for g in graphs + _corpus_products():
+        chain = _Chain(g, budgets, on_edges=False)
+        bound = chain.transposition_class_bound()
+        assert bound == chain.walked_class_bound(), g
+        bounds.add(bound)
+    # up to 7 on the atlas (K7, seven isolated vertices); 15, 16 and 20 from
+    # K3 x K5, K4 x K4 and K4 x K5, which are complete graphs
+    assert bounds == {*range(1, 11), 12, 15, 16, 20}
 
 
 def test_walk_at_intermediate_limits_yields_the_rows_within_the_limit():
@@ -492,6 +564,15 @@ def test_labeling_tests_list_no_elements():
     assert (g.n, result.value, result.mode) == (20, 2, "certified-upper")
     group = automorphism_group(g)
     assert group.order == 80 and "elements" not in vars(group)
+    # the exhaustive searches read the chain's columns
+    g = strong_product(path(4), cycle(3))
+    result = distinguishing_number(g)
+    assert (g.n, result.value, result.mode) == (12, 4, "exact")
+    assert "elements" not in vars(automorphism_group(g))
+    g = strong_product(path(2), path(3))
+    result = distinguishing_index(g)
+    assert (g.edge_count, result.value, result.mode) == (11, 2, "exact")
+    assert "elements" not in vars(automorphism_group(g))
     # reading them lists them, sorted
     assert list(group.elements) == sorted(group.elements) and "elements" in vars(group)
 
@@ -504,9 +585,10 @@ def test_row_masks_past_the_ascii_and_byte_ranges(size):
     for rows in (vertex_rows(cycle(8)), vertex_rows(path(6)), edge_rows(cycle(7))):
         shift = size - len(rows[0])
         wide = [tuple(range(shift)) + tuple(shift + j for j in row) for row in rows]
-        assert _row_masks(size, wide) == reference_row_masks(size, wide)
+        columns = _row_columns(size, wide)
+        assert _row_masks(size, columns) == reference_row_masks(size, wide)
         value, labels = reference_minimum(size, wide)
-        assert _exhaustive_minimum(size, wide, 2) == (value, labels)
+        assert _exhaustive_minimum(size, columns, 2) == (value, labels)
         assert value == 2 and labels[:shift] == (1,) * shift
 
 
@@ -520,7 +602,7 @@ def test_tie_masks_match_the_row_by_row_build_on_few_rows(size):
         if count:
             # a row moving only the last two positions
             rows[0] = tuple(range(size - 2)) + (size - 1, size - 2)
-        assert _tie_masks(size, rows) == reference_row_masks(size, rows)[0]
+        assert _tie_masks(size, _row_columns(size, rows)) == reference_row_masks(size, rows)[0]
 
 
 def _randomized_searches(graphs):

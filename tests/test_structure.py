@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graphsym import (
     BudgetExceeded,
     Graph,
     automorphism_group,
     cartesian_product,
+    closed_neighborhood,
     complete,
     cycle,
     declared_strong_prime,
@@ -23,6 +26,7 @@ from graphsym import (
     strong_product,
 )
 from oracles import all_connected_graphs, connected_graph_sample, reference_hamiltonian_path
+from test_products import small_graphs
 
 SPIDER7 = Graph.from_edges(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
 
@@ -40,6 +44,23 @@ def test_s_partition_is_a_partition():
         assert covered == list(range(g.n))
 
 
+def reference_s_partition(g):
+    """The former s_partition: sorted closed neighbourhoods as keys, and
+    the classes sorted once more."""
+    buckets = {}
+    for v in range(g.n):
+        buckets.setdefault(closed_neighborhood(g, v), []).append(v)
+    return tuple(sorted(tuple(sorted(c)) for c in buckets.values()))
+
+
+# strong products of small graphs have true twins wherever a factor does
+@given(st.one_of(small_graphs(max_vertices=8),
+                 st.builds(strong_product, small_graphs(max_vertices=3),
+                           small_graphs(max_vertices=3))))
+def test_s_partition_matches_the_former_definition(g):
+    assert s_partition(g).classes == reference_s_partition(g)
+
+
 def test_is_s_thin():
     assert is_s_thin(path(3))
     for n in range(2, 6):
@@ -47,7 +68,6 @@ def test_is_s_thin():
     assert is_s_thin(cycle(5))
     assert is_s_thin(cycle(4))
     # equivalent formulation: the closed-neighborhood map is injective
-    from graphsym import closed_neighborhood
     for g in (path(4), cycle(5), complete(3), SPIDER7):
         neighborhoods = [closed_neighborhood(g, v) for v in range(g.n)]
         assert is_s_thin(g) == (len(set(neighborhoods)) == g.n)
