@@ -110,35 +110,53 @@ def _load_graph(source: str) -> Graph:
         return parse_auto(fh.read())
 
 
+# the JSON text of a str, int, bool or None, by exact type
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+            bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
+
+
 def _json(value: object, pad: str = "\n") -> str:
     """value as json.dumps(value, indent=2) writes it, byte for byte, for
     str keys and JSON values, tuples as lists.  The standard encoder runs
     in pure Python whenever it indents; here each container is one join of
-    its items, with strings encoded by the C escaper json uses, and a list
-    of ints, bools excluded, written in one join of their reprs."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, (list, tuple)):
+    its items, with strings encoded by the C escaper json uses, scalar
+    items written in place rather than by a call of _json each, and a list
+    of ints, bools excluded, written in one join of their reprs.  Exact
+    types are dispatched first; a subclass is written as its base type,
+    as the standard encoder writes it, containers here and str and int
+    subclasses by json.dumps."""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        scalar = _SCALARS.get
+        items = []
+        for k, v in value.items():
+            write = scalar(type(v))
+            items.append(encode_basestring_ascii(k) + ": "
+                         + (write(v) if write else _json(v, inner)))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if kind is list or kind is tuple:
         if not value:
             return "[]"
         inner = pad + "  "
         if all(type(v) is int for v in value):
             items = map(int.__repr__, value)
         else:
-            items = [_json(v, inner) for v in value]
+            scalar = _SCALARS.get
+            items = []
+            for v in value:
+                write = scalar(type(v))
+                items.append(write(v) if write else _json(v, inner))
         return "[" + inner + ("," + inner).join(items) + pad + "]"
+    write = _SCALARS.get(kind)
+    if write is not None:
+        return write(value)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = pad + "  "
-        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
+        return _json(dict(value.items()), pad)
+    if isinstance(value, (list, tuple)):
+        return _json(list(value), pad)
     return json.dumps(value)
 
 

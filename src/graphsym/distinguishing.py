@@ -166,7 +166,7 @@ def is_distinguishing_vertex(
     """
     if len(labeling.labels) != graph.n:
         raise ValueError("labeling length does not match vertex count")
-    return _Chain(graph, budgets, on_edges=False).first_preserving(labeling.labels) is None
+    return _chain(graph, budgets, on_edges=False).first_preserving(labeling.labels) is None
 
 
 def is_distinguishing_edge(
@@ -180,7 +180,7 @@ def is_distinguishing_edge(
     if set(labeling.labels) != set(graph.edges):
         raise ValueError("labeling domain is not exactly the edge set")
     flat = tuple(labeling.labels[e] for e in graph.edges)
-    return _Chain(graph, budgets, on_edges=True).first_preserving(flat) is None
+    return _chain(graph, budgets, on_edges=True).first_preserving(flat) is None
 
 
 def _group_of(graph: Graph, budgets: Budgets) -> AutomorphismGroup:
@@ -189,6 +189,21 @@ def _group_of(graph: Graph, budgets: Budgets) -> AutomorphismGroup:
         graph, max_vertices=budgets.aut_vertices, max_order=budgets.aut_max_order,
         max_nodes=budgets.aut_nodes,
     )
+
+
+def _chain(graph: Graph, budgets: Budgets, on_edges: bool) -> _Chain:
+    """graph's chain on the vertices or the edges.  Aut(graph) is read
+    first, so a budget refusal comes where it did, and the chain is kept
+    on the graph beside its group, built again only for another group."""
+    group = _group_of(graph, budgets)
+    chains = graph._chains
+    if chains is None:
+        chains = {}
+        object.__setattr__(graph, "_chains", chains)
+    chain = chains.get(on_edges)
+    if chain is None or chain.group is not group:
+        chain = chains[on_edges] = _Chain(graph, group, on_edges)
+    return chain
 
 
 class _Chain:
@@ -209,17 +224,22 @@ class _Chain:
     representative mapping an edge outside the edge set would mean the
     group is not one of automorphisms, an internal fault; every element
     is a product of representatives, so testing them covers the group.
+
+    Each graph keeps its vertex and its edge chain (see _chain), so a chain
+    holds no reference to its graph, which would make a reference cycle:
+    on the vertices the largest twin class is read at build time.  visited
+    counts on across calls, and each randomized search resets it.
     """
 
-    def __init__(self, graph: Graph, budgets: Budgets, on_edges: bool) -> None:
-        group = _group_of(graph, budgets)
+    def __init__(self, graph: Graph, group: AutomorphismGroup, on_edges: bool) -> None:
         n = graph.n
-        self.graph = graph
         self.group = group
         self.edges = graph.edges if on_edges else None
         self.size = len(graph.edges) if on_edges else n
         self.visited = 0  # the walks' nodes so far: one per choice taken
         self.levels: list[tuple[int, list, Sequence[int]]] = []
+        # unread on the edges; a trivial group has no twins to swap
+        self.twin_bound = 1 if on_edges or not group.levels else _largest_twin_class(graph)
         if not group.levels:
             return
         starts = [v for v, _ in group.levels]
@@ -367,7 +387,7 @@ class _Chain:
         from the graph in O(n + m); on the edges the walk finds them.
         """
         if self.edges is None:
-            return _largest_twin_class(self.graph)
+            return self.twin_bound
         return self.walked_class_bound()
 
     def walked_class_bound(self) -> Optional[int]:
@@ -647,7 +667,7 @@ def distinguishing_number(
     asks for the group, the number and the index of one graph pays for
     one search.
     """
-    chain = _Chain(graph, budgets, on_edges=False)
+    chain = _chain(graph, budgets, on_edges=False)
     return _solve(chain, graph.n <= budgets.exact_vertices, budgets, VertexLabeling)
 
 
@@ -664,7 +684,7 @@ def distinguishing_index(
     distinguishing_number.
     """
     m = graph.edge_count
-    chain = _Chain(graph, budgets, on_edges=True)
+    chain = _chain(graph, budgets, on_edges=True)
 
     def wrap(flat: tuple[int, ...], r: int) -> EdgeLabeling:
         return EdgeLabeling(dict(zip(graph.edges, flat)), r)

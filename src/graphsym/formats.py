@@ -15,15 +15,20 @@ The edge-list format is line oriented: the first non-comment line is the
 vertex count, every following line is ``u v`` with 0-based indices, and
 ``#`` starts a comment.  Text in the writer's own shape (a count line and
 ``u v`` lines of at most six ASCII digits each, separated by single spaces
-and ``\n``) is read in one pass over the whole string, with the range,
-self-loop and duplicate checks done on whole lists.  Any other text, and
-any such text that fails a check, is read line by line, and only that
-loop reports errors, so the messages do not depend on the path taken.
-The writer makes one string join per vertex row, not one per edge.
+and ``\n``) is read whole: one ``json.loads`` parses every number, with
+the spaces and newlines turned into commas (``int`` on the split text
+when a number is zero-padded, which JSON refuses), one ``max`` tests the
+range, and a pair given twice, either way round, or a self-loop shows as
+a repeated entry in some vertex's row, found by counting each row's
+distinct entries.  Any other text, and any such text that fails a check,
+is read line by line, and only that loop reports errors, so the messages
+do not depend on the path taken.  The writer formats each vertex number
+once and makes one string join per vertex row, not one per edge.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from bisect import bisect_right
 
@@ -122,20 +127,24 @@ def parse_graph6(text: str | bytes) -> Graph:
     # bit k is the pair (u, v) of column v, which starts at k = v(v-1)/2;
     # the set bits come in increasing k, so the column only moves forward
     # and every neighbour list is filled in increasing order.  The groups
-    # with a set bit are the 1s of marks, found in order by marks.find
+    # with a set bit are the 1s of marks, found in order by marks.find.
+    # Column v ends at end = start + v, so one comparison keeps a bit in
+    # its column, and only a bit at or past end can be padding
     adj: list[list[int]] = [[] for _ in range(n)]
-    v, start = 1, 0
+    v, start, end = 1, 0, 1
     marks = data.translate(_MARK_SET_GROUPS)
     i = marks.find(1, pos)
     while i >= 0:
         first = 6 * (i - pos)
         for bit in _SET_BITS[data[i] - 63]:
             k = first + bit
-            if k >= npairs:
-                break
-            while k >= start + v:
-                start += v
-                v += 1
+            if k >= end:
+                if k >= npairs:
+                    break
+                while k >= end:
+                    start = end
+                    v += 1
+                    end += v
             u = k - start
             adj[u].append(v)
             adj[v].append(u)
@@ -145,12 +154,14 @@ def parse_graph6(text: str | bytes) -> Graph:
 
 def serialize_edgelist(graph: Graph) -> str:
     # one join per vertex u over the sorted neighbours above it: "\nu v1\nu v2..."
+    # with each vertex number formatted once, in names
+    names = list(map(str, range(graph.n)))
     rows = [str(graph.n)]
     for u, nbrs in enumerate(graph.adj):
         later = nbrs[bisect_right(nbrs, u):]
         if later:
-            head = f"\n{u} "
-            rows.append(head + head.join(map(str, later)))
+            head = "\n" + names[u] + " "
+            rows.append(head + head.join(map(names.__getitem__, later)))
     return "".join(rows) + "\n"
 
 
@@ -164,33 +175,35 @@ def _edge_line_error(message: str, parts: list[str], n: int) -> FormatError:
     return FormatError(message)
 
 
-def _edgelist_graph(n: int, us, vs) -> Graph:
+def _edgelist_graph(n: int, us, vs) -> Graph | None:
     """The graph on n vertices with edges (us[i], vs[i]), which the caller
-    has checked: in range, no self-loop, no pair twice.  The only place an
-    edge-list reader allocates per-vertex storage."""
+    has checked are in range, or None when a pair comes twice, either way
+    round, or is a self-loop: each leaves a repeated entry in some row.
+    The only place an edge-list reader allocates per-vertex storage."""
     rows: list[list[int]] = [[] for _ in range(n)]
     for u, v in zip(us, vs):
         rows[u].append(v)
         rows[v].append(u)
+    # empty rows skipped: a sparse count of 258047 vertices costs no sets
+    if sum(map(len, map(set, filter(None, rows)))) != 2 * len(us):
+        return None
     for row in rows:
         row.sort()
     return Graph._from_rows(n, tuple(map(tuple, rows)))
 
 
 def _parse_writer_edgelist(text: str) -> Graph | None:
-    """Read text in serialize_edgelist's shape with whole-list checks, or
+    """Read text in serialize_edgelist's shape with whole-text checks, or
     return None when the text has another shape or fails a check."""
     if not _WRITER_EDGELIST.fullmatch(text):
         return None
-    numbers = list(map(int, text.split()))
+    try:
+        numbers = json.loads("[" + text.rstrip("\n").replace(" ", ",").replace("\n", ",") + "]")
+    except ValueError:  # JSON refuses a zero-padded number
+        numbers = list(map(int, text.split()))
     n = numbers[0]
     us, vs = numbers[1::2], numbers[2::2]
     if n > _MAX_COUNT or (us and max(max(us), max(vs)) >= n):
-        return None
-    # a pair given twice repeats a (u, v) or meets its own (v, u), and a
-    # self-loop (u, u) meets itself
-    pairs = set(zip(us, vs))
-    if len(pairs) != len(us) or not pairs.isdisjoint(zip(vs, us)):
         return None
     return _edgelist_graph(n, us, vs)
 

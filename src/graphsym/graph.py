@@ -31,8 +31,10 @@ class Graph:
 
     # not fields, so outside eq, hash and repr: what
     # symmetry.automorphism_group proved about this object, set there on
-    # first use, and the hash of (n, adj), set by __hash__ on first use
+    # first use, the labeling chains distinguishing._chain builds on that
+    # group, and the hash of (n, adj), set by __hash__ on first use
     _aut = None
+    _chains = None
     _hash = None
 
     def __post_init__(self) -> None:

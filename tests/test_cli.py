@@ -1,5 +1,7 @@
+import enum
 import json
 import os
+from collections import OrderedDict, namedtuple
 import random
 import subprocess
 import sys
@@ -498,6 +500,10 @@ def test_each_budget_field_has_exactly_one_flag():
     # int lists are one join: bools, floats, None and nesting are not ints
     [1, -2, 0, 2 ** 70], (3, 4), [True, False], [1, True], [False, 0], [1, 2.5],
     [1, None], [1, "2"], [[1, 2], [], [3]], [1, [2, 3]], {"k": [[0, 1, 2]]},
+    # subclasses are written as their base types
+    OrderedDict(b=1, a=[OrderedDict()]), namedtuple("Pair", "u v")(1, "x"),
+    {"e": enum.IntEnum("E", "A B").B, "s": type("S", (str,), {})("s\t")},
+    [type("L", (list,), {})([1, 2]), type("D", (dict,), {})(k=None)],
 ])
 def test_json_writer_matches_the_standard_encoder(value):
     assert graphsym.cli._json(value) == json.dumps(value, indent=2)

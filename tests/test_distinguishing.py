@@ -31,6 +31,7 @@ from graphsym import (
 from graphsym.checks import default_corpus
 from graphsym.distinguishing import (
     _Chain,
+    _chain,
     _exhaustive_minimum,
     _randomized_minimum,
     _row_columns,
@@ -283,7 +284,7 @@ def _assert_matches_reference(g, budgets):
     got = distinguishing_number(g, budgets)
     assert got.mode == "exact"
     assert (got.value, got.witness.labels, got.witness.r) == (value, labels, value)
-    assert _Chain(g, budgets, on_edges=False).transposition_class_bound() <= value
+    assert _chain(g, budgets, on_edges=False).transposition_class_bound() <= value
     if not g.edge_count or g.edge_count > budgets.exact_edges:
         return
     rows = edge_rows(g)
@@ -296,7 +297,7 @@ def _assert_matches_reference(g, budgets):
     assert got.mode == "exact"
     assert got.value == value and got.witness.r == value
     assert tuple(got.witness.labels[e] for e in g.edges) == labels
-    assert _Chain(g, budgets, on_edges=True).transposition_class_bound() <= value
+    assert _chain(g, budgets, on_edges=True).transposition_class_bound() <= value
 
 
 def test_witness_matches_reference_search_small_graphs():
@@ -319,12 +320,31 @@ def test_witness_matches_reference_search_products():
 def test_transposition_class_bound_on_twins_and_pendant_edges():
     # K_{1,4}: the four leaves are pairwise twins, and so are the four edges
     star = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    assert _Chain(star, DEFAULT_BUDGETS, on_edges=False).transposition_class_bound() == 4
-    assert _Chain(star, DEFAULT_BUDGETS, on_edges=True).transposition_class_bound() == 4
+    assert _chain(star, DEFAULT_BUDGETS, on_edges=False).transposition_class_bound() == 4
+    assert _chain(star, DEFAULT_BUDGETS, on_edges=True).transposition_class_bound() == 4
     assert distinguishing_number(star).value == 4
     assert distinguishing_index(star).value == 4
     # C5 has no transposition automorphism
-    assert _Chain(cycle(5), DEFAULT_BUDGETS, on_edges=False).transposition_class_bound() == 1
+    assert _chain(cycle(5), DEFAULT_BUDGETS, on_edges=False).transposition_class_bound() == 1
+
+
+def test_each_graph_keeps_its_edge_chain(monkeypatch):
+    # two edge tests on one graph build one chain; an order budget the
+    # group exceeds is still refused, before the kept chain is read
+    built = []
+    init = _Chain.__init__
+    monkeypatch.setattr(_Chain, "__init__",
+                        lambda self, graph, group, on_edges: built.append(on_edges)
+                        or init(self, graph, group, on_edges))
+    g = cycle(5)
+    # one edge labelled 2: the reflection through that edge preserves it
+    labeling = EdgeLabeling({e: 1 + (e == g.edges[0]) for e in g.edges}, 2)
+    assert not is_distinguishing_edge(g, labeling)
+    assert not is_distinguishing_edge(g, labeling)
+    assert built == [True]
+    with pytest.raises(BudgetExceeded):
+        is_distinguishing_edge(g, labeling, Budgets(aut_max_order=5))
+    assert built == [True]
 
 
 def test_randomized_search_starts_at_the_transposition_class_bound():
@@ -385,9 +405,9 @@ _UNCAPPED = Budgets(aut_max_order=None)
 def _stabilizer_test_cases():
     """(chain, rows) on the vertices and on the edges of each graph."""
     for g in _stabilizer_test_graphs():
-        chain = _Chain(g, _UNCAPPED, on_edges=False)
+        chain = _chain(g, _UNCAPPED, on_edges=False)
         yield chain, chain.rows()
-        chain = _Chain(g, _UNCAPPED, on_edges=True)
+        chain = _chain(g, _UNCAPPED, on_edges=True)
         rows = chain.rows()
         if tuple(range(g.edge_count)) not in rows:  # undefined index: no search runs
             yield chain, rows
@@ -451,13 +471,13 @@ def _wide_chains():
     budgets = Budgets(aut_vertices=300, aut_max_order=None)
     for n in (136, 300):
         for on_edges in (False, True):
-            yield _Chain(cycle(n), budgets, on_edges)
+            yield _chain(cycle(n), budgets, on_edges)
 
 
 def test_chain_columns_hold_every_element_once():
     # read down the columns, the rows are the group's non-identity
     # elements, each once: the same set as the listed elements
-    chains = [_Chain(g, _UNCAPPED, on_edges) for g in _stabilizer_test_graphs()
+    chains = [_chain(g, _UNCAPPED, on_edges) for g in _stabilizer_test_graphs()
               for on_edges in (False, True)]
     sizes = set()
     for chain in chains + list(_wide_chains()):
@@ -484,7 +504,7 @@ def test_walk_lists_the_rows_and_bounds_the_transposition_classes():
     undefined = 0
     for g in _stabilizer_test_graphs():
         for on_edges in (False, True):
-            chain = _Chain(g, _UNCAPPED, on_edges)
+            chain = _chain(g, _UNCAPPED, on_edges)
             rows = list(chain.rows())
             size = chain.size
             assert [row for row, _ in chain.walk(range(size), size)] == rows
@@ -515,7 +535,7 @@ def test_twin_bound_equals_the_walk():
     budgets = Budgets(aut_max_order=None, aut_nodes=None)
     bounds = set()
     for g in graphs + _corpus_products():
-        chain = _Chain(g, budgets, on_edges=False)
+        chain = _chain(g, budgets, on_edges=False)
         bound = chain.transposition_class_bound()
         assert bound == chain.walked_class_bound(), g
         bounds.add(bound)
@@ -531,7 +551,7 @@ def test_walk_at_intermediate_limits_yields_the_rows_within_the_limit():
     yielded, partial = {1: 0, 3: 0}, 0
     for g in _stabilizer_test_graphs():
         for on_edges in (False, True):
-            chain = _Chain(g, _UNCAPPED, on_edges)
+            chain = _chain(g, _UNCAPPED, on_edges)
             rows = chain.rows()
             size = chain.size
             for r in (2, 3):
@@ -612,7 +632,7 @@ def _randomized_searches(graphs):
     for g in graphs:
         for on_edges in (False, True):
             try:
-                chain = _Chain(g, DEFAULT_BUDGETS, on_edges)
+                chain = _chain(g, DEFAULT_BUDGETS, on_edges)
             except BudgetExceeded:
                 break
             if chain.levels and chain.transposition_class_bound() is not None:
@@ -628,7 +648,7 @@ def _forced_minimum(monkeypatch, g, on_edges, order):
     """_randomized_minimum on a fresh copy of g, with its group's order read
     as order: -1 lists the rows before the first test, inf never lists."""
     g = Graph.from_edges(g.n, g.edges)
-    chain = _Chain(g, _FEW_TRIALS, on_edges)
+    chain = _chain(g, _FEW_TRIALS, on_edges)
     start = max(2, chain.transposition_class_bound())
     if order is None:
         found = _randomized_minimum(chain, _FEW_TRIALS, start)
@@ -676,7 +696,7 @@ def test_certified_lower_bound_is_the_transposition_class_bound():
     assert (num.value, num.mode) == (3, "certified-upper")
     assert num.bounds == (3, 3) and num.is_tight
     assert num.to_json_dict()["reason"] == "nontrivial-aut"
-    assert _Chain(g, DEFAULT_BUDGETS, on_edges=False).transposition_class_bound() == 3
+    assert _chain(g, DEFAULT_BUDGETS, on_edges=False).transposition_class_bound() == 3
     # P10 x K2 has twin pairs only: the bound is 2 and the witness needs 3
     num = distinguishing_number(strong_product(path(10), complete(2)))
     assert num.bounds == (2, 3) and not num.is_tight

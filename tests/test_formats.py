@@ -19,7 +19,7 @@ from graphsym import (
     serialize_graph6,
     strong_product,
 )
-from graphsym.formats import GRAPH6_HEADER, detect_format
+from graphsym.formats import _MAX_COUNT, GRAPH6_HEADER, detect_format
 from oracles import (
     reference_detect_format,
     reference_parse_edgelist,
@@ -207,10 +207,12 @@ def test_graph6_reader_on_a_large_product():
 
 
 def test_edgelist_writer_on_a_large_product():
-    # one join per vertex row instead of one formatted line per edge.  The
-    # bound cannot tell that from the former writer (8-10 ms against 11-12 ms
-    # on 2 cores, fresh graphs): it catches a writer that tests every vertex
-    # pair (0.7 s), and BENCH_18.json records the gain over the former one
+    # one join per vertex row, over numbers formatted once per vertex,
+    # instead of one formatted line per edge.  The bound cannot tell that
+    # from the former writers (8.1-9.2 ms against 9.6-10.6 ms for a join of
+    # per-edge str() and 11-12 ms for a line per edge, on 2 cores, fresh
+    # graphs): it catches a writer that tests every vertex pair (0.7 s),
+    # and BENCH_18.json records the gain of the row join
     products = [f(cycle(60), cycle(60)) for f in (strong_product, cartesian_product)]
     with criterion(21, 0.1, "edge lists of C60 x C60 and C60 [] C60 (3600 vertices) written"):
         texts = [serialize_edgelist(g) for g in products]
@@ -289,6 +291,21 @@ def test_graph6_reader_named_cases(text, outcome):
         assert isinstance(got, str) and outcome in got
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=2, max_value=80), st.integers(min_value=0, max_value=2**32))
+def test_graph6_reader_at_column_ends_and_padding(n, seed):
+    # edges at both ends of random columns, u = 0 and u = v - 1, where the
+    # reader moves from one column to the next, and every padding bit of
+    # the last group set
+    rng = random.Random(seed)
+    columns = rng.sample(range(1, n), rng.randint(1, n - 1))
+    g = Graph.from_edges(n, [e for v in columns for e in ((0, v), (v - 1, v))])
+    s = serialize_graph6(g)
+    padding = -(n * (n - 1) // 2) % 6
+    s = s[:-1] + chr(63 + ((ord(s[-1]) - 63) | (1 << padding) - 1))
+    assert parse_graph6(s) == reference_parse_graph6(s) == g
+
+
 def test_graph6_padding_bits_are_ignored():
     assert parse_graph6("D?~") == parse_graph6("D?{")  # the star K_{1,4}
     assert parse_graph6("A~") == complete(2)
@@ -323,13 +340,35 @@ def test_edgelist_writer_matches_the_reference(g):
 @st.composite
 def writer_shaped_edgelists(draw):
     """Text in serialize_edgelist's shape, valid or not: a count and index
-    pairs, some repeated, reversed, looped or out of range, some of them
-    zero-padded, with or without the final newline."""
-    n = draw(st.one_of(st.integers(min_value=0, max_value=9), st.sampled_from([999999, 258048])))
-    index = st.integers(min_value=0, max_value=min(n, 10))
-    pairs = draw(st.lists(st.tuples(index, index), max_size=10))
-    pad = draw(st.sampled_from(["", "0", "000000"]))
-    lines = [str(n)] + [f"{pad}{u} {v}" for u, v in pairs]
+    pairs of one to six digits, some repeated, reversed, looped or out of
+    range, or many valid pairs with at most one given again, either way
+    round; no number, one number or every first number of a line
+    zero-padded; with or without the final newline."""
+    # counts over 258047 are refused; 100001 vertices, the fewest that take
+    # a valid six-digit index, cost both readers a row each, so come rarely
+    n = draw(st.sampled_from([*range(13)] * 4 + [99, 1000, 258048, 999999] * 2 + [100001]))
+    if n < 2 or draw(st.booleans()):
+        index = st.one_of(st.integers(min_value=0, max_value=min(n, 10)),
+                          st.integers(min_value=0, max_value=999999))
+        pairs = draw(st.lists(st.tuples(index, index), max_size=10))
+    else:
+        index = st.integers(min_value=0, max_value=min(n, _MAX_COUNT) - 1)
+        pairs = draw(st.lists(st.tuples(index, index).filter(lambda e: e[0] != e[1]),
+                              min_size=min(10, n * (n - 1) // 2), max_size=40,
+                              unique_by=frozenset))
+        if draw(st.booleans()):
+            u, v = draw(st.sampled_from(pairs))
+            again = draw(st.sampled_from([(u, v), (v, u)]))
+            pairs.insert(draw(st.integers(min_value=0, max_value=len(pairs))), again)
+    numbers = [str(n)] + [str(i) for pair in pairs for i in pair]
+    pad = draw(st.sampled_from(["0", "00", "000000"]))
+    padded = draw(st.sampled_from(["none", "one", "firsts"]))
+    if padded == "one":
+        at = draw(st.integers(min_value=0, max_value=len(numbers) - 1))
+        numbers[at] = pad + numbers[at]
+    elif padded == "firsts":
+        numbers[1::2] = [pad + u for u in numbers[1::2]]
+    lines = [numbers[0]] + [f"{u} {v}" for u, v in zip(numbers[1::2], numbers[2::2])]
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
@@ -363,9 +402,11 @@ def test_edgelist_reader_matches_the_reference_on_random_graphs(n, density, seed
     ("3\n0000000 0000002\n", False, "graph"),  # zero-padded to 7 digits
     ("3\n0 00000000001\n", False, "graph"),
     ("3\n000001 000002\n", True, "graph"),  # zero-padded to 6 digits
+    ("003\n0 1\n", True, "graph"),  # a zero-padded count, which JSON refuses
     ("4\n2 3\n1 0\n3 0\n", True, "graph"),  # unsorted, with reversed pairs
     ("3\n0 1\n1 0\n", False, "duplicate edge 1 0"),  # u v, then v u
     ("3\n0 1\n0 1\n", False, "duplicate edge 0 1"),
+    ("4\n0 1\n1 2\n2 3\n3 2\n", False, "duplicate edge 3 2"),  # the last pair repeats
     ("3\n1 1\n", False, "self-loop 1 1"),
     ("3\n0 3\n", False, "vertex index out of range in '0 3'"),  # an index equal to n
     ("999999\n", False, "vertex count 999999 outside 0..258047"),
