@@ -1,4 +1,14 @@
-"""Graph products, automorphism groups, and symmetry-breaking labelings."""
+"""Graph products, automorphism groups, and symmetry-breaking labelings.
+
+The core modules (graph, formats, products, symmetry, structure and
+distinguishing) load with the package.  The verification harness,
+graphsym.checks, and the names re-exported from it load on first use,
+through the module __getattr__ (PEP 562): most callers never run a check,
+and each import compiles the harness anew where no bytecode is cached.
+graphsym.cli imports the harness itself.
+"""
+
+import importlib
 
 from .graph import (
     Graph,
@@ -59,25 +69,26 @@ from .distinguishing import (
     is_distinguishing_edge,
     is_distinguishing_vertex,
 )
-from .checks import (
-    BoundReport,
-    all_applicable_pass,
-    check_index_monotone,
-    check_index_sthin,
-    check_layered_labeling,
-    check_lift,
-    check_number_equality,
-    check_number_sandwich,
-    check_power_number,
-    check_traceable_index,
-    default_corpus,
-    graph_name,
-    layered_labeling,
-    lift_edge_labeling,
-    min_alphabet,
-    min_exponent,
-    run_all,
-    sequence_labeling,
+
+# The names re-exported from graphsym.checks, read through __getattr__.
+_CHECKS = (
+    "BoundReport", "all_applicable_pass", "check_index_monotone", "check_index_sthin",
+    "check_layered_labeling", "check_lift", "check_number_equality",
+    "check_number_sandwich", "check_power_number", "check_traceable_index",
+    "default_corpus", "graph_name", "layered_labeling", "lift_edge_labeling",
+    "min_alphabet", "min_exponent", "run_all", "sequence_labeling",
 )
+
+
+def __getattr__(name: str):
+    if name == "checks" or name in _CHECKS:
+        checks = importlib.import_module(".checks", __name__)
+        return checks if name == "checks" else getattr(checks, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), "checks", *_CHECKS})
+
 
 __version__ = "0.1.0"

@@ -254,22 +254,29 @@ def _family_graph(token: str) -> Graph:
 
 def _parse_corpus(text: str):
     """Corpus lines: family shorthands (P5, C6, K4), explicit strong-product
-    pairs (P3xP4s), or raw graph6 strings.  '#' starts a comment."""
+    pairs (P3xP4s), or raw graph6 strings.  '#' starts a comment.  A graph6
+    line is named by its family when it has one, else by its own text, so
+    distinct graphs of one size keep distinct instance names.  An error
+    names the line it was raised on."""
     bases: list[tuple[str, Graph]] = []
     pairs: list[tuple[tuple[str, Graph], tuple[str, Graph]]] = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         token = raw.split("#", 1)[0].strip()
         if not token:
             continue
-        pair = _PAIR_RE.match(token)
-        if pair:
-            a, b = pair.group(1), pair.group(2)
-            pairs.append(((a, _family_graph(a)), (b, _family_graph(b))))
-        elif _FAMILY_RE.match(token):
-            bases.append((token, _family_graph(token)))
-        else:
-            g = parse_graph6(token)
-            bases.append((graph_name(g), g))
+        try:
+            pair = _PAIR_RE.match(token)
+            if pair:
+                a, b = pair.group(1), pair.group(2)
+                pairs.append(((a, _family_graph(a)), (b, _family_graph(b))))
+            elif _FAMILY_RE.match(token):
+                bases.append((token, _family_graph(token)))
+            else:
+                g = parse_graph6(token)
+                name = graph_name(g)
+                bases.append((token if name.startswith("graph(") else name, g))
+        except FormatError as exc:
+            raise FormatError(f"corpus line {number}: {exc}") from exc
     return bases, pairs
 
 

@@ -196,7 +196,29 @@ def test_oversized_family_shorthand_is_refused_before_it_is_built(
     corpus.write_text(line + "\n")
     code, out, err = run(capsys, ["verify", "--corpus", str(corpus)])
     assert (code, out) == (2, "")
-    assert err == "error: family shorthand vertex count outside 0..258047\n"
+    assert err == "error: corpus line 1: family shorthand vertex count outside 0..258047\n"
+
+
+def test_a_bad_corpus_line_is_named_in_the_error(capsys, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("# comment\nD? ?\nP3\n")
+    code, out, err = run(capsys, ["verify", "--corpus", str(corpus)])
+    assert (code, out) == (2, "")
+    assert err == "error: corpus line 2: unexpected whitespace inside graph6 string\n"
+
+
+def test_verify_corpus_names_graph6_lines_apart(capsys, tmp_path):
+    # the star K1,4 and the tree 0-1, 1-2, 1-3, 3-4 both have 5 vertices and
+    # 4 edges, so their size tag alone would give 27 reports 9 names
+    star = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    tree = Graph.from_edges(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(f"{serialize_graph6(star)}\n{serialize_graph6(tree)}\n")
+    code, out, err = run(capsys, ["verify", "--corpus", str(corpus), "--json"])
+    assert (code, err) == (0, "")
+    reports = json.loads(out)["reports"]
+    assert len({(r["check"], r["instance"]) for r in reports}) == len(reports) == 27
+    assert "Ds_ x DiC" in {r["instance"] for r in reports}
 
 
 def test_verify_corpus_accepts_graph6_lines(capsys, tmp_path):
@@ -322,6 +344,56 @@ def test_the_cli_imports_only_the_standard_library():
     loaded = done.stdout.split()
     assert "graphsym" in loaded
     assert [m for m in loaded if m != "graphsym" and m not in sys.stdlib_module_names] == []
+
+
+_HARNESS_NAMES = (
+    "BoundReport", "all_applicable_pass", "check_index_monotone", "check_index_sthin",
+    "check_layered_labeling", "check_lift", "check_number_equality",
+    "check_number_sandwich", "check_power_number", "check_traceable_index",
+    "default_corpus", "graph_name", "layered_labeling", "lift_edge_labeling",
+    "min_alphabet", "min_exponent", "run_all", "sequence_labeling",
+)
+
+
+def test_import_graphsym_loads_only_the_core_modules():
+    # the pinned import path: a core module that imported checks or cli
+    # eagerly would compile the harness on every import of the package
+    done = _python("-c", "import sys, graphsym; "
+                   "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'graphsym'))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [
+        "graphsym", "graphsym.distinguishing", "graphsym.formats", "graphsym.graph",
+        "graphsym.products", "graphsym.structure", "graphsym.symmetry",
+    ]
+
+
+def test_the_harness_loads_on_first_use():
+    script = f"""
+import sys, graphsym
+from graphsym import (parse_graph6, automorphism_group, distinguishing_number,
+                      strong_product, s_partition)
+assert "graphsym.checks" not in sys.modules
+assert "run_all" in dir(graphsym)
+try:
+    graphsym.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("graphsym.no_such_name resolved")
+from graphsym import {", ".join(_HARNESS_NAMES)}
+import graphsym.checks
+for name in {_HARNESS_NAMES!r}:
+    assert getattr(graphsym, name) is getattr(graphsym.checks, name), name
+    assert globals()[name] is getattr(graphsym.checks, name), name
+print("ok")
+"""
+    done = _python("-c", script)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
+
+
+def test_the_cli_loads_the_harness():
+    done = _python("-c", "import sys, graphsym.cli; print('graphsym.checks' in sys.modules)")
+    assert (done.returncode, done.stdout) == (0, "True\n"), done.stderr
 
 
 def test_distidx_text_witness_matches_json(capsys, g6):
