@@ -257,14 +257,16 @@ def _parse_corpus(text: str):
     pairs (P3xP4s), or raw graph6 strings.  '#' starts a comment.  A graph6
     line is named by its family when it has one, else by its own text, so
     distinct graphs of one size keep distinct instance names.  An error
-    names the line it was raised on."""
+    names the line it was raised on, a non-ASCII byte too: the text holds
+    one as a surrogate escape, which the line's ASCII decode refuses."""
     bases: list[tuple[str, Graph]] = []
     pairs: list[tuple[tuple[str, Graph], tuple[str, Graph]]] = []
     for number, raw in enumerate(text.splitlines(), 1):
-        token = raw.split("#", 1)[0].strip()
-        if not token:
-            continue
         try:
+            token = raw.encode("ascii", "surrogateescape").decode("ascii")
+            token = token.split("#", 1)[0].strip()
+            if not token:
+                continue
             pair = _PAIR_RE.match(token)
             if pair:
                 a, b = pair.group(1), pair.group(2)
@@ -275,7 +277,7 @@ def _parse_corpus(text: str):
                 g = parse_graph6(token)
                 name = graph_name(g)
                 bases.append((token if name.startswith("graph(") else name, g))
-        except FormatError as exc:
+        except (FormatError, UnicodeDecodeError) as exc:
             raise FormatError(f"corpus line {number}: {exc}") from exc
     return bases, pairs
 
@@ -283,7 +285,7 @@ def _parse_corpus(text: str):
 def _cmd_verify(args: argparse.Namespace) -> int:
     budgets = _budgets(args)
     if args.corpus is not None:
-        with open(args.corpus, "r", encoding="ascii") as fh:
+        with open(args.corpus, "r", encoding="ascii", errors="surrogateescape") as fh:
             bases, pairs = _parse_corpus(fh.read())
         reports = run_all(bases, budgets, extra_pairs=pairs)
     else:

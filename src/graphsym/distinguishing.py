@@ -14,11 +14,18 @@ the edges, the transposition classes and whether some non-identity
 element fixes every position (K_2's swap on its edge, never a vertex),
 which makes the minimum undefined.  On the vertices the transposition
 classes are the twin classes, read from the graph.  A trivial group
-gives the value 1.  The exhaustive search reads its tables from the
-chain's columns, the images of each position under every product of
-representatives, and lists no element either.  Only the randomized
-search, once its walks have visited more chain nodes than the group has
-elements, lists the elements as rows.
+gives the value 1.  The exhaustive search, and the randomized search
+once its walks have visited more chain nodes than the group has
+elements, read their tables from the chain's columns, the images of
+each position under every product of representatives, and list no
+element either.
+
+The only element order is the chain's product order.  At most one
+element of a labeling's stabilizer starts with each representative of
+the deepest level where its elements first move a vertex, so that order
+and the lexicographic order of the vertex images give the same first
+preserving element (see _Chain): no search sorts or lists the group to
+match the latter.
 
 Exactness contract: below the configured exhaustive budgets every smaller
 label count is either excluded by the transposition-class bound or
@@ -38,7 +45,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .graph import Graph
 from .structure import _largest_twin_class
-from .symmetry import AutomorphismGroup, Permutation, automorphism_group, compose, identity
+from .symmetry import AutomorphismGroup, automorphism_group, compose, identity
 
 EXACT = "exact"
 CERTIFIED_UPPER = "certified-upper"
@@ -210,15 +217,31 @@ class _Chain:
     """Aut(graph) acting on label positions, the vertices or the edges in
     graph.edges order, through the stabilizer chain the group holds.
 
-    levels[k] is (v, choices, span) for the group's level k at vertex v.
-    Each choice is (u[v], u, row) for a representative u, the identity
-    first, where row is u as a permutation of the positions: u itself on
-    the vertices, its action on the edge positions on the edges.  An
-    element's choices at levels 0..k fix its images of the vertices from
-    v up to the next level's vertex (n after the last level); span lists
-    the positions in that range: those vertices, or the edges whose
-    larger endpoint is one of them.  Every element fixes the positions
-    before the first level.
+    levels[k] is (rows, span) for the group's level k at vertex v.  rows
+    holds each representative u as a row, a permutation of the
+    positions: u itself on the vertices, its action on the edge positions
+    on the edges, the identity first and then in the group's order, of
+    increasing u[v].  An element's choices at levels 0..k fix its images
+    of the vertices from v up to the next level's vertex (n after the
+    last level); span lists the positions in that range: those vertices,
+    or the edges whose larger endpoint is one of them.  Every element
+    fixes the positions before the first level.
+
+    The only element order here is the chain's product order: the
+    products u_0 u_1 ... of one representative per level, compared level
+    0 first by the order of rows, so the identity comes first and an
+    element whose first moving level (its first u_k other than the
+    identity) is deeper comes earlier.  Both walks and columns() take the
+    elements in it.  Its first element preserving a labeling is the one
+    the lexicographic order of the vertex images would give, so nothing
+    is sorted or listed to match that order.  Let S be the labeling's
+    stabilizer and k the deepest first moving level of its non-identity
+    elements.  Two of them that choose the same u at level k differ by an
+    element of S that fixes every vertex before level k + 1, so first
+    moves deeper than k, and is therefore the identity: at most one
+    element of S starts with each u.  Both orders take the elements first
+    moving deeper first, and those first moving at level k in increasing
+    u[v], the order of rows, so both find the same element.
 
     On the edges the representatives' rows are built here.  A
     representative mapping an edge outside the edge set would mean the
@@ -232,50 +255,43 @@ class _Chain:
     """
 
     def __init__(self, graph: Graph, group: AutomorphismGroup, on_edges: bool) -> None:
-        n = graph.n
+        n, edges = graph.n, graph.edges
         self.group = group
-        self.edges = graph.edges if on_edges else None
-        self.size = len(graph.edges) if on_edges else n
+        self.on_edges = on_edges
+        self.size = len(edges) if on_edges else n
         self.visited = 0  # the walks' nodes so far: one per choice taken
-        self.levels: list[tuple[int, list, Sequence[int]]] = []
+        self.levels: list[tuple[Sequence[tuple[int, ...]], Sequence[int]]] = []
         # unread on the edges; a trivial group has no twins to swap
         self.twin_bound = 1 if on_edges or not group.levels else _largest_twin_class(graph)
         if not group.levels:
             return
         starts = [v for v, _ in group.levels]
-        bounds = list(zip(starts, starts[1:] + [n]))
+        bounds = zip(starts, starts[1:] + [n])
         if on_edges:
-            self.position = [[-1] * n for _ in range(n)]
-            for i, (a, b) in enumerate(self.edges):
-                self.position[a][b] = self.position[b][a] = i
-            spans: list[Sequence[int]] = [
-                [i for i, (_, b) in enumerate(self.edges) if v <= b < w] for v, w in bounds
-            ]
-        else:
-            spans = [range(v, w) for v, w in bounds]
-        unmoved = identity(self.size)
-        for (v, reps), span in zip(group.levels, spans):
-            rows = [self._edge_row(u) for u in reps[1:]] if on_edges else reps[1:]
-            if on_edges and any(-1 in row for row in rows):
+            position = [[-1] * n for _ in range(n)]
+            for i, (a, b) in enumerate(edges):
+                position[a][b] = position[b][a] = i
+            unmoved = identity(self.size)
+        for (_, reps), (v, w) in zip(group.levels, bounds):
+            if not on_edges:
+                self.levels.append((reps, range(v, w)))
+                continue
+            # u's edge row: -1 where u maps an edge onto a non-edge
+            rows = [tuple([position[u[a]][u[b]] for a, b in edges]) for u in reps[1:]]
+            if any(-1 in row for row in rows):
                 raise RuntimeError(
                     "internal fault: group element maps an edge outside the edge set"
                 )
-            choices = [(u[v], u, row) for u, row in zip(reps, [unmoved, *rows])]
-            self.levels.append((v, choices, span))
-
-    def _edge_row(self, p: Permutation) -> tuple[int, ...]:
-        """p as a permutation of edge positions: -1 where it maps an edge
-        onto a non-edge."""
-        position = self.position
-        return tuple([position[p[a]][p[b]] for a, b in self.edges])
+            span = [i for i, (_, b) in enumerate(edges) if v <= b < w]
+            self.levels.append(([unmoved, *rows], span))
 
     def columns(self) -> list:
         """Every non-identity element as a row, read down the positions:
         columns[i] spells the images of position i, last row first, as
-        _tie_masks reads them (see _alphabet).  The rows are the products
-        u_0 u_1 ... of one representative per level, level 0 outermost
-        and each level's choices in order, without the identity, their
-        first product.  No element is listed or composed.
+        _tie_masks reads them (see _alphabet).  The rows come in the
+        product order, without the identity, its first element, so bit t
+        of a tie mask stands for the t-th row the walk with no limit
+        yields.  No element is listed or composed.
 
         The rows are spelled one after another in one string, built
         deepest level first.  If E lists the products of the levels below
@@ -289,65 +305,50 @@ class _Chain:
         size = self.size
         spell, table = _alphabet(size)
         rows = spell(range(size))  # the identity's row
-        for _, choices, _ in reversed(self.levels):
+        for choices, _ in reversed(self.levels):
             # last row first: the last choice's block first, the identity's last
-            blocks = [rows.translate(table(row)) for _, _, row in reversed(choices[1:])]
+            blocks = [rows.translate(table(row)) for row in reversed(choices[1:])]
             rows = rows[:0].join(blocks + [rows])
         end = len(rows) - size  # the identity's row is the last
         return [rows[i:end:size] for i in range(size)]
 
-    def rows(self) -> Sequence[tuple[int, ...]]:
-        """Every non-identity element as a row, in lexicographic order of
-        the vertex images: the identity heads group.elements.  This lists
-        the elements."""
-        elements = self.group.elements[1:]
-        if self.edges is None:
-            return elements
-        return [self._edge_row(p) for p in elements]
-
     def walk(self, labels: Sequence[int], limit: int) -> Iterator[tuple[tuple[int, ...], int]]:
         """(row, missed) for each non-identity element whose row carries
         to at most limit positions i a label other than labels[i], missed
-        being how many, in lexicographic order of the vertex images.
+        being how many, in the product order (see _Chain).
 
-        An element is the identity down to its first moving level k,
-        where it maps the level's vertex v to some w > v, and fixes every
-        earlier vertex: the deeper k, the earlier it comes.  From there
-        the walk goes depth first, with p the product of the
-        representatives chosen so far and q its row.  Choosing u at the
-        next level, at vertex v', makes p u, which maps v' to p[u[v']]:
-        distinct u give distinct images and agree on the earlier
-        vertices, so the choices taken in increasing p[u[v']] give the
-        elements in lexicographic order (Seress, Permutation Group
-        Algorithms, 2003).  p u also fixes the row on that level's span,
-        so the branch is cut as soon as more than limit labels there and
-        above differ.
+        An element is the identity down to its first moving level k, so
+        the walk takes those levels deepest first, and each one's
+        non-identity choices in order.  From there it goes depth first,
+        with q the row of the product of the representatives chosen so
+        far, taking each deeper level's choices in order, the identity
+        first.  A choice at the next level fixes the row on that level's
+        span, so the branch is cut as soon as more than limit labels there
+        and above differ.
         """
-        p, q = identity(self.group.n), identity(self.size)
+        q = identity(self.size)
         for k in range(len(self.levels) - 1, -1, -1):
-            # the moving choices of the first moving level, in increasing u[v]
-            yield from self._descend(labels, limit, k, p, q, 0, self.levels[k][1][1:])
+            yield from self._descend(labels, limit, k, q, 0, self.levels[k][0][1:])
 
     def _descend(
         self, labels: Sequence[int], limit: int, k: int,
-        p: Permutation, q: tuple[int, ...], missed: int, choices: Sequence,
+        q: tuple[int, ...], missed: int, rows: Sequence[tuple[int, ...]],
     ) -> Iterator[tuple[tuple[int, ...], int]]:
-        """The walk below level k-1, where the product is p with row q and
-        missed labels differ so far, taking the choices of level k in the
-        order given.
+        """The walk below level k-1, where the product's row is q and
+        missed labels differ so far, taking the given rows of level k in
+        order.
 
-        The row of p u is q r, for r the choice's row, so its label at
-        position i is labels[q[r[i]]], which for the identity choice is
+        The product with a choice of row r has the row q r, so its label
+        at position i is labels[q[r[i]]], which for the identity choice is
         labels[q[i]].  The span test reads that before anything is
-        composed, and p u and q r are composed only for a choice that
-        passes it: most choices fail it, and a composition costs the
-        whole vertex or edge count.  A method, not a closure: a closure
-        calling itself would be a reference cycle, left for the garbage
-        collector."""
+        composed, and q r is composed only for a choice that passes it:
+        most choices fail it, and a composition costs the whole vertex or
+        edge count.  A method, not a closure: a closure calling itself
+        would be a reference cycle, left for the garbage collector."""
         levels = self.levels
-        v, _, span = levels[k]
-        on_vertices = self.edges is None
-        for w, u, r in choices:
+        level, span = levels[k]
+        unmoved = level[0]
+        for r in rows:
             self.visited += 1
             count = missed
             for i in span:
@@ -356,20 +357,16 @@ class _Chain:
                     if count > limit:
                         break
             else:
-                if w == v:  # the identity
-                    pu, qu = p, q
-                else:
-                    pu = compose(p, u)
-                    qu = pu if on_vertices else compose(q, r)
+                qr = q if r is unmoved else compose(q, r)
                 if k == len(levels) - 1:
-                    yield qu, count
+                    yield qr, count
                 else:
-                    deeper = sorted(levels[k + 1][1], key=lambda c: pu[c[0]])
-                    yield from self._descend(labels, limit, k + 1, pu, qu, count, deeper)
+                    yield from self._descend(labels, limit, k + 1, qr, count, levels[k + 1][0])
 
     def first_preserving(self, labels: Sequence[int]) -> Optional[tuple[int, ...]]:
-        """The row of the first non-identity element, in the order of
-        rows(), that preserves every label, if any."""
+        """The row of the first non-identity element, in the product
+        order, that preserves every label, if any: the first in the
+        lexicographic order of the vertex images too (see _Chain)."""
         return next((row for row, _ in self.walk(labels, 0)), None)
 
     def transposition_class_bound(self) -> Optional[int]:
@@ -386,7 +383,7 @@ class _Chain:
         fixes every position, and the classes are the twin classes, read
         from the graph in O(n + m); on the edges the walk finds them.
         """
-        if self.edges is None:
+        if not self.on_edges:
             return self.twin_bound
         return self.walked_class_bound()
 
@@ -427,12 +424,6 @@ def _alphabet(size: int) -> tuple[Callable, Callable]:
         return bytes, lambda row: bytes(row) + pad
     spell = lambda seq: "".join(map(chr, seq))
     return spell, spell
-
-
-def _row_columns(size: int, rows: Sequence[tuple[int, ...]]) -> list:
-    """The columns of listed rows, last row first, spelled by _alphabet."""
-    spell, _ = _alphabet(size)
-    return [spell(col) for col in zip(*reversed(rows))]
 
 
 def _tie_masks(size: int, columns: Sequence) -> list[dict[int, int]]:
@@ -483,35 +474,30 @@ def _row_masks(size: int, columns: Sequence) -> tuple[list[dict[int, int]], list
     return ties, settled
 
 
-def _tie_pairs(size: int, rows: Sequence[tuple[int, ...]]) -> list[tuple[int, int, int]]:
-    """The tie masks of listed rows as one list of (k, j, ties[k][j])
-    triples, bit t standing for rows[t]."""
-    ties = _tie_masks(size, _row_columns(size, rows))
+def _tie_pairs(size: int, columns: Sequence) -> list[tuple[int, int, int]]:
+    """The tie masks of the rows the columns spell (see _tie_masks) as one
+    list of (k, j, ties[k][j]) triples."""
+    ties = _tie_masks(size, columns)
     return [(k, j, mask) for k, tie in enumerate(ties) for j, mask in tie.items()]
 
 
-def _unbroken_row(
-    labels: Sequence[int],
-    rows: Sequence[tuple[int, ...]],
-    pairs: Sequence[tuple[int, int, int]],
-) -> Optional[tuple[int, ...]]:
-    """The first row preserving the labels, read off the _tie_pairs of the
-    rows: the row _Chain.first_preserving returns when rows are the
-    chain's rows().
+def _unbroken_row(labels: Sequence[int], pairs: Sequence[tuple[int, int, int]]) -> int:
+    """The bit index of the first row preserving the labels, read off the
+    _tie_pairs of the rows, or the row count when none does.  On a
+    chain's columns that row is the one _Chain.first_preserving returns.
 
     A row is broken when it ties two positions with different labels,
     that is when it is in the mask of a pair (k, j) with labels[k] !=
     labels[j], and preserves the labels otherwise.  The OR of those masks
     is the set of broken rows; its lowest zero bit is the first row not
-    broken, or len(rows) when every row is.  Unlike the walk, the test
-    reads every pair: it has no early exit.
+    broken, past the last row when every row is.  Unlike the walk, the
+    test reads every pair: it has no early exit.
     """
     broken = 0
     for k, j, mask in pairs:
         if labels[k] != labels[j]:
             broken |= mask
-    t = (~broken & (broken + 1)).bit_length() - 1
-    return rows[t] if t < len(rows) else None
+    return (~broken & (broken + 1)).bit_length() - 1
 
 
 def _exhaustive_minimum(size: int, columns: Sequence, start: int) -> tuple[int, tuple[int, ...]]:
@@ -581,31 +567,40 @@ def _randomized_minimum(
     afresh per label count r, from r = start up.  At r = size the
     all-distinct labeling is tried first, which guarantees termination.
 
-    Each stabilizer test either walks the chain or reads the tie masks of
-    the listed rows through _unbroken_row.  Listing costs about order x
-    size, and each walk costs its nodes, so the search walks until the
-    walks of this search have visited more chain nodes than the group
-    has elements, and only then lists the rows and builds their masks:
-    a search that stops early lists nothing, and one that goes on spends
-    at most about twice what the better of the two would have.  Both
-    tests return the first preserving row, so the repair steps and the
-    random trajectory do not depend on which one ran.
+    Each stabilizer test either walks the chain or reads, through
+    _unbroken_row, the tie masks of the rows the chain's columns spell.
+    Building them costs about order x size, at C speed, and each walk
+    costs its nodes, so the search walks until the walks of this search
+    have visited more chain nodes than the group has elements, and only
+    then builds the columns and their masks: a search that stops early
+    builds nothing, and one that goes on spends at most about twice what
+    the better of the two would have.  Both tests find the first
+    preserving element in the product order, the lexicographic order's
+    first too (see _Chain), so the repair steps and the random trajectory
+    do not depend on which one ran.  The listed path reads the position
+    to flip off the columns.
     """
     size = chain.size
     rng = random.Random(budgets.seed)
     order = chain.group.order
     chain.visited = 0
-    rows: Sequence[tuple[int, ...]] = ()
+    unmoved = _alphabet(size)[0](range(size))  # the identity's row, spelled
+    columns: list = []
     pairs: Optional[list[tuple[int, int, int]]] = None
 
-    def first_preserving(labels: Sequence[int]) -> Optional[tuple[int, ...]]:
-        nonlocal rows, pairs
+    def first_moved(labels: Sequence[int]) -> Optional[int]:
+        """The first position the first preserving row moves, if any."""
+        nonlocal columns, pairs
         if pairs is None and chain.visited > order:
-            rows = chain.rows()
-            pairs = _tie_pairs(size, rows)
+            columns = chain.columns()
+            pairs = _tie_pairs(size, columns)
         if pairs is None:
-            return chain.first_preserving(labels)
-        return _unbroken_row(labels, rows, pairs)
+            row = chain.first_preserving(labels)
+            return None if row is None else next(i for i in range(size) if row[i] != i)
+        t = _unbroken_row(labels, pairs)
+        if t == len(columns[0]):
+            return None
+        return next(i for i, column in enumerate(columns) if column[-1 - t] != unmoved[i])
 
     for r in range(start, size + 1):
         trials = 0
@@ -615,15 +610,14 @@ def _randomized_minimum(
         while trials < budgets.trials or pending:
             labels = pending.pop() if pending else [rng.randint(1, r) for _ in range(size)]
             trials += 1
-            row = first_preserving(labels)
+            moved = first_moved(labels)
             steps = 0
-            while row is not None and trials < budgets.trials and steps < 2 * size:
-                moved = next(i for i in range(size) if row[i] != i)
+            while moved is not None and trials < budgets.trials and steps < 2 * size:
                 labels[moved] = labels[moved] % r + 1
                 trials += 1
                 steps += 1
-                row = first_preserving(labels)
-            if row is None:
+                moved = first_moved(labels)
+            if moved is None:
                 normalized, distinct = _normalize_labels(labels)
                 return distinct, normalized
     raise AssertionError("the all-distinct labeling must be distinguishing")

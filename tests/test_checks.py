@@ -189,6 +189,29 @@ def test_verify_all_lists_no_group(monkeypatch):
     assert automorphism_group(path(3)).elements == ((0, 1, 2), (2, 1, 0)) and listed == [2]
 
 
+# no exact search and no trials: each value is certified from its bounds alone
+_NO_SEARCH = Budgets(exact_vertices=0, exact_edges=0, trials=0)
+
+
+@pytest.mark.parametrize("check, note", [
+    (lambda: check_power_number(path(3), 2, _NO_SEARCH), "budget: value not certified tight"),
+    (lambda: check_number_equality(path(3), path(4), _NO_SEARCH),
+     "budget: certified values not tight enough to compare"),
+    (lambda: check_index_monotone(path(3), path(4), _NO_SEARCH),
+     "budget: brackets too loose to decide the inequality"),
+    (lambda: check_index_sthin(path(3), path(4), _NO_SEARCH),
+     "budget: brackets too loose to decide the inequality"),
+    (lambda: check_traceable_index([path(3), path(3)], _NO_SEARCH),
+     "budget: no two-label witness found within the trial budget"),
+    (lambda: check_lift(complete(1), complete(2)), "cartesian index undefined"),
+], ids=["power-number", "number-equality", "index-monotone", "index-sthin",
+        "traceable-index", "lift"])
+def test_checks_report_what_they_cannot_decide(check, note):
+    report = check()
+    assert report.status == "not-applicable" and report.notes == (note,)
+    assert all(report.hypotheses.values())
+
+
 def test_check_power_number():
     assert check_power_number(path(3), 2).passed
     report = check_power_number(cycle(5), 2, Budgets(aut_vertices=25))

@@ -207,6 +207,19 @@ def test_a_bad_corpus_line_is_named_in_the_error(capsys, tmp_path):
     assert err == "error: corpus line 2: unexpected whitespace inside graph6 string\n"
 
 
+@pytest.mark.parametrize("text, line, position", [
+    pytest.param(b"P3\nD\xc3\xa9?\n", 2, 1, id="in-a-graph6-line"),
+    pytest.param(b"P3 # caf\xc3\xa9\nP4\n", 1, 8, id="in-a-comment"),
+])
+def test_a_non_ascii_corpus_byte_is_named_by_its_line(capsys, tmp_path, text, line, position):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(text)
+    code, out, err = run(capsys, ["verify", "--corpus", str(corpus)])
+    assert (code, out) == (2, "")
+    assert err == (f"error: corpus line {line}: 'ascii' codec can't decode byte 0xc3 "
+                   f"in position {position}: ordinal not in range(128)\n")
+
+
 def test_verify_corpus_names_graph6_lines_apart(capsys, tmp_path):
     # the star K1,4 and the tree 0-1, 1-2, 1-3, 3-4 both have 5 vertices and
     # 4 edges, so their size tag alone would give 27 reports 9 names

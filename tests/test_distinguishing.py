@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import graphsym.distinguishing
 from graphsym import (
     DEFAULT_BUDGETS,
     AutomorphismGroup,
@@ -29,12 +30,13 @@ from graphsym import (
     strong_product,
 )
 from graphsym.checks import default_corpus
+from graphsym.cli import dispatch
 from graphsym.distinguishing import (
     _Chain,
+    _alphabet,
     _chain,
     _exhaustive_minimum,
     _randomized_minimum,
-    _row_columns,
     _row_masks,
     _tie_masks,
     _tie_pairs,
@@ -402,25 +404,54 @@ def _stabilizer_test_graphs():
 _UNCAPPED = Budgets(aut_max_order=None)
 
 
+def _lexicographic_rows(g, chain):
+    """The chain's non-identity elements as rows, in lexicographic order
+    of the vertex images: the reference order, listed from group.elements."""
+    elements = chain.group.elements[1:]
+    if not chain.on_edges:
+        return list(elements)
+    index = {e: i for i, e in enumerate(g.edges)}
+    return [tuple(index[min(p[u], p[v]), max(p[u], p[v])] for u, v in g.edges) for p in elements]
+
+
 def _stabilizer_test_cases():
-    """(chain, rows) on the vertices and on the edges of each graph."""
+    """(chain, rows) on the vertices and on the edges of each graph, rows
+    in lexicographic order."""
     for g in _stabilizer_test_graphs():
         chain = _chain(g, _UNCAPPED, on_edges=False)
-        yield chain, chain.rows()
+        yield chain, _lexicographic_rows(g, chain)
         chain = _chain(g, _UNCAPPED, on_edges=True)
-        rows = chain.rows()
+        rows = _lexicographic_rows(g, chain)
         if tuple(range(g.edge_count)) not in rows:  # undefined index: no search runs
             yield chain, rows
 
 
+def _row_columns(size, rows):
+    """The columns of listed rows, last row first, spelled as _alphabet
+    says: the chain's columns() spell its own rows so."""
+    spell, _ = _alphabet(size)
+    return [spell(col) for col in zip(*reversed(rows))]
+
+
+def _rows_down(columns):
+    """The rows that columns spell, read down them: bytes columns hold
+    positions as ints, str columns as characters, last row first."""
+    rows = [tuple(c if isinstance(c, int) else ord(c) for c in row) for row in zip(*columns)]
+    return rows[::-1]
+
+
 def test_mask_test_returns_the_reference_row():
+    # the walk and the masks of the chain's columns both take the product
+    # order, and both must find the row the lexicographic order finds first
     rng = random.Random(8)
     outcomes = {True: 0, False: 0}
     for chain, rows in _stabilizer_test_cases():
         if not rows:
             continue
         size = len(rows[0])
-        pairs = _tie_pairs(size, rows)
+        columns = chain.columns()
+        down = _rows_down(columns)
+        pairs = _tie_pairs(size, columns)
         labelings = [[rng.randint(1, r) for _ in range(size)] for r in (2, 3) for _ in range(30)]
         for _ in range(10):
             # preserved by one chosen row, or by several
@@ -431,20 +462,14 @@ def test_mask_test_returns_the_reference_row():
             labelings.append(_orbit_labels(size, several, rng))
             labelings.append(_orbit_labels(size, several, rng, r=2))
         # preserved by the last row, whose bit is the highest a mask can hold
-        labelings.append(_orbit_labels(size, [rows[-1]], rng))
+        labelings.append(_orbit_labels(size, [down[-1]], rng))
         for labels in labelings:
             expected = reference_preserving_row(labels, rows)
-            assert _unbroken_row(labels, rows, pairs) == expected
+            t = _unbroken_row(labels, pairs)
+            assert (down[t] if t < len(down) else None) == expected
             assert chain.first_preserving(labels) == expected
             outcomes[expected is None] += 1
     assert min(outcomes.values()) > 1000  # both distinguishing and preserved labelings
-
-
-def _rows_down(columns):
-    """The rows that columns spell, read down them: bytes columns hold
-    positions as ints, str columns as characters, last row first."""
-    rows = [tuple(c if isinstance(c, int) else ord(c) for c in row) for row in zip(*columns)]
-    return rows[::-1]
 
 
 def test_row_masks_match_the_row_by_row_build():
@@ -477,15 +502,16 @@ def _wide_chains():
 def test_chain_columns_hold_every_element_once():
     # read down the columns, the rows are the group's non-identity
     # elements, each once: the same set as the listed elements
-    chains = [_chain(g, _UNCAPPED, on_edges) for g in _stabilizer_test_graphs()
+    chains = [(g, _chain(g, _UNCAPPED, on_edges)) for g in _stabilizer_test_graphs()
               for on_edges in (False, True)]
+    wide = [(cycle(chain.group.n), chain) for chain in _wide_chains()]
     sizes = set()
-    for chain in chains + list(_wide_chains()):
+    for g, chain in chains + wide:
         columns = chain.columns()
         assert len(columns) == chain.size
         down = _rows_down(columns)
         assert len(down) == chain.group.order - 1
-        assert set(down) == set(chain.rows()), chain.group
+        assert set(down) == set(_lexicographic_rows(g, chain)), chain.group
         sizes.add(chain.size)
     assert {136, 300} <= sizes
 
@@ -498,14 +524,15 @@ def test_chain_columns_past_the_ascii_and_byte_ranges():
 
 
 def test_walk_lists_the_rows_and_bounds_the_transposition_classes():
-    # the walk with no effective limit gives every row in list order; with
-    # limit 2 under distinct labels it gives the oracle's transposition-class
-    # bound, or None exactly when some row fixes every position
+    # the walk with no effective limit gives every row in the order the
+    # columns spell them; with limit 2 under distinct labels it gives the
+    # oracle's transposition-class bound, or None exactly when some row
+    # fixes every position
     undefined = 0
     for g in _stabilizer_test_graphs():
         for on_edges in (False, True):
             chain = _chain(g, _UNCAPPED, on_edges)
-            rows = list(chain.rows())
+            rows = _rows_down(chain.columns())
             size = chain.size
             assert [row for row, _ in chain.walk(range(size), size)] == rows
             if tuple(range(size)) in rows:
@@ -545,14 +572,15 @@ def test_twin_bound_equals_the_walk():
 
 
 def test_walk_at_intermediate_limits_yields_the_rows_within_the_limit():
-    # at limit L the walk yields, in list order, exactly the rows that carry
-    # at most L labels onto a position labelled otherwise, with that count
+    # at limit L the walk yields, in the order the columns spell the rows,
+    # exactly the rows that carry at most L labels onto a position labelled
+    # otherwise, with that count
     rng = random.Random(25)
     yielded, partial = {1: 0, 3: 0}, 0
     for g in _stabilizer_test_graphs():
         for on_edges in (False, True):
             chain = _chain(g, _UNCAPPED, on_edges)
-            rows = chain.rows()
+            rows = _rows_down(chain.columns())
             size = chain.size
             for r in (2, 3):
                 for _ in range(3):
@@ -646,17 +674,19 @@ _FEW_TRIALS = Budgets(trials=1000)
 
 def _forced_minimum(monkeypatch, g, on_edges, order):
     """_randomized_minimum on a fresh copy of g, with its group's order read
-    as order: -1 lists the rows before the first test, inf never lists."""
+    as order: -1 builds the columns before the first test, inf never
+    builds them; and whether it built them."""
     g = Graph.from_edges(g.n, g.edges)
     chain = _chain(g, _FEW_TRIALS, on_edges)
     start = max(2, chain.transposition_class_bound())
-    if order is None:
-        found = _randomized_minimum(chain, _FEW_TRIALS, start)
-    else:
-        with monkeypatch.context() as patch:
+    built = []
+    columns = _Chain.columns
+    with monkeypatch.context() as patch:
+        patch.setattr(_Chain, "columns", lambda chain: built.append(chain) or columns(chain))
+        if order is not None:
             patch.setattr(AutomorphismGroup, "order", order)
-            found = _randomized_minimum(chain, _FEW_TRIALS, start)
-    return found, "elements" in vars(chain.group)
+        found = _randomized_minimum(chain, _FEW_TRIALS, start)
+    return found, bool(built)
 
 
 def _assert_switch_keeps_the_result(monkeypatch, graphs):
@@ -672,8 +702,8 @@ def _assert_switch_keeps_the_result(monkeypatch, graphs):
 
 
 def test_randomized_switch_keeps_the_result_on_the_corpus_products(monkeypatch):
-    # the walk and the listed rows give the same first preserving row, so
-    # the search finds the same labeling whichever test it runs
+    # the walk and the masks of the columns give the same first preserving
+    # row, so the search finds the same labeling whichever test it runs
     factors = [g for _, g in default_corpus()]
     products = [op(a, b) for a, b in itertools.combinations_with_replacement(factors, 2)
                 for op in (strong_product, cartesian_product) if a.n * b.n <= 20]
@@ -685,6 +715,29 @@ def test_randomized_switch_keeps_the_result_on_the_query_products(monkeypatch, q
     sides = _assert_switch_keeps_the_result(monkeypatch, [g for _, g in query_products])
     # the futile r = 2 trials of products like P10 x K2 turn to the listed rows
     assert sides["walk"] > 0 and sides["list"] > 0
+
+
+def test_no_labeling_search_lists_a_group(monkeypatch, capsys, query_products):
+    # every read of AutomorphismGroup.elements counts, kept or not: one
+    # verify --all, then D and D' of the query products with the randomized
+    # search on the columns' masks from its first test, read none
+    reads, masked = [], []
+    listing = AutomorphismGroup.__dict__["elements"].func
+    monkeypatch.setattr(AutomorphismGroup, "elements",
+                        property(lambda group: reads.append(group) or listing(group)))
+    assert dispatch(["verify", "--all", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["counts"]["pass"] == 185
+    monkeypatch.setattr(AutomorphismGroup, "order", -1)
+    pairs = graphsym.distinguishing._tie_pairs
+    monkeypatch.setattr(graphsym.distinguishing, "_tie_pairs",
+                        lambda size, columns: masked.append(size) or pairs(size, columns))
+    for _, g in query_products:
+        for solve in (distinguishing_number, distinguishing_index):
+            try:
+                solve(g)
+            except BudgetExceeded:
+                pass
+    assert reads == [] and len(masked) > 10
 
 
 def test_certified_lower_bound_is_the_transposition_class_bound():

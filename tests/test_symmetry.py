@@ -450,8 +450,8 @@ def test_graph_holding_its_group_equals_a_fresh_copy():
 
 
 def test_identity_is_the_first_element():
-    # _Chain.rows drops elements[0] as the identity: it is the least
-    # permutation, so it heads the lexicographic list of every group
+    # the identity is the least permutation, so it heads the lexicographic
+    # list of every group, as autgroup --elements prints it
     corpus = [g for _, g in default_corpus()]
     graphs = corpus + [strong_product(a, b) for a, b in itertools.combinations_with_replacement(
         corpus, 2) if a.n * b.n <= DEFAULT_BUDGETS.aut_vertices]
@@ -621,6 +621,19 @@ def test_colour_class_sizes_refuse_an_isomorphism_before_the_search(pushes):
     g, h = Graph.from_edges(7, spine + [(1, 6)]), Graph.from_edges(7, spine + [(2, 6)])
     assert sorted(map(g.degree, range(7))) == sorted(map(h.degree, range(7)))
     assert pushes(0, lambda: find_isomorphism(g, h)) == (None, 0)
+
+
+def test_degree_sequences_refuse_an_isomorphism_before_the_colouring(monkeypatch):
+    # K1,3 and P4 have four vertices and three edges each, but degrees
+    # 3, 1, 1, 1 against 2, 2, 1, 1: no matcher, and so no colouring, is built
+    star, p4 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), path(4)
+    assert (star.n, star.edge_count) == (p4.n, p4.edge_count)
+
+    def unbuilt(*args):
+        raise AssertionError("the search built a matcher")
+
+    monkeypatch.setattr(_Matcher, "__init__", unbuilt)
+    assert find_isomorphism(star, p4) is None and find_isomorphism(p4, star) is None
 
 
 def test_disconnected_direct_product_group_takes_few_pushes(pushes):
