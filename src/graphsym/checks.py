@@ -10,7 +10,6 @@ fails only on a hypothesis-satisfying counterexample.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache, reduce
 from math import prod
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -30,7 +29,7 @@ from .distinguishing import (
     is_distinguishing_edge,
     is_distinguishing_vertex,
 )
-from .graph import Graph, complete, cycle, is_connected, path
+from .graph import Graph, _Frozen, complete, cycle, is_connected, path
 from .products import cartesian_product, strong_product
 from .structure import (
     declared_strong_prime,
@@ -81,17 +80,17 @@ def min_exponent(base: int, target: int) -> Optional[int]:
     return t
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Frozen):
     """Outcome of one verification check on one concrete instance."""
 
-    check: str
-    instance: str
-    hypotheses: dict[str, bool]
-    quantities: dict[str, object]
-    status: str
-    witness: object = None
-    notes: tuple[str, ...] = ()
+    def __init__(
+        self, check: str, instance: str, hypotheses: dict[str, bool],
+        quantities: dict[str, object], status: str, witness: object = None,
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        self.__dict__.update(
+            check=check, instance=instance, hypotheses=hypotheses, quantities=quantities,
+            status=status, witness=witness, notes=notes)
 
     @property
     def passed(self) -> bool:
@@ -286,7 +285,7 @@ def layered_labeling(
     for x in range(g.n):
         for y in range(h.n):
             labels[x * h.n + y] = phi.labels[x] + y * phi.r
-    return VertexLabeling(tuple(labels), phi.r * h.n)
+    return VertexLabeling(labels, phi.r * h.n)
 
 
 def _layered_size_gate(budgets: Budgets, g: Graph, h: Graph) -> Optional[str]:
@@ -467,7 +466,7 @@ def sequence_labeling(run: _Run, g: Graph, h: Graph, report) -> BoundReport:
         for x in range(n):
             labels[x * m + i] = seq[x]
     used = max(labels)
-    labeling = VertexLabeling(tuple(labels), used)
+    labeling = VertexLabeling(labels, used)
 
     distinct = len(set(sequences)) == m
     distinguishing = is_distinguishing_vertex(run.strong(g, h), labeling, run.budgets)

@@ -15,7 +15,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import fields, replace
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
@@ -98,9 +97,10 @@ def _add_verb(sub, name: str, about: str, *flags: str) -> argparse.ArgumentParse
 
 
 def _budgets(args: argparse.Namespace) -> Budgets:
-    """DEFAULT_BUDGETS with the fields of the flags this verb takes."""
-    present = {f.name for f in fields(Budgets)} & vars(args).keys()
-    return replace(DEFAULT_BUDGETS, **{name: getattr(args, name) for name in present})
+    """Budgets with the fields of the flags this verb takes, the defaults
+    elsewhere."""
+    given = vars(args)
+    return Budgets(**{f: given[f] for f, _, _ in _BUDGET_FLAGS.values() if f in given})
 
 
 def _load_graph(source: str) -> Graph:

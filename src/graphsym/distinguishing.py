@@ -40,10 +40,9 @@ therefore tight (value 1 happens exactly for asymmetric graphs).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .graph import Graph
+from .graph import Graph, _Frozen
 from .structure import _largest_twin_class
 from .symmetry import AutomorphismGroup, automorphism_group, compose, identity
 
@@ -56,8 +55,7 @@ REASON_NONTRIVIAL_AUT = "nontrivial-aut"
 REASON_EXHAUSTED = "exhausted-smaller-r"
 
 
-@dataclass(frozen=True)
-class Budgets:
+class Budgets(_Frozen):
     """Search budgets shared by the solvers, the harness, and the CLI.
 
     exact_vertices / exact_edges: largest instance for which labelings are
@@ -68,25 +66,27 @@ class Budgets:
     repair steps included (not labelings).
     """
 
-    exact_vertices: int = 12
-    exact_edges: int = 14
-    aut_vertices: int = 20
-    aut_max_order: Optional[int] = 10000
-    aut_nodes: Optional[int] = 100000
-    hamiltonian_vertices: int = 16
-    trials: int = 10000
-    seed: int = 0
+    def __init__(
+        self, exact_vertices: int = 12, exact_edges: int = 14, aut_vertices: int = 20,
+        aut_max_order: Optional[int] = 10000, aut_nodes: Optional[int] = 100000,
+        hamiltonian_vertices: int = 16, trials: int = 10000, seed: int = 0,
+    ) -> None:
+        self.__dict__.update(
+            exact_vertices=exact_vertices, exact_edges=exact_edges, aut_vertices=aut_vertices,
+            aut_max_order=aut_max_order, aut_nodes=aut_nodes,
+            hamiltonian_vertices=hamiltonian_vertices, trials=trials, seed=seed)
 
 
 DEFAULT_BUDGETS = Budgets()
 
 
-@dataclass(frozen=True)
-class VertexLabeling:
-    """Assignment of a label in 1..r to every vertex, in vertex order."""
+class VertexLabeling(_Frozen):
+    """Assignment of a label in 1..r to every vertex, in vertex order,
+    stored as a tuple."""
 
-    labels: tuple[int, ...]
-    r: int
+    def __init__(self, labels: Iterable[int], r: int) -> None:
+        self.__dict__.update(labels=tuple(labels), r=r)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.r < 1:
@@ -95,12 +95,12 @@ class VertexLabeling:
             raise ValueError("label out of range 1..r")
 
 
-@dataclass(frozen=True)
-class EdgeLabeling:
+class EdgeLabeling(_Frozen):
     """Assignment of a label in 1..r to every edge, keyed by (min, max) pairs."""
 
-    labels: dict[tuple[int, int], int]
-    r: int
+    def __init__(self, labels: dict[tuple[int, int], int], r: int) -> None:
+        self.__dict__.update(labels=labels, r=r)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.r < 1:
@@ -112,8 +112,7 @@ class EdgeLabeling:
                 raise ValueError("label out of range 1..r")
 
 
-@dataclass(frozen=True)
-class DistinguishingResult:
+class DistinguishingResult(_Frozen):
     """Outcome of a distinguishing number or index computation.
 
     value is the exact minimum (mode "exact") or a witnessed upper bound
@@ -124,11 +123,13 @@ class DistinguishingResult:
     every edge, as in K_2) is reported with mode "undefined" and no value.
     """
 
-    value: Optional[int]
-    mode: str
-    witness: object
-    lower_bound_reason: Optional[str]
-    lower: Optional[int]
+    def __init__(
+        self, value: Optional[int], mode: str, witness: object,
+        lower_bound_reason: Optional[str], lower: Optional[int],
+    ) -> None:
+        self.__dict__.update(
+            value=value, mode=mode, witness=witness, lower_bound_reason=lower_bound_reason,
+            lower=lower)
 
     @property
     def bounds(self) -> tuple[int, int]:

@@ -2,18 +2,55 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Frozen:
+    """Base of the package's immutable value classes.
+
+    The fields are the parameters of the subclass's __init__, in order,
+    which stores them with ``self.__dict__.update``.  repr, equality and
+    hashing read the fields as a frozen dataclass's would: objects compare
+    field by field and only within one class, and an unhashable field
+    makes the object unhashable.  Assigning or deleting any attribute
+    raises AttributeError; caches write past that with
+    ``object.__setattr__`` or ``functools.cached_property``.
+    """
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class Graph(_Frozen):
     """Finite simple undirected graph on vertices 0..n-1.
 
     ``adj[v]`` is the sorted tuple of neighbours of ``v``.  Instances are
     immutable (safe to share and to use as dict keys).  The public
-    constructor ``Graph(n, adj)`` validates the table in full: no
+    constructor ``Graph(n, adj)`` stores the rows as tuples, whatever
+    iterables they come as, and validates the table in full: no
     self-loops, symmetric adjacency, sorted duplicate-free neighbour lists.
     Symmetry is tested against ``neighbor_sets``, which the check fills and
     caches, so validation costs time linear in the table.  The package's
@@ -26,9 +63,6 @@ class Graph:
     self-loop and duplicate checks).
     """
 
-    n: int
-    adj: tuple[tuple[int, ...], ...]
-
     # not fields, so outside eq, hash and repr: what
     # symmetry.automorphism_group proved about this object, set there on
     # first use, the labeling chains distinguishing._chain builds on that
@@ -36,6 +70,10 @@ class Graph:
     _aut = None
     _chains = None
     _hash = None
+
+    def __init__(self, n: int, adj: Iterable[Iterable[int]]) -> None:
+        self.__dict__.update(n=n, adj=tuple(map(tuple, adj)))
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -55,8 +93,8 @@ class Graph:
                     raise ValueError(f"adjacency not symmetric for pair {v}, {w}")
 
     def __hash__(self) -> int:
-        """hash((n, adj)), as the dataclass would compute it, computed once:
-        the run's caches hash the same graphs many times."""
+        """hash((n, adj)), the hash of the fields, computed once: the run's
+        caches hash the same graphs many times."""
         h = self._hash
         if h is None:
             h = hash((self.n, self.adj))
@@ -68,8 +106,7 @@ class Graph:
         """A graph on n >= 0 vertices whose rows the caller guarantees are
         sorted, duplicate-free, loop-free, in range and symmetric; unchecked."""
         graph = object.__new__(cls)
-        object.__setattr__(graph, "n", n)
-        object.__setattr__(graph, "adj", adj)
+        graph.__dict__.update(n=n, adj=adj)
         return graph
 
     @staticmethod

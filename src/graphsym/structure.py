@@ -10,17 +10,16 @@ from __future__ import annotations
 
 from bisect import bisect
 from collections import Counter
-from dataclasses import dataclass
 
-from .graph import Graph, is_connected
+from .graph import Graph, _Frozen, is_connected
 from .symmetry import BudgetExceeded
 
 
-@dataclass(frozen=True)
-class SPartition:
+class SPartition(_Frozen):
     """Partition of the vertex set into maximal classes of equal closed neighborhoods."""
 
-    classes: tuple[tuple[int, ...], ...]
+    def __init__(self, classes: tuple[tuple[int, ...], ...]) -> None:
+        self.__dict__.update(classes=classes)
 
 
 def s_partition(graph: Graph) -> SPartition:

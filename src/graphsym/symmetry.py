@@ -39,13 +39,12 @@ of one Graph object is searched for once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import inf, prod
 from operator import itemgetter
 from typing import Iterator, Optional
 
-from .graph import Graph
+from .graph import Graph, _Frozen
 
 Permutation = tuple[int, ...]
 
@@ -79,8 +78,7 @@ def is_automorphism(graph: Graph, p: Permutation) -> bool:
     return all(p[v] in nbr[p[u]] for u, v in graph.edges)
 
 
-@dataclass(frozen=True, eq=False)
-class AutomorphismGroup:
+class AutomorphismGroup(_Frozen):
     """The automorphism group of a graph on n vertices, held as a
     stabilizer chain.
 
@@ -95,8 +93,8 @@ class AutomorphismGroup:
     when they have the same elements.
     """
 
-    n: int
-    levels: tuple[tuple[int, tuple[Permutation, ...]], ...]
+    def __init__(self, n: int, levels: tuple[tuple[int, tuple[Permutation, ...]], ...]) -> None:
+        self.__dict__.update(n=n, levels=levels)
 
     @property
     def order(self) -> int:

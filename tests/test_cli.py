@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -380,6 +379,17 @@ def test_import_graphsym_loads_only_the_core_modules():
     ]
 
 
+@pytest.mark.parametrize("module", ["graphsym", "graphsym.cli"])
+def test_the_import_loads_no_introspection_modules(module):
+    # dataclasses pulls in inspect, ast and dis, and compiles generated
+    # methods, on every fresh import; those a bare interpreter has already
+    # loaded are not the package's
+    done = _python("-c", f"import sys; before = set(sys.modules); import {module}; "
+                   "print(*sorted({'dataclasses', 'inspect', 'ast', 'dis'} "
+                   "& (set(sys.modules) - before)))")
+    assert (done.returncode, done.stdout) == (0, "\n"), done.stderr
+
+
 def test_the_harness_loads_on_first_use():
     script = f"""
 import sys, graphsym
@@ -568,9 +578,9 @@ def test_each_budget_field_has_exactly_one_flag():
     set_by_flags = []
     for flag in sorted(ALL_BUDGET_FLAGS):
         b = graphsym.cli._budgets(parser.parse_args(["verify", "--all", flag, "3"]))
-        set_by_flags += [f.name for f in fields(Budgets)
-                         if getattr(b, f.name) != getattr(DEFAULT_BUDGETS, f.name)]
-    assert sorted(set_by_flags) == sorted(f.name for f in fields(Budgets))
+        set_by_flags += [name for name in Budgets._fields
+                         if getattr(b, name) != getattr(DEFAULT_BUDGETS, name)]
+    assert sorted(set_by_flags) == sorted(Budgets._fields)
     assert graphsym.cli._budgets(parser.parse_args(["verify", "--all"])) == DEFAULT_BUDGETS
     args = parser.parse_args(["distnum", "g", "--max-order", "0"])
     assert graphsym.cli._budgets(args).aut_max_order is None
