@@ -266,6 +266,13 @@ def _result_summary(res: DistinguishingResult) -> str:
     return f"{res.value} ({res.mode})"
 
 
+def _copies(n: int, sequences: Sequence[Sequence[int]]) -> list[int]:
+    """The labels of a strong product whose copy y of the first factor (n
+    vertices) carries sequences[y]: vertex (x, y), numbered x * len(sequences)
+    + y as products.py numbers it, receives sequences[y][x]."""
+    return [seq[x] for x in range(n) for seq in sequences]
+
+
 def layered_labeling(
     g: Graph, h: Graph, phi: VertexLabeling, budgets: Budgets = DEFAULT_BUDGETS
 ) -> VertexLabeling:
@@ -281,11 +288,8 @@ def layered_labeling(
         raise ValueError("labeling length does not match the first factor")
     if not is_distinguishing_vertex(g, phi, budgets):
         raise ValueError("base labeling is not distinguishing")
-    labels = [0] * (g.n * h.n)
-    for x in range(g.n):
-        for y in range(h.n):
-            labels[x * h.n + y] = phi.labels[x] + y * phi.r
-    return VertexLabeling(labels, phi.r * h.n)
+    shifted = [[lab + y * phi.r for lab in phi.labels] for y in range(h.n)]
+    return VertexLabeling(_copies(g.n, shifted), phi.r * h.n)
 
 
 def _layered_size_gate(budgets: Budgets, g: Graph, h: Graph) -> Optional[str]:
@@ -438,33 +442,24 @@ def sequence_labeling(run: _Run, g: Graph, h: Graph, report) -> BoundReport:
             "the construction uses the integer search"
         )
 
-    new_label = False
     if base == 1:
-        case = "iii"
-        alphabet = min_alphabet(n, m)
-        bound = alphabet
-        family = itertools.product(range(1, alphabet + 1), repeat=n)
-        sequences = list(itertools.islice(family, m))
+        case, alphabet, first = "iii", min_alphabet(n, m), []
     else:
         case = "ii" if base == d else "i"
-        alphabet = max(base, d) if case == "i" else base
-        bound = base + 1 if case == "ii" else alphabet
-        phi_seq = tuple(d_g.witness.labels)
-        family = itertools.product(range(1, alphabet + 1), repeat=n)
-        pool = (s for s in family if s != phi_seq)
-        chosen = list(itertools.islice(pool, m - 1))
-        if len(chosen) < m - 1:
-            # Alphabet exhausted after excluding the first copy's sequence
-            # (only possible when alphabet**n == m-1): spend the extra label
-            # on the first coordinate of the final copy.
-            chosen.append((alphabet + 1,) + phi_seq[1:])
-            new_label = True
-        sequences = [phi_seq] + chosen
-
-    labels = [0] * (n * m)
-    for i, seq in enumerate(sequences):
-        for x in range(n):
-            labels[x * m + i] = seq[x]
+        alphabet = max(base, d)  # in case (ii) base == d
+        first = [tuple(d_g.witness.labels)]
+    bound = base + 1 if case == "ii" else alphabet
+    family = (s for s in itertools.product(range(1, alphabet + 1), repeat=n) if s not in first)
+    sequences = first + list(itertools.islice(family, m - len(first)))
+    # Only cases (i) and (ii) can run short: the family has alphabet**n
+    # members, and case (iii)'s alphabet makes that at least m.
+    new_label = len(sequences) < m
+    if new_label:
+        # Alphabet exhausted after excluding the first copy's sequence (only
+        # possible when alphabet**n == m-1): spend the extra label on the
+        # first coordinate of the final copy.
+        sequences.append((alphabet + 1,) + first[0][1:])
+    labels = _copies(n, sequences)
     used = max(labels)
     labeling = VertexLabeling(labels, used)
 

@@ -96,10 +96,11 @@ class VertexLabeling(_Frozen):
 
 
 class EdgeLabeling(_Frozen):
-    """Assignment of a label in 1..r to every edge, keyed by (min, max) pairs."""
+    """Assignment of a label in 1..r to every edge, keyed by (min, max) pairs,
+    stored as a copy of the given dict."""
 
     def __init__(self, labels: dict[tuple[int, int], int], r: int) -> None:
-        self.__dict__.update(labels=labels, r=r)
+        self.__dict__.update(labels=dict(labels), r=r)
         self.__post_init__()
 
     def __post_init__(self) -> None:

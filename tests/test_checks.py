@@ -269,6 +269,24 @@ def test_sequence_labeling_case_two_extra_label():
     assert q["labels used"] == 3 == q["stated bound"]
 
 
+def test_sequence_labeling_case_one_extra_label_fails_the_stated_bound():
+    # D(P3) = 2 < d = min{l : l^3 >= 27} = 3, and 3^3 = m - 1: the first
+    # copy's sequence is one of the 27, so 26 remain for 27 copies and the
+    # last copy takes a fourth label, one past the stated bound max(D(G), d)
+    report = sequence_labeling(path(3), path(28), Budgets(aut_vertices=200))
+    assert report.status == "fail"
+    q = report.quantities
+    assert q["case"] == "i" and q["D(G)"] == 2 and q["alphabet floor d"] == 3
+    assert q["stated bound"] == 3 and q["labels used"] == 4 == report.witness.r
+    assert q["extra label introduced"] is True
+    assert q["sequences pairwise distinct"] is True and q["labeling distinguishing"] is True
+    assert report.notes == ("construction needed an extra label beyond the stated bound",)
+    n, m = 3, 28
+    copies = [tuple(report.witness.labels[x * m + y] for x in range(n)) for y in range(m)]
+    assert copies[-1] == (4,) + copies[0][1:]
+    assert len(set(copies)) == m and max(map(max, copies[:-1])) == 3
+
+
 def test_sequence_labeling_layer_sequences_distinct():
     report = sequence_labeling(path(3), cycle(5))
     assert report.passed
@@ -313,6 +331,9 @@ def test_lift_edge_labeling():
     with pytest.raises(ValueError):
         lift_edge_labeling(cycle(4), complete(4), EdgeLabeling(
             {e: 1 for e in complete(4).edges}, 1))
+    # P3's reflection swaps its two edges, so one label cannot tell them apart
+    with pytest.raises(ValueError, match="labeling is not distinguishing for the subgraph"):
+        lift_edge_labeling(path(3), path(3), EdgeLabeling({(0, 1): 1, (1, 2): 1}, 1))
 
 
 def test_check_lift():

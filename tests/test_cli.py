@@ -1,4 +1,5 @@
 import enum
+import io
 import json
 import os
 from collections import OrderedDict, namedtuple
@@ -461,6 +462,19 @@ def test_negative_budget_is_a_usage_error(capsys, tmp_path, flag):
     corpus.write_text("P3\n")
     code, out, err = run(capsys, ["verify", "--corpus", str(corpus), flag, "-1"])
     assert (code, out) == (2, "") and "non-negative" in err
+
+
+def test_a_budget_that_is_not_an_integer_is_a_usage_error(capsys, g6):
+    code, out, err = run(capsys, ["distnum", g6("p4.g6", path(4)), "--trials", "x"])
+    assert (code, out) == (2, "") and "invalid int value: 'x'" in err
+
+
+@pytest.mark.parametrize("text", [serialize_graph6(path(4)) + "\n", serialize_edgelist(path(4))],
+                         ids=["graph6", "edgelist"])
+def test_a_graph_is_read_from_stdin(capsys, monkeypatch, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, _ = run(capsys, ["autgroup", "-", "--json"])
+    assert code == 0 and json.loads(out) == {"n": 4, "order": 2}
 
 
 def test_zero_order_cap_and_zero_trials_are_accepted(capsys, g6):

@@ -37,6 +37,8 @@ def test_path_small():
     p4 = path(4)
     assert set(p4.edges) == {(0, 1), (1, 2), (2, 3)}
     assert [p4.degree(v) for v in range(4)] == [1, 2, 2, 1]
+    with pytest.raises(ValueError, match="path needs at least one vertex"):
+        path(0)
 
 
 def test_cycle():
@@ -58,6 +60,8 @@ def test_complete():
     assert complete(4).edge_count == 6
     k5 = complete(5)
     assert all(k5.degree(v) == 4 for v in range(5))
+    with pytest.raises(ValueError, match="complete graph needs at least one vertex"):
+        complete(0)
 
 
 def test_closed_neighborhood():

@@ -6,7 +6,7 @@ import pytest
 from graphsym import (
     AutomorphismGroup, BoundReport, Budgets, DistinguishingResult, EdgeLabeling, Graph,
     SPartition, VertexLabeling, automorphism_group, check_number_sandwich, distinguishing_number,
-    is_s_thin, path, s_partition,
+    is_distinguishing_edge, is_s_thin, path, s_partition,
 )
 
 # class, field names in constructor order, a factory for fresh field values,
@@ -137,3 +137,22 @@ def test_vertex_labeling_from_a_list_is_the_tuple_labeling():
     assert phi.labels == (1, 2, 1)
     assert phi == VertexLabeling((1, 2, 1), 2) and hash(phi) == hash(VertexLabeling((1, 2, 1), 2))
     assert repr(phi) == "VertexLabeling(labels=(1, 2, 1), r=2)"
+
+
+def test_edge_labeling_keeps_a_copy_of_the_given_dict():
+    source = {(0, 1): 1, (1, 2): 2}
+    e = EdgeLabeling(source, 2)
+    source[(0, 1)] = 7
+    source[(5, 3)] = 1
+    assert e.labels == {(0, 1): 1, (1, 2): 2} and e.labels is not source
+    assert repr(e) == "EdgeLabeling(labels={(0, 1): 1, (1, 2): 2}, r=2)"
+    assert e == EdgeLabeling({(0, 1): 1, (1, 2): 2}, 2)
+    assert is_distinguishing_edge(path(3), e)
+
+
+@pytest.mark.parametrize("cls, labels", [(VertexLabeling, ()), (EdgeLabeling, {})],
+                         ids=["VertexLabeling", "EdgeLabeling"])
+def test_a_labeling_needs_at_least_one_label(cls, labels):
+    for r in (0, -1):
+        with pytest.raises(ValueError, match="label count must be at least 1"):
+            cls(labels, r)
