@@ -249,6 +249,9 @@ def _family_graph(token: str) -> Graph:
         return path(num)
     if kind == "C":
         return cycle(num)
+    # P_n and C_n have at most n edges; K_n has more than that limit from K719
+    if num * (num - 1) // 2 > _MAX_COUNT:
+        raise FormatError(f"family shorthand edge count outside 0..{_MAX_COUNT}")
     return complete(num)
 
 
@@ -277,7 +280,7 @@ def _parse_corpus(text: str):
                 g = parse_graph6(token)
                 name = graph_name(g)
                 bases.append((token if name.startswith("graph(") else name, g))
-        except (FormatError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # FormatError and UnicodeDecodeError among them
             raise FormatError(f"corpus line {number}: {exc}") from exc
     return bases, pairs
 

@@ -227,64 +227,48 @@ class _Matcher:
         self.depth -= 1
         self.used ^= 1 << self.image[self.depth]
 
-    def options(self) -> tuple[int, int]:
-        """(mask, want) for the next vertex v: mask, the unused vertices of
-        v's colour adjacent to the image of each earlier neighbour u of v,
-        and want, the mask of those images.  A w of mask fits v when
-        h_mask[w] & used == want."""
-        image, h_mask = self.image, self.h_mask
+    def candidates(self) -> list[int]:
+        """The images that fit the next vertex v, in increasing order: each
+        w of mask, the unused vertices of v's colour adjacent to the image
+        of every earlier neighbour of v, whose mapped neighbours are exactly
+        those images (h_mask[w] & used == want, the mask of those images)."""
+        image, h_mask, used = self.image, self.h_mask, self.used
         v = self.depth
-        mask, want = self.pool[v] & ~self.used, 0
+        mask, want = self.pool[v] & ~used, 0
         for u in self.earlier[v]:
             x = image[u]
             mask &= h_mask[x]
             want |= 1 << x
-        return mask, want
-
-    def candidates(self) -> Iterator[int]:
-        """The images that fit the next vertex, lazily and in increasing order."""
-        mask, want = self.options()
-        used, h_mask = self.used, self.h_mask
+        fits = []
         while mask:
             low = mask & -mask
             mask ^= low
             w = low.bit_length() - 1
             if h_mask[w] & used == want:
-                yield w
+                fits.append(w)
+        return fits
 
     def completions(self) -> Iterator[Permutation]:
         """Every full map extending the current one, in lexicographic image
-        order: depth-first, with an explicit stack of the candidate masks
-        not yet taken and the want of each depth."""
-        n, image, h_mask = self.n, self.image, self.h_mask
+        order: depth-first, with a stack of the candidates not yet taken at
+        each depth past the current map's."""
+        n, image = self.n, self.image
         if self.depth == n:
             yield tuple(image)
             return
-        mask, want = self.options()
-        masks, wants = [mask], [want]
-        while masks:
-            mask, want, used = masks[-1], wants[-1], self.used
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                w = low.bit_length() - 1
-                if h_mask[w] & used == want:
+        stack = [iter(self.candidates())]
+        while stack:
+            for w in stack[-1]:
+                self.push(w)
+                if self.depth < n:
+                    stack.append(iter(self.candidates()))
                     break
-            else:
-                masks.pop()
-                wants.pop()
-                if masks:
-                    self.pop()
-                continue
-            masks[-1] = mask
-            self.push(w)
-            if self.depth == n:
                 yield tuple(image)
                 self.pop()
             else:
-                mask, want = self.options()
-                masks.append(mask)
-                wants.append(want)
+                stack.pop()
+                if stack:
+                    self.pop()
 
     def first(self) -> Optional[Permutation]:
         """The first completion of the current map, or None; the map is left

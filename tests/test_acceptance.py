@@ -231,9 +231,28 @@ def test_cli_verify_all_exits_zero(capsys):
 # sha256 of `graphsym verify --all --json`; a change that moves a report
 # updates it and names the report
 VERIFY_ALL_JSON_SHA256 = "961b4f4f83cfd1c1276e87e8a29e681875754fbc9defb08bffaef092fd28c7e9"
+_RAISED = ["--exact-bound", "49", "--aut-bound", "49", "--ham-bound", "49"]
 
 
 def test_verify_all_json_is_pinned(capsys):
     assert dispatch(["verify", "--all", "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_JSON_SHA256
+
+
+# the budget sweep: the raised rows run the search kernel on the 21-49
+# vertex products that the defaults leave over the size gates
+@pytest.mark.parametrize("flags, sha256", [
+    pytest.param(["--aut-bound", "49", "--ham-bound", "30"],
+                 "998387d88c5c93ab18d29b01b4b51ca8f80da2fc4a94dcec7626295df4a65eea",
+                 id="aut-49-ham-30"),
+    pytest.param(_RAISED, "f2e03cfc6404d0c454654e3e4bb78d624ef2d49ae5450995d1a512af619c9752",
+                 id="all-49"),
+    pytest.param(_RAISED + ["--max-order", "100000"],
+                 "56a7ecfdaab54afb33eff159edc7506ff4ca2d9abe99791a1fc66aa079bb431c",
+                 id="all-49-order-100000"),
+])
+def test_verify_all_json_is_pinned_with_raised_budgets(capsys, flags, sha256):
+    assert dispatch(["verify", "--all", "--json", *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256

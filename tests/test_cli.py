@@ -207,6 +207,34 @@ def test_a_bad_corpus_line_is_named_in_the_error(capsys, tmp_path):
     assert err == "error: corpus line 2: unexpected whitespace inside graph6 string\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    pytest.param("P3\nP0\n", "path needs at least one vertex", id="base-line"),
+    pytest.param("P3\nC2xP3s\n", "cycle needs at least three vertices", id="pair-line"),
+])
+def test_a_shorthand_the_builders_refuse_is_named_by_its_line(capsys, tmp_path, text, message):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(text)
+    code, out, err = run(capsys, ["verify", "--corpus", str(corpus)])
+    assert (code, out) == (2, "")
+    assert err == f"error: corpus line 2: {message}\n"
+
+
+def test_a_complete_shorthand_over_the_edge_limit_is_refused_before_it_is_built(
+        capsys, monkeypatch, tmp_path):
+    # K718 has 257,403 edges and K719 258,121, one side of the 258,047 limit each
+    def guarded(n):
+        assert n * (n - 1) // 2 <= 258047, f"asked to build K{n}"
+        return f"K{n}"
+
+    monkeypatch.setattr(graphsym.cli, "complete", guarded)
+    assert graphsym.cli._family_graph("K718") == "K718"
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("P3\nK719\n")
+    code, out, err = run(capsys, ["verify", "--corpus", str(corpus)])
+    assert (code, out) == (2, "")
+    assert err == "error: corpus line 2: family shorthand edge count outside 0..258047\n"
+
+
 @pytest.mark.parametrize("text, line, position", [
     pytest.param(b"P3\nD\xc3\xa9?\n", 2, 1, id="in-a-graph6-line"),
     pytest.param(b"P3 # caf\xc3\xa9\nP4\n", 1, 8, id="in-a-comment"),

@@ -312,6 +312,48 @@ def test_find_isomorphism_is_the_first_in_lexicographic_order():
         assert list(_Matcher(g, h).completions()) == every, g
 
 
+def test_kernel_from_every_prefix_its_candidates_reach():
+    # from each partial map that pushing candidates reaches: the completions
+    # are the brute-force isomorphisms through it, in lexicographic order,
+    # and leave the map as it was; on g -> g the candidates are the unused
+    # vertices of the next vertex's stable class that match its adjacency
+    # to every mapped vertex
+    rng = random.Random(7)
+    prefixes = 0
+    for n in range(1, 7):
+        for g in connected_graph_sample(n, 6, seed=n):
+            relabel = list(range(n))
+            rng.shuffle(relabel)
+            copy = Graph.from_edges(n, [(relabel[u], relabel[v]) for u, v in g.edges])
+            cls = {v: c for c in reference_stable_partition(g) for v in c}
+            for h in (g, copy):
+                nbr = h.neighbor_sets
+                every = [p for p in itertools.permutations(range(n))
+                         if all(p[v] in nbr[p[u]] for u, v in g.edges)]
+                m = _Matcher(g, h)
+
+                def walk():
+                    nonlocal prefixes
+                    prefixes += 1
+                    depth, prefix, used = m.depth, m.image[:m.depth], m.used
+                    assert list(m.completions()) == [p for p in every if list(p[:depth]) == prefix]
+                    assert (m.depth, m.image[:depth], m.used) == (depth, prefix, used)
+                    if depth == n:
+                        return
+                    if h is g:
+                        assert m.candidates() == [
+                            w for w in cls[depth] if w not in prefix
+                            and all((x in nbr[w]) == (u in nbr[depth]) for u, x in enumerate(prefix))
+                        ], (g.edges, prefix)
+                    for w in m.candidates():
+                        m.push(w)
+                        walk()
+                        m.pop()
+
+                walk()
+    assert prefixes > 500  # 750 with the colour-pool candidates
+
+
 def _reference_chain(g):
     """(v, w) for v = n-1 down to 0 and, in increasing order, each w != v
     to which some automorphism fixing 0..v-1 maps v, from the reference
